@@ -35,13 +35,41 @@ def _check_keys(block, required, optional, where):
     return block
 
 
+def _numbers(value, where):
+    """A finite float scalar or array from a config value."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be numeric: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{where} must be finite")
+    return arr
+
+
+def _number(value, where, kind=float):
+    """A finite JSON number as `kind`: 64 and 64.0 pass as an int, 64.5
+    and "64" do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max \
+            or (kind is int and value % 1):
+        raise ConfigError(f"{where} must be a finite {kind.__name__}, "
+                          f"got {value!r}")
+    return kind(value)
+
+
+def _artifact_path(config, output_dir, default):
+    out_block = config.get("output") or {}
+    _check_keys(out_block, (), ("path", "format"), "output")
+    return os.path.join(output_dir, out_block.get("path", default))
+
+
 def _state_from_json(block):
     _check_keys(block, ("q", "p"), ("M", "N"), "initial")
-    q = np.asarray(block["q"], dtype=float)
-    p = np.asarray(block["p"], dtype=float)
+    q = _numbers(block["q"], "initial.q")
+    p = _numbers(block["p"], "initial.p")
     n = q.size
-    M = np.asarray(block.get("M", np.zeros((n, n))), dtype=float)
-    N = np.asarray(block.get("N", np.zeros((n, n))), dtype=float)
+    M = _numbers(block.get("M", np.zeros((n, n))), "initial.M")
+    N = _numbers(block.get("N", np.zeros((n, n))), "initial.N")
     return phase.ReducedState(q, p, M=M, N=N)
 
 
@@ -56,17 +84,14 @@ def _control_from_json(block):
                "rtol", "atol", "samples")
     _check_keys(block, ("t_end",), allowed, "numerics")
     kwargs = {}
-    if "step" in block:
-        kwargs["step"] = float(block["step"])
+    for key, kind in (("step", float), ("rtol", float), ("atol", float),
+                      ("record_every", int)):
+        if key in block:
+            kwargs[key] = _number(block[key], f"numerics.{key}", kind)
     if "method" in block:
         kwargs["method"] = block["method"]
-    if "record_every" in block:
-        kwargs["record_every"] = int(block["record_every"])
-    if "rtol" in block:
-        kwargs["rtol"] = float(block["rtol"])
-    if "atol" in block:
-        kwargs["atol"] = float(block["atol"])
-    return dynamics.StepControl(**kwargs), float(block["t_end"])
+    return (dynamics.StepControl(**kwargs),
+            _number(block["t_end"], "numerics.t_end"))
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +105,7 @@ def _cmd_simulate(config, output_dir, rng, quiet):
     potential = _potential_from_json(config.get("potential"))
     state0 = _state_from_json(config["initial"])
     control, t_end = _control_from_json(config["numerics"])
-    out_block = config.get("output") or {}
-    _check_keys(out_block, (), ("path", "format"), "output")
-    path = os.path.join(output_dir, out_block.get("path", "trajectory.csv"))
+    path = _artifact_path(config, output_dir, "trajectory.csv")
     traj = dynamics.integrate(model, potential, state0, t_end, control)
     io.write_trajectory_csv(path, traj)
     line = (f"simulate: kind={model.kind} samples={len(traj.times)} "
@@ -98,19 +121,19 @@ def _cmd_geodesic(config, output_dir, rng, quiet):
                 ("command", "output", "seed"), "config")
     model = phase.ModelSpec.from_json(config["model"])
     init = _check_keys(config["initial"], ("phi0", "Omega"), (), "initial")
-    phi0 = np.asarray(init["phi0"], dtype=float)
-    Omega = np.asarray(init["Omega"], dtype=float)
+    phi0 = _numbers(init["phi0"], "initial.phi0")
+    Omega = _numbers(init["Omega"], "initial.Omega")
     control, t_end = _control_from_json(config["numerics"])
-    samples = int(config["numerics"].get("samples", 11))
-    tol = float(config["numerics"].get("tolerance", 1e-6))
+    samples = _number(config["numerics"].get("samples", 11),
+                      "numerics.samples", int)
+    tol = _number(config["numerics"].get("tolerance", 1e-6),
+                  "numerics.tolerance")
     report = geodesic_cross_check(model, phi0, Omega, t_end,
                                   step=control.step, samples=samples)
     verdict = "PASS" if report["max_error"] < tol else "FAIL"
     report["tolerance"] = tol
     report["verdict"] = verdict
-    out_block = config.get("output") or {}
-    _check_keys(out_block, (), ("path", "format"), "output")
-    path = os.path.join(output_dir, out_block.get("path", "geodesic.json"))
+    path = _artifact_path(config, output_dir, "geodesic.json")
     io.write_json(path, report)
     if not quiet:
         print(f"geodesic: max_error={report['max_error']:.3e} "
@@ -121,13 +144,13 @@ def _cmd_geodesic(config, output_dir, rng, quiet):
 def _cmd_classify(config, output_dir, rng, quiet):
     _check_keys(config, ("m", "n"),
                 ("command", "A", "energy", "output", "seed"), "config")
-    m = float(config["m"])
-    n_coupling = float(config["n"])
-    A = float(config.get("A", 1.0))
+    m = _number(config["m"], "m")
+    n_coupling = _number(config["n"], "n")
+    A = _number(config.get("A", 1.0), "A")
     energy = config.get("energy")
     result = dynamics.classify_planar(m, n_coupling, A=A,
                                       energy=None if energy is None
-                                      else float(energy))
+                                      else _number(energy, "energy"))
     report = {
         "verdict": result.verdict, "m": m, "n": n_coupling, "A": A,
         "energy": result.energy, "x_min": result.x_min,
@@ -135,9 +158,7 @@ def _cmd_classify(config, output_dir, rng, quiet):
         if result.turning_points is not None else None,
         "period": result.period,
     }
-    out_block = config.get("output") or {}
-    _check_keys(out_block, (), ("path", "format"), "output")
-    path = os.path.join(output_dir, out_block.get("path", "classify.json"))
+    path = _artifact_path(config, output_dir, "classify.json")
     io.write_json(path, report)
     if not quiet:
         extra = "" if result.period is None \
@@ -160,8 +181,13 @@ def _cmd_spectrum(config, output_dir, rng, quiet):
     pb["model"] = phase.ModelSpec.from_json(pb["model"])
     if "potential" in pb:
         pb["potential"] = _potential_from_json(pb["potential"])
+    for key in ("n", "points", "alpha_label", "beta_label", "q_min",
+                "q_max"):
+        if key in pb:
+            pb[key] = _number(pb[key], f"problem.{key}",
+                              int if key in ("n", "points") else float)
     problem = quantum.SpectralProblem(**pb)
-    count = int(config.get("count", 5))
+    count = _number(config.get("count", 5), "count", int)
     op = quantum.build_reduced_hamiltonian(problem)
     spec = quantum.eigensolve(op, count)
     report = {
@@ -171,10 +197,9 @@ def _cmd_spectrum(config, output_dir, rng, quiet):
         "grid": {"q_min": problem.q_min, "q_max": problem.q_max,
                  "points": problem.points},
         "boundary": problem.boundary,
+        "solver": spec.solver,
     }
-    out_block = config.get("output") or {}
-    _check_keys(out_block, (), ("path", "format"), "output")
-    path = os.path.join(output_dir, out_block.get("path", "spectrum.json"))
+    path = _artifact_path(config, output_dir, "spectrum.json")
     io.write_json(path, report)
     if config.get("eigenvectors"):
         vec_path = os.path.splitext(path)[0] + "_vectors.csv"
@@ -209,13 +234,10 @@ def _write_eigenvectors(path, op, spec):
 def _cmd_check_brackets(config, output_dir, rng, quiet):
     _check_keys(config, (), ("command", "trials", "n", "output", "seed"),
                 "config")
-    trials = int(config.get("trials", 200))
-    n = int(config.get("n", 3))
+    trials = _number(config.get("trials", 200), "trials", int)
+    n = _number(config.get("n", 3), "n", int)
     report = check_brackets(rng, trials=trials, n=n)
-    out_block = config.get("output") or {}
-    _check_keys(out_block, (), ("path", "format"), "output")
-    path = os.path.join(output_dir,
-                        out_block.get("path", "brackets.json"))
+    path = _artifact_path(config, output_dir, "brackets.json")
     io.write_json(path, report)
     if not quiet:
         print(f"check-brackets: trials={trials} "
@@ -227,14 +249,14 @@ def _cmd_check_brackets(config, output_dir, rng, quiet):
 def _cmd_check_decomp(config, output_dir, rng, quiet):
     _check_keys(config, (), ("command", "trials", "dims", "cond_max",
                              "output", "seed"), "config")
-    trials = int(config.get("trials", 1000))
-    dims = tuple(config.get("dims", (2, 3)))
-    cond_max = float(config.get("cond_max", 1e6))
+    trials = _number(config.get("trials", 1000), "trials", int)
+    dims = config.get("dims", [2, 3])
+    dims = tuple(_number(d, "dims", int)
+                 for d in (dims if isinstance(dims, list) else [dims]))
+    cond_max = _number(config.get("cond_max", 1e6), "cond_max")
     report = check_decomposition(rng, trials=trials, dims=dims,
                                  cond_max=cond_max)
-    out_block = config.get("output") or {}
-    _check_keys(out_block, (), ("path", "format"), "output")
-    path = os.path.join(output_dir, out_block.get("path", "decomp.json"))
+    path = _artifact_path(config, output_dir, "decomp.json")
     io.write_json(path, report)
     if not quiet:
         print(f"check-decomp: trials={trials} "
@@ -436,7 +458,7 @@ def main(argv=None):
         seed = args.seed
         if seed is None:
             seed = config.get("seed", 0)
-        rng = np.random.default_rng(int(seed))
+        rng = np.random.default_rng(_number(seed, "seed", int))
         os.makedirs(args.output_dir, exist_ok=True)
         return _DISPATCH[args.command](config, args.output_dir, rng,
                                        args.quiet)

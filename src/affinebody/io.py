@@ -1,4 +1,4 @@
-"""Serialisation helpers: matrices, trajectories and spectra.
+"""Serialisation helpers: JSON reports and trajectories.
 
 All floating point output uses 17 significant digits so values round-trip
 exactly through text.
@@ -15,39 +15,6 @@ FLOAT_FMT = "%.17g"
 
 def format_float(x):
     return FLOAT_FMT % float(x)
-
-
-def matrix_to_rows(m):
-    """Row-major nested lists, suitable for JSON."""
-    m = np.asarray(m, dtype=float)
-    return [[float(v) for v in row] for row in m]
-
-
-def matrix_from_rows(rows, name="matrix"):
-    try:
-        m = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: not a numeric array: {exc}") from exc
-    if m.ndim != 2:
-        raise ConfigError(f"{name}: expected a 2-d array, got shape {m.shape}")
-    return m
-
-
-def write_matrix_csv(path, m):
-    m = np.asarray(m, dtype=float)
-    with open(path, "w") as fh:
-        for row in m:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
-
-
-def read_matrix_csv(path):
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    return matrix_from_rows(rows, name=path)
 
 
 def write_json(path, payload):

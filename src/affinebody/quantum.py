@@ -28,7 +28,6 @@ COINCIDENCE_TOL = 1e-12
 MIN_POINTS = 16
 MAX_LABEL = 4
 MAX_AXIS_POINTS_3D = 64
-DENSE_LIMIT = 4100
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +222,7 @@ class ReducedOperator:
     of every grid unknown of a dilatational problem.
     """
 
-    matrix: object               # dense ndarray or scipy sparse, Hermitian
+    matrix: object               # csr_array (1-d) or csr_matrix (full)
     weight: np.ndarray | None
     nodes: np.ndarray            # (npts,) or (npts, n) coordinate values
     block_shape: tuple
@@ -285,38 +284,41 @@ def _grid_nodes(q_min, q_max, points, boundary):
     return q_min + h * np.arange(points), h
 
 
+def _stencil(diag, lower, upper, periodic=False, stride=1):
+    """Three-band operator as a csr_array; zero entries are not stored.
+
+    Row i couples to i - stride with lower[i] and to i + stride with
+    upper[i].  A periodic 1-d grid wraps lower[0] and upper[-1] round to
+    the far corners; otherwise they fall off the grid.
+    """
+    pts = np.size(lower)
+    bands = [lower[stride:], np.broadcast_to(diag, pts), upper[:-stride]]
+    offsets = [-stride, 0, stride]
+    if periodic:
+        bands += [upper[-1:], lower[:1]]
+        offsets += [1 - pts, pts - 1]
+    return sp.diags_array(bands, offsets=offsets, format="csr")
+
+
 def _laplacian_1d(points, h, boundary):
-    """-d^2/dx^2 as a symmetric 3-point stencil (dense)."""
-    K = (np.diag(np.full(points, 2.0))
-         - np.diag(np.ones(points - 1), 1)
-         - np.diag(np.ones(points - 1), -1))
-    if boundary == "periodic":
-        K[0, -1] -= 1.0
-        K[-1, 0] -= 1.0
-    return K / h ** 2
+    """-d^2/dx^2 as a symmetric 3-point stencil."""
+    off = np.full(points, -1.0 / h ** 2)
+    return _stencil(2.0 / h ** 2, off, off, boundary == "periodic")
 
 
 def _flux_operator_1d(weight_at, nodes, h, boundary):
     """-(1/P) d/dx (P d/dx) with midpoint weights.
 
-    Returned as a plain matrix T; diag(P) @ T is exactly symmetric.
+    Returned as a stencil T; diag(P) @ T is exactly symmetric.
     """
-    pts = nodes.size
     w = weight_at(nodes)
     if np.any(w <= 0.0):
         raise SingularWeight("weight vanishes on a grid node")
     wp = weight_at(nodes + 0.5 * h)
     wm = weight_at(nodes - 0.5 * h)
-    T = np.zeros((pts, pts))
-    for i in range(pts):
-        T[i, i] = (wp[i] + wm[i]) / (w[i] * h ** 2)
-        if i + 1 < pts:
-            T[i, i + 1] = -wp[i] / (w[i] * h ** 2)
-        if i > 0:
-            T[i, i - 1] = -wm[i] / (w[i] * h ** 2)
-    if boundary == "periodic":
-        T[0, -1] = -wm[0] / (w[0] * h ** 2)
-        T[-1, 0] = -wp[-1] / (w[-1] * h ** 2)
+    scale = w * h ** 2
+    T = _stencil((wp + wm) / scale, -wm / scale, -wp / scale,
+                    boundary == "periodic")
     return T, w
 
 
@@ -339,7 +341,7 @@ def _build_dilatation(problem):
         v = pot.dilatational_value(nodes)
     shift = angular_shift(model.kind, problem.alpha_label,
                           problem.beta_label, model)
-    H = hb2 * mass_inv * K + np.diag(v + shift)
+    H = hb2 * mass_inv * K + sp.diags_array(v + shift)
     ds, dj = problem.block_shape
     return ReducedOperator(
         matrix=H, weight=None, nodes=nodes, block_shape=(1, 1),
@@ -370,6 +372,11 @@ def _build_shear(problem):
     if np.any(coincident) and bm != 0.0:
         raise SingularWeight(
             "grid node on a coincidence with a nonvanishing coupling")
+    # TrigUn only: cos(x/2) vanishes on the antipodal set x = +-pi
+    antipodal = np.abs(cm_fn(0.5 * nodes)) < COINCIDENCE_TOL
+    if np.any(antipodal) and bp != 0.0:
+        raise SingularWeight(
+            "grid node on an antipodal pair with a nonvanishing coupling")
 
     # pair couplings: ordered pairs (1,2) and (2,1) double the single term
     sm2 = sm_fn(0.5 * nodes) ** 2
@@ -385,12 +392,12 @@ def _build_shear(problem):
 
     if problem.use_amended_transform:
         K = _laplacian_1d(problem.points, h, problem.boundary)
-        H = 2.0 * hb2 * cL * (K + amended_u * np.eye(problem.points)) \
-            + np.diag(diag_part)
+        H = 2.0 * hb2 * cL * (K + amended_u * sp.eye_array(problem.points)) \
+            + sp.diags_array(diag_part)
         weight = None
     else:
         T, w = _flux_operator_1d(weight_fn, nodes, h, problem.boundary)
-        H = 2.0 * hb2 * cL * T + np.diag(diag_part)
+        H = 2.0 * hb2 * cL * T + sp.diags_array(diag_part)
         weight = w
     return ReducedOperator(
         matrix=H, weight=weight, nodes=nodes, block_shape=(1, 1),
@@ -509,6 +516,7 @@ def _build_full(problem):
             raise SingularWeight("weight vanishes on a grid node")
         # per-axis flux form with midpoint weights keeps diag(P) H symmetric
         node_op = sp.csr_matrix((npts, npts))
+        scale = weight_nodes * h ** 2
         for a in range(n):
             shifted = coords.copy()
             shifted[:, a] += 0.5 * h
@@ -518,36 +526,16 @@ def _build_full(problem):
             wm = lebesgue_weight(shifted) if kind == "DAlembert" \
                 else haar_weight(shifted)
             stride = pts ** (n - 1 - a)
-            rows, cols, vals = [], [], []
-            idx = np.arange(npts)
-            ia = (idx // stride) % pts
-            diag = (wp + wm) / (weight_nodes * h ** 2)
-            rows.append(idx)
-            cols.append(idx)
-            vals.append(diag)
-            up = ia + 1 < pts
-            rows.append(idx[up])
-            cols.append(idx[up] + stride)
-            vals.append(-wp[up] / (weight_nodes[up] * h ** 2))
-            dn_mask = ia > 0
-            rows.append(idx[dn_mask])
-            cols.append(idx[dn_mask] - stride)
-            vals.append(-wm[dn_mask] / (weight_nodes[dn_mask] * h ** 2))
-            node_op = node_op + sp.csr_matrix(
-                (np.concatenate(vals),
-                 (np.concatenate(rows), np.concatenate(cols))),
-                shape=(npts, npts))
+            ia = (np.arange(npts) // stride) % pts
+            node_op = node_op + sp.csr_matrix(_stencil(
+                (wp + wm) / scale, np.where(ia > 0, -wm / scale, 0.0),
+                np.where(ia + 1 < pts, -wp / scale, 0.0), stride=stride))
         node_op = hb2 * cL * node_op
         weight = weight_nodes
 
     if cQ != 0.0:
-        D1 = np.zeros((pts, pts))
-        idx = np.arange(pts - 1)
-        D1[idx, idx + 1] = 0.5 / h
-        D1[idx + 1, idx] = -0.5 / h
-        if problem.boundary == "periodic":
-            D1[0, -1] = -0.5 / h
-            D1[-1, 0] = 0.5 / h
+        D1 = _stencil(0.0, np.full(pts, -0.5 / h), np.full(pts, 0.5 / h),
+                         problem.boundary == "periodic")
         G = sum(axis_op(D1, a) for a in range(n))
         if problem.use_amended_transform or weight is None:
             node_op = node_op - hb2 * cQ * (G @ G)
@@ -610,6 +598,7 @@ class Spectrum:
     eigenvectors: np.ndarray     # (dim, k), columns normalized
     residuals: np.ndarray
     weight: np.ndarray | None = None
+    solver: dict = field(default_factory=dict)   # path, dim, nnz
 
     def gram_residual(self):
         V = self.eigenvectors
@@ -652,6 +641,13 @@ def eigensolve(operator, count):
     Weighted operators are symmetrized by the similarity transform
     D^{1/2} H D^{-1/2} with D = diag(weight); eigenvectors are returned in
     the original variables, orthonormal under the weighted product.
+
+    The solver follows the operator's structure.  A real sparse operator
+    whose nonzeros all lie on the three central diagonals goes to LAPACK
+    bisection and inverse iteration (path "tridiagonal"), any other sparse
+    operator to ARPACK (path "sparse").  A dense array, or a count that
+    ARPACK cannot reach (count >= dim - 1), goes to dense eigh (path
+    "dense").  Spectrum.solver records the path, dimension and nnz.
     """
     if isinstance(operator, ReducedOperator):
         mat = operator.matrix
@@ -672,29 +668,39 @@ def eigensolve(operator, count):
         else:
             mat = rw[:, None] * mat / rw[None, :]
 
-    dense = not sp.issparse(mat) or dim <= DENSE_LIMIT
-    if dense:
-        A = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
+    sparse = sp.issparse(mat)
+    if sparse and not np.iscomplexobj(mat) and np.all(
+            np.abs(np.subtract(*mat.nonzero())) <= 1):
+        path = "tridiagonal"
+        offdiag = 0.5 * (mat.diagonal(1) + mat.diagonal(-1))
+        try:
+            vals, vecs = scipy.linalg.eigh_tridiagonal(
+                mat.diagonal(), offdiag, select="i",
+                select_range=(0, count - 1))
+        except scipy.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(
+                f"tridiagonal eigensolver failed: {exc}")
+    elif sparse and count < dim - 1:
+        path = "sparse"
+        try:
+            vals, vecs = spla.eigsh(0.5 * (mat + mat.conj().T), k=count,
+                                    which="SA")
+        except spla.ArpackNoConvergence as exc:
+            raise ConvergenceFailure(f"sparse eigensolver failed: {exc}")
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+    else:
+        path = "dense"
+        A = mat.toarray() if sparse else np.asarray(mat)
         A = 0.5 * (A + A.conj().T)
         try:
             vals, vecs = scipy.linalg.eigh(A,
                                            subset_by_index=(0, count - 1))
         except scipy.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"dense eigensolver failed: {exc}")
-    else:
-        try:
-            vals, vecs = spla.eigsh(mat.tocsc(), k=count, which="SA")
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceFailure(f"sparse eigensolver failed: {exc}")
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
 
-    residual_mat = mat
-    res = np.empty(count)
     scale = max(np.max(np.abs(vals)), 1e-30)
-    for i in range(count):
-        r = residual_mat @ vecs[:, i] - vals[i] * vecs[:, i]
-        res[i] = np.linalg.norm(r) / scale
+    res = np.linalg.norm(mat @ vecs - vecs * vals, axis=0) / scale
 
     vals = np.real(vals)
     vals, vecs = _canonical_order(vals, vecs)
@@ -703,8 +709,10 @@ def eigensolve(operator, count):
         norms = np.sqrt(np.einsum("ik,i,ik->k", vecs.conj(), weight,
                                   vecs).real)
         vecs = vecs / norms[None, :]
+    solver = {"path": path, "dim": dim,
+              "nnz": int(mat.nnz if sparse else np.count_nonzero(mat))}
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, residuals=res,
-                    weight=weight)
+                    weight=weight, solver=solver)
 
 
 # ---------------------------------------------------------------------------

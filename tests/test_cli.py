@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,18 @@ class TestSimulate:
         bad["command"] = "classify"
         assert run(tmp_path, "simulate", bad) == 2
 
+    @pytest.mark.parametrize("block,key,value", [
+        ("initial", "q", "abc"),
+        ("initial", "p", [0.0, None]),
+        ("initial", "M", [[0.0, "x"], [0.0, 0.0]]),
+        ("numerics", "t_end", "abc"),
+        ("numerics", "record_every", 2.5),
+    ])
+    def test_non_numeric_value_exit_code(self, tmp_path, block, key, value):
+        bad = json.loads(json.dumps(self.BASE))
+        bad[block][key] = value
+        assert run(tmp_path, "simulate", bad) == 2
+
 
 class TestSpectrum:
     def config(self, points=256):
@@ -103,6 +116,34 @@ class TestSpectrum:
 
     def test_numeric_error_exit_code(self, tmp_path):
         assert run(tmp_path, "spectrum", self.config(points=8)) == 4
+
+    def test_solver_recorded(self, tmp_path, capsys):
+        assert run(tmp_path, "spectrum", self.config()) == 0
+        report = io.load_json(tmp_path / "spectrum.json")
+        assert report["solver"] == {"path": "tridiagonal", "dim": 256,
+                                    "nnz": 3 * 256 - 2}
+        # the summary line keeps its fields
+        assert re.fullmatch(r"spectrum: count=5 eigenvalues=\[[^]]*\] "
+                            r"max_residual=\S+ artifact=\S+\n",
+                            capsys.readouterr().out)
+
+    @pytest.mark.parametrize("points", ["many", 64.5, None, True])
+    def test_non_integer_points_exit_code(self, tmp_path, points):
+        assert run(tmp_path, "spectrum", self.config(points=points)) == 2
+
+    @pytest.mark.parametrize("count", ["abc", 2.5])
+    def test_non_integer_count_exit_code(self, tmp_path, count):
+        config = self.config()
+        config["count"] = count
+        assert run(tmp_path, "spectrum", config) == 2
+
+    def test_non_numeric_grid_exit_code(self, tmp_path):
+        config = self.config()
+        config["problem"]["q_min"] = "low"
+        assert run(tmp_path, "spectrum", config) == 2
+
+    def test_integral_float_points_accepted(self, tmp_path):
+        assert run(tmp_path, "spectrum", self.config(points=256.0)) == 0
 
 
 class TestChecks:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from affinebody import quantum
 from affinebody.errors import (ConfigError, GridTooCoarse, InvalidLabel,
@@ -206,9 +208,9 @@ class TestShear:
         op = quantum.build_reduced_hamiltonian(pb)
         cL = 1.0 / (2.0 * AFFAFF.A)
         h = op.meta["step"]
-        off = np.diag(op.matrix, 1)
+        off = op.matrix.diagonal(1)
         assert np.allclose(off, -2.0 * cL / h ** 2, atol=1e-12)
-        diag = np.diag(op.matrix)
+        diag = op.matrix.diagonal(0)
         assert np.allclose(diag, 2.0 * 2.0 * cL / h ** 2 + 2.0 * cL,
                            atol=1e-12)
 
@@ -251,15 +253,33 @@ class TestShear:
             quantum.build_reduced_hamiltonian(pb)
 
     def test_trig_shear_periodic(self):
+        # a node on x = -pi, where cos(x/2) = 0 under a nonvanishing N-type
+        # coupling: the operator would carry 1e31 on its diagonal
         mt = ModelSpec(kind="TrigUn", A=1.0, B=0.0)
         pb = SpectralProblem(n=2, model=mt, alpha_label=1.0,
                              beta_label=1.0, coordinate="shear",
                              q_min=-np.pi, q_max=np.pi, points=128,
                              boundary="periodic")
+        with pytest.raises(SingularWeight):
+            quantum.build_reduced_hamiltonian(pb)
+
+    def test_trig_shear_periodic_clear_of_antipodes(self):
+        mt = ModelSpec(kind="TrigUn", A=1.0, B=0.0)
+        pb = SpectralProblem(n=2, model=mt, alpha_label=1.0,
+                             beta_label=1.0, coordinate="shear",
+                             q_min=-np.pi + 0.01, q_max=np.pi + 0.01,
+                             points=128, boundary="periodic")
         op = quantum.build_reduced_hamiltonian(pb)
         assert np.max(np.abs(op.matrix - op.matrix.T)) == 0.0
         spec = quantum.eigensolve(op, 4)
+        assert spec.solver["path"] == "sparse"
         assert np.all(np.isfinite(spec.eigenvalues))
+        assert np.max(spec.residuals) < 1e-10
+        ref = scipy.linalg.eigvalsh(op.matrix.toarray(),
+                                    subset_by_index=(0, 3))
+        assert np.allclose(spec.eigenvalues, ref, rtol=1e-8, atol=1e-8)
+        assert np.allclose(spec.eigenvalues,
+                           [-0.34557, 0.71303, 2.27055, 4.32646], atol=1e-5)
 
 
 class TestFullGrid:
@@ -340,6 +360,123 @@ class TestEigensolve:
     def test_count_bounds(self):
         with pytest.raises(ConfigError):
             quantum.eigensolve(np.eye(3), 4)
+
+
+def _dense_reference(op, count):
+    """Lowest levels of the assembled operator from dense LAPACK: the
+    generalized problem (W H) v = lambda W v when the operator is weighted,
+    a plain Hermitian eigh otherwise."""
+    H = op.matrix.toarray()
+    if op.weight is None:
+        return scipy.linalg.eigvalsh(H, subset_by_index=(0, count - 1))
+    WH = op.weight[:, None] * H
+    return scipy.linalg.eigvalsh(0.5 * (WH + WH.conj().T), np.diag(op.weight),
+                                 subset_by_index=(0, count - 1))
+
+
+class TestSolverPaths:
+    ONE_D = {
+        "dilatation": dict(n=3, model=ModelSpec(kind="MetrAff", I=0.8,
+                                                 A=1.1, B=0.3),
+                           alpha_label=1.0, beta_label=1.0,
+                           coordinate="dilatation", q_min=-2.0, q_max=2.0,
+                           points=300,
+                           potential=PotentialSpec.harmonic_well(3.0)),
+        "shear_amended": dict(n=2, model=AFFAFF, alpha_label=1.0,
+                              beta_label=2.0, coordinate="shear",
+                              q_min=0.1, q_max=4.0, points=300),
+        "shear_raw": dict(n=2, model=AFFAFF, alpha_label=1.0,
+                          beta_label=2.0, coordinate="shear", q_min=0.1,
+                          q_max=4.0, points=300,
+                          use_amended_transform=False),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ONE_D))
+    def test_tridiagonal_matches_dense(self, name):
+        op = quantum.build_reduced_hamiltonian(
+            SpectralProblem(**self.ONE_D[name]))
+        # elementwise products with the weight need an array, not spmatrix
+        assert isinstance(op.matrix, sp.csr_array)
+        spec = quantum.eigensolve(op, 6)
+        assert spec.solver == {"path": "tridiagonal", "dim": 300,
+                               "nnz": op.matrix.nnz}
+        ref = _dense_reference(op, 6)
+        assert np.max(np.abs(spec.eigenvalues - ref) / np.abs(ref)) < 1e-10
+        assert np.max(spec.residuals) < 1e-10
+        assert spec.gram_residual() < 1e-10
+
+    @pytest.mark.parametrize("amended", [True, False])
+    def test_sparse_matches_dense_full_grid(self, amended):
+        pb = SpectralProblem(n=2, model=AFFAFF, alpha_label=1.0,
+                             beta_label=0.0, coordinate="full",
+                             q_min=-2.0, q_max=2.0, points=24,
+                             use_amended_transform=amended)
+        op = quantum.build_reduced_hamiltonian(pb)
+        spec = quantum.eigensolve(op, 5)
+        assert spec.solver["path"] == "sparse"
+        ref = _dense_reference(op, 5)
+        assert np.max(np.abs(spec.eigenvalues - ref) / np.abs(ref)) < 1e-10
+        assert spec.gram_residual() < 1e-10
+
+    def test_sparse_matches_dense_complex_blocks(self):
+        # the assembled n = 3 couplings are real for every label, so the
+        # complex Hermitian case is made by a diagonal unitary similarity
+        # of an n = 3 block operator, which leaves the levels unchanged;
+        # a principal submatrix keeps the dense reference small
+        pb = SpectralProblem(n=3, model=AFFAFF, alpha_label=1.0,
+                             beta_label=1.0, coordinate="full",
+                             q_min=-2.0, q_max=2.0, points=16)
+        H = quantum.build_reduced_hamiltonian(pb).matrix[:900, :900]
+        phases = np.exp(1j * np.linspace(0.0, 40.0, 900))
+        U = sp.diags(phases)
+        Hc = sp.csr_matrix(U @ H @ U.conj())
+        assert np.max(np.abs(Hc.imag)) > 0.1
+        spec = quantum.eigensolve(Hc, 5)
+        assert spec.solver["path"] == "sparse"
+        ref = scipy.linalg.eigvalsh(H.toarray(), subset_by_index=(0, 4))
+        assert np.max(np.abs(spec.eigenvalues - ref) / np.abs(ref)) < 1e-10
+        assert np.max(spec.residuals) < 1e-10
+
+    def test_periodic_raw_shear(self):
+        # the wrapped corners of the flux stencil keep diag(P) H symmetric
+        mt = ModelSpec(kind="TrigUn", A=1.0, B=0.0)
+        pb = SpectralProblem(n=2, model=mt, alpha_label=1.0,
+                             beta_label=1.0, coordinate="shear",
+                             q_min=0.3, q_max=0.3 + 2.0 * np.pi,
+                             points=128, boundary="periodic",
+                             use_amended_transform=False)
+        op = quantum.build_reduced_hamiltonian(pb)
+        WH = op.weight[:, None] * op.matrix
+        assert np.max(np.abs(WH - WH.T)) / np.max(np.abs(WH)) < 1e-10
+        spec = quantum.eigensolve(op, 4)
+        assert spec.solver["path"] == "sparse"
+        ref = _dense_reference(op, 4)
+        assert np.max(np.abs(spec.eigenvalues - ref) / np.abs(ref)) < 1e-10
+
+    def test_count_equal_to_dim(self):
+        periodic = quantum._laplacian_1d(20, 0.1, "periodic")
+        dirichlet = quantum._laplacian_1d(20, 0.1, "dirichlet")
+        for mat, path in ((periodic, "dense"), (dirichlet, "tridiagonal")):
+            for count in (19, 20):
+                spec = quantum.eigensolve(mat, count)
+                assert spec.solver["path"] == path
+                ref = scipy.linalg.eigvalsh(mat.toarray())[:count]
+                assert np.allclose(spec.eigenvalues, ref, rtol=1e-12,
+                                   atol=1e-9)
+                assert np.max(spec.residuals) < 1e-12
+
+    def test_64_squared_grid_is_sparse(self):
+        pb = SpectralProblem(n=2, model=AFFAFF, alpha_label=1.0,
+                             beta_label=0.0, coordinate="full",
+                             q_min=-2.0, q_max=2.0, points=64)
+        spec = quantum.eigensolve(quantum.build_reduced_hamiltonian(pb), 6)
+        assert spec.solver["path"] == "sparse"
+        assert spec.solver["dim"] == 4096
+        assert np.max(spec.residuals) < 1e-10
+
+    def test_dense_input_stays_dense(self):
+        spec = quantum.eigensolve(np.diag([3.0, 1.0, 2.0]), 2)
+        assert spec.solver == {"path": "dense", "dim": 3, "nnz": 3}
 
 
 class TestInnerProduct:
