@@ -13,6 +13,7 @@ import numpy as np
 
 from . import dynamics, io, kinematics, phase, poisson, quantum
 from .errors import AffineBodyError, ConfigError
+from .phase import json_number as _number
 
 BRACKET_TOL = 1e-9
 DECOMP_RECON_TOL = 1e-10
@@ -46,21 +47,19 @@ def _numbers(value, where):
     return arr
 
 
-def _number(value, where, kind=float):
-    """A finite JSON number as `kind`: 64 and 64.0 pass as an int, 64.5
-    and "64" do not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max \
-            or (kind is int and value % 1):
-        raise ConfigError(f"{where} must be a finite {kind.__name__}, "
-                          f"got {value!r}")
-    return kind(value)
+def _flag(value, where):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
 
 
 def _artifact_path(config, output_dir, default):
-    out_block = config.get("output") or {}
-    _check_keys(out_block, (), ("path", "format"), "output")
-    return os.path.join(output_dir, out_block.get("path", default))
+    out_block = _check_keys(config.get("output", {}), (), ("path",),
+                            "output")
+    path = out_block.get("path", default)
+    if not isinstance(path, str):
+        raise ConfigError(f"output.path must be a string, got {path!r}")
+    return os.path.join(output_dir, path)
 
 
 def _state_from_json(block):
@@ -73,75 +72,56 @@ def _state_from_json(block):
     return phase.ReducedState(q, p, M=M, N=N)
 
 
-def _potential_from_json(block):
-    if block is None:
-        return phase.PotentialSpec.none()
-    return phase.PotentialSpec.from_json(block)
-
-
-def _control_from_json(block):
-    allowed = ("step", "t_end", "method", "record_every", "tolerance",
-               "rtol", "atol", "samples")
-    _check_keys(block, ("t_end",), allowed, "numerics")
-    kwargs = {}
-    for key, kind in (("step", float), ("rtol", float), ("atol", float),
-                      ("record_every", int)):
-        if key in block:
-            kwargs[key] = _number(block[key], f"numerics.{key}", kind)
-    if "method" in block:
-        kwargs["method"] = block["method"]
-    return (dynamics.StepControl(**kwargs),
-            _number(block["t_end"], "numerics.t_end"))
+def _numerics_from_json(block, optional):
+    """The numerics block as keyword values, each of its declared type."""
+    _check_keys(block, ("t_end",), optional, "numerics")
+    return {key: value if key == "method"
+            else _number(value, f"numerics.{key}",
+                         int if key in ("record_every", "samples") else float)
+            for key, value in block.items()}
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (artifact writer, artifact, summary line, exit code)
 
 
-def _cmd_simulate(config, output_dir, rng, quiet):
+def _cmd_simulate(config):
     _check_keys(config, ("model", "initial", "numerics"),
                 ("command", "potential", "output", "seed"), "config")
     model = phase.ModelSpec.from_json(config["model"])
-    potential = _potential_from_json(config.get("potential"))
+    potential = phase.PotentialSpec.from_json(config.get("potential"))
     state0 = _state_from_json(config["initial"])
-    control, t_end = _control_from_json(config["numerics"])
-    path = _artifact_path(config, output_dir, "trajectory.csv")
-    traj = dynamics.integrate(model, potential, state0, t_end, control)
-    io.write_trajectory_csv(path, traj)
-    line = (f"simulate: kind={model.kind} samples={len(traj.times)} "
-            f"energy_drift={traj.energy_drift:.3e} "
-            f"casimir_drift={traj.casimir_drift:.3e} artifact={path}")
-    if not quiet:
-        print(line)
-    return 0
+    numerics = _numerics_from_json(
+        config["numerics"], ("step", "method", "record_every", "rtol", "atol"))
+    t_end = numerics.pop("t_end")
+    traj = dynamics.integrate(model, potential, state0, t_end,
+                              dynamics.StepControl(**numerics))
+    return io.write_trajectory_csv, traj, (
+        f"simulate: kind={model.kind} samples={len(traj.times)} "
+        f"energy_drift={traj.energy_drift:.3e} "
+        f"casimir_drift={traj.casimir_drift:.3e}"), 0
 
 
-def _cmd_geodesic(config, output_dir, rng, quiet):
+def _cmd_geodesic(config):
     _check_keys(config, ("model", "initial", "numerics"),
                 ("command", "output", "seed"), "config")
     model = phase.ModelSpec.from_json(config["model"])
     init = _check_keys(config["initial"], ("phi0", "Omega"), (), "initial")
     phi0 = _numbers(init["phi0"], "initial.phi0")
     Omega = _numbers(init["Omega"], "initial.Omega")
-    control, t_end = _control_from_json(config["numerics"])
-    samples = _number(config["numerics"].get("samples", 11),
-                      "numerics.samples", int)
-    tol = _number(config["numerics"].get("tolerance", 1e-6),
-                  "numerics.tolerance")
-    report = geodesic_cross_check(model, phi0, Omega, t_end,
-                                  step=control.step, samples=samples)
+    numerics = _numerics_from_json(config["numerics"],
+                                   ("step", "samples", "tolerance"))
+    tol = numerics.pop("tolerance", 1e-6)
+    report = geodesic_cross_check(model, phi0, Omega, **numerics)
     verdict = "PASS" if report["max_error"] < tol else "FAIL"
     report["tolerance"] = tol
     report["verdict"] = verdict
-    path = _artifact_path(config, output_dir, "geodesic.json")
-    io.write_json(path, report)
-    if not quiet:
-        print(f"geodesic: max_error={report['max_error']:.3e} "
-              f"verdict={verdict} artifact={path}")
-    return 0 if verdict == "PASS" else 1
+    return io.write_json, report, (
+        f"geodesic: max_error={report['max_error']:.3e} "
+        f"verdict={verdict}"), 0 if verdict == "PASS" else 1
 
 
-def _cmd_classify(config, output_dir, rng, quiet):
+def _cmd_classify(config):
     _check_keys(config, ("m", "n"),
                 ("command", "A", "energy", "output", "seed"), "config")
     m = _number(config["m"], "m")
@@ -158,36 +138,50 @@ def _cmd_classify(config, output_dir, rng, quiet):
         if result.turning_points is not None else None,
         "period": result.period,
     }
-    path = _artifact_path(config, output_dir, "classify.json")
-    io.write_json(path, report)
-    if not quiet:
-        extra = "" if result.period is None \
-            else f" period={result.period:.6g}"
-        print(f"classify: verdict={result.verdict} m={m:g} "
-              f"n={n_coupling:g}{extra} artifact={path}")
-    return 0
+    extra = "" if result.period is None else f" period={result.period:.6g}"
+    return io.write_json, report, (
+        f"classify: verdict={result.verdict} m={m:g} "
+        f"n={n_coupling:g}{extra}"), 0
 
 
-def _cmd_spectrum(config, output_dir, rng, quiet):
+EIGENVECTOR_HEADER = ("level", "node", "m_row", "k_col", "real", "imag")
+
+
+def _eigenvector_rows(op, spec):
+    """One row (level, node, m_row, k_col, real, imag) per amplitude; the
+    unknowns of a node are its block entries in row-major order."""
+    dim, levels = spec.eigenvectors.shape
+    ds, dj = op.block_shape
+    level, idx = np.divmod(np.arange(levels * dim), dim)
+    node, entry = np.divmod(idx, ds * dj)
+    amp = spec.eigenvectors.T.ravel()
+    return np.column_stack([level, node, entry // dj, entry % dj,
+                            amp.real, amp.imag])
+
+
+def _cmd_spectrum(config):
     _check_keys(config, ("problem",),
                 ("command", "count", "eigenvectors", "output", "seed"),
                 "config")
-    pb = dict(config["problem"])
-    allowed = ("n", "model", "alpha_label", "beta_label", "coordinate",
-               "q_min", "q_max", "points", "boundary", "potential",
-               "use_amended_transform", "half_integer_labels")
-    _check_keys(pb, ("n", "model"), [k for k in allowed
-                                     if k not in ("n", "model")], "problem")
+    pb = dict(_check_keys(
+        config["problem"], ("n", "model"),
+        ("alpha_label", "beta_label", "coordinate", "q_min", "q_max",
+         "points", "boundary", "potential", "use_amended_transform",
+         "half_integer_labels"), "problem"))
     pb["model"] = phase.ModelSpec.from_json(pb["model"])
     if "potential" in pb:
-        pb["potential"] = _potential_from_json(pb["potential"])
+        pb["potential"] = phase.PotentialSpec.from_json(pb["potential"])
     for key in ("n", "points", "alpha_label", "beta_label", "q_min",
                 "q_max"):
         if key in pb:
             pb[key] = _number(pb[key], f"problem.{key}",
                               int if key in ("n", "points") else float)
+    for key in ("use_amended_transform", "half_integer_labels"):
+        if key in pb:
+            pb[key] = _flag(pb[key], f"problem.{key}")
     problem = quantum.SpectralProblem(**pb)
     count = _number(config.get("count", 5), "count", int)
+    vectors = _flag(config.get("eigenvectors", False), "eigenvectors")
     op = quantum.build_reduced_hamiltonian(problem)
     spec = quantum.eigensolve(op, count)
     report = {
@@ -199,71 +193,47 @@ def _cmd_spectrum(config, output_dir, rng, quiet):
         "boundary": problem.boundary,
         "solver": spec.solver,
     }
-    path = _artifact_path(config, output_dir, "spectrum.json")
-    io.write_json(path, report)
-    if config.get("eigenvectors"):
-        vec_path = os.path.splitext(path)[0] + "_vectors.csv"
-        _write_eigenvectors(vec_path, op, spec)
+
+    def write(path, artifact):
+        io.write_json(path, artifact)
+        if vectors:
+            io.write_csv(os.path.splitext(path)[0] + "_vectors.csv",
+                         EIGENVECTOR_HEADER, _eigenvector_rows(op, spec))
+
     shown = ", ".join(f"{v:.9g}" for v in spec.eigenvalues[:5])
-    if not quiet:
-        print(f"spectrum: count={count} eigenvalues=[{shown}] "
-              f"max_residual={float(np.max(spec.residuals)):.3e} "
-              f"artifact={path}")
-    return 0
+    return write, report, (
+        f"spectrum: count={count} eigenvalues=[{shown}] "
+        f"max_residual={float(np.max(spec.residuals)):.3e}"), 0
 
 
-def _write_eigenvectors(path, op, spec):
-    ds, dj = op.block_shape
-    bdim = ds * dj
-    rows = []
-    for k in range(spec.eigenvectors.shape[1]):
-        v = spec.eigenvectors[:, k]
-        for idx, amp in enumerate(v):
-            node = idx // bdim
-            block = idx % bdim
-            rows.append([k, node, block // dj, block % dj,
-                         amp.real, np.imag(amp)])
-    header = "level,node,m_row,k_col,real,imag"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(io.format_float(x) if isinstance(x, float)
-                              else str(x) for x in row) + "\n")
-
-
-def _cmd_check_brackets(config, output_dir, rng, quiet):
+def _cmd_check_brackets(config, rng):
     _check_keys(config, (), ("command", "trials", "n", "output", "seed"),
                 "config")
     trials = _number(config.get("trials", 200), "trials", int)
     n = _number(config.get("n", 3), "n", int)
     report = check_brackets(rng, trials=trials, n=n)
-    path = _artifact_path(config, output_dir, "brackets.json")
-    io.write_json(path, report)
-    if not quiet:
-        print(f"check-brackets: trials={trials} "
-              f"max_residual={report['max_residual']:.3e} "
-              f"verdict={report['verdict']} artifact={path}")
-    return 0 if report["verdict"] == "PASS" else 1
+    return io.write_json, report, (
+        f"check-brackets: trials={trials} "
+        f"max_residual={report['max_residual']:.3e} "
+        f"verdict={report['verdict']}"), int(report["verdict"] != "PASS")
 
 
-def _cmd_check_decomp(config, output_dir, rng, quiet):
+def _cmd_check_decomp(config, rng):
     _check_keys(config, (), ("command", "trials", "dims", "cond_max",
                              "output", "seed"), "config")
     trials = _number(config.get("trials", 1000), "trials", int)
     dims = config.get("dims", [2, 3])
-    dims = tuple(_number(d, "dims", int)
-                 for d in (dims if isinstance(dims, list) else [dims]))
+    if not isinstance(dims, list) or not dims:
+        raise ConfigError(f"dims must be a nonempty JSON array, got {dims!r}")
+    dims = tuple(_number(d, "dims", int) for d in dims)
     cond_max = _number(config.get("cond_max", 1e6), "cond_max")
     report = check_decomposition(rng, trials=trials, dims=dims,
                                  cond_max=cond_max)
-    path = _artifact_path(config, output_dir, "decomp.json")
-    io.write_json(path, report)
-    if not quiet:
-        print(f"check-decomp: trials={trials} "
-              f"max_reconstruction={report['max_reconstruction']:.3e} "
-              f"max_orthogonality={report['max_orthogonality']:.3e} "
-              f"verdict={report['verdict']} artifact={path}")
-    return 0 if report["verdict"] == "PASS" else 1
+    return io.write_json, report, (
+        f"check-decomp: trials={trials} "
+        f"max_reconstruction={report['max_reconstruction']:.3e} "
+        f"max_orthogonality={report['max_orthogonality']:.3e} "
+        f"verdict={report['verdict']}"), int(report["verdict"] != "PASS")
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +392,17 @@ def geodesic_cross_check(model, phi0, Omega, t_end, step=1e-3, samples=11):
 # entry point
 
 
+# command -> (function, default artifact name); the check commands also
+# take the random generator
 _DISPATCH = {
-    "simulate": _cmd_simulate,
-    "geodesic": _cmd_geodesic,
-    "classify": _cmd_classify,
-    "spectrum": _cmd_spectrum,
-    "check-brackets": _cmd_check_brackets,
-    "check-decomp": _cmd_check_decomp,
+    "simulate": (_cmd_simulate, "trajectory.csv"),
+    "geodesic": (_cmd_geodesic, "geodesic.json"),
+    "classify": (_cmd_classify, "classify.json"),
+    "spectrum": (_cmd_spectrum, "spectrum.json"),
+    "check-brackets": (_cmd_check_brackets, "brackets.json"),
+    "check-decomp": (_cmd_check_decomp, "decomp.json"),
 }
+RANDOM_COMMANDS = ("check-brackets", "check-decomp")
 
 
 def main(argv=None):
@@ -455,13 +428,18 @@ def main(argv=None):
             raise ConfigError(
                 f"config declares command {declared!r}, "
                 f"invoked as {args.command!r}")
-        seed = args.seed
-        if seed is None:
-            seed = config.get("seed", 0)
-        rng = np.random.default_rng(_number(seed, "seed", int))
+        seed = _number(config.get("seed", 0) if args.seed is None
+                       else args.seed, "seed", int)
+        command, default = _DISPATCH[args.command]
+        path = _artifact_path(config, args.output_dir, default)
+        extra = (np.random.default_rng(seed),) \
+            if args.command in RANDOM_COMMANDS else ()
         os.makedirs(args.output_dir, exist_ok=True)
-        return _DISPATCH[args.command](config, args.output_dir, rng,
-                                       args.quiet)
+        write, artifact, summary, code = command(config, *extra)
+        write(path, artifact)
+        if not args.quiet:
+            print(f"{summary} artifact={path}")
+        return code
     except AffineBodyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -11,10 +11,11 @@ of energy and the quadratic Casimir is monitored, never enforced.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
+import scipy.optimize
 from scipy.linalg import expm
 
 from .errors import (ConfigError, DegenerateInertia, DomainError,
@@ -26,6 +27,9 @@ from .phase import ReducedState
 ORTHOGONALITY_TOL = 1e-9
 STATIONARY_TOL = 1e-10
 THRESHOLD_TOL = 1e-12
+# turning points near the steep wall at x = 0 miss V_eff = E by up to 4e-13
+# with brentq's default xtol of 2e-12, and stay near round-off with this
+TURNING_XTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -140,8 +144,6 @@ class EomKernel:
             # Q_a + Q_b >= max(Q_a, Q_b): a screen for the exact test below
             near = np.abs(d[..., :k]) < tol * d[..., k:]
         else:
-            if self.kind == "TrigUn":
-                phase._check_trig_domain(q)
             h = q @ self.pair_map
             d = np.concatenate([self.sm(h), self.cm(h)], axis=-1)
             # sinh(h) == h below 2^-28, so for the hyperbolic kinds this is
@@ -234,14 +236,9 @@ class Trajectory:
     casimir: np.ndarray
     control: StepControl
     attitudes: list | None = None
-    energy_tolerance: float = 1e-8
 
     def state(self, k):
         return unpack_state(self.samples[k], self.n)
-
-    @property
-    def states(self):
-        return [self.state(k) for k in range(len(self.times))]
 
     @property
     def energy_drift(self):
@@ -252,10 +249,6 @@ class Trajectory:
     def casimir_drift(self):
         scale = max(abs(self.casimir[0]), 1.0)
         return float(np.max(np.abs(self.casimir - self.casimir[0])) / scale)
-
-    @property
-    def conforming(self):
-        return self.energy_drift <= self.energy_tolerance
 
 
 def _energies(model, potential, ys, n):
@@ -283,22 +276,23 @@ _DP_A = np.array([
 ])
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192,
                    -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+# difference of the fifth- and fourth-order weights: y5 - y4 = h _DP_E @ K
+_DP_E = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                           -92097 / 339200, 187 / 2100, 1 / 40])
 
 
 def _rk45_step(fun, y, h):
+    """Fifth-order step and its error estimate h max|_DP_E @ K|, taken from
+    the stages so that it does not cancel against y."""
     ks = np.empty((7, y.size))
     ks[0] = fun(y).ravel()
     for i in range(1, 7):
         ks[i] = fun(y + h * (_DP_A[i, :i] @ ks[:i]).reshape(y.shape)).ravel()
     y5 = y + h * (_DP_B5 @ ks).reshape(y.shape)
-    y4 = y + h * (_DP_B4 @ ks).reshape(y.shape)
-    return y5, np.max(np.abs(y5 - y4))
+    return y5, h * np.max(np.abs(_DP_E @ ks))
 
 
-def integrate(model, potential, state0, t_end, control=StepControl(),
-              energy_tolerance=1e-8):
+def integrate(model, potential, state0, t_end, control=StepControl()):
     """Integrate the reduced equations of motion up to t_end."""
     if t_end <= 0:
         raise ConfigError("t_end must be positive")
@@ -340,11 +334,14 @@ def integrate(model, potential, state0, t_end, control=StepControl(),
                     f"at t = {t:g}")
         times = np.array(times)
         samples = np.array(samples)
+    if model.kind == "TrigUn":
+        # the flow is 2 pi-periodic in every angle; record the (-pi, pi]
+        # representative, the domain of the matrix-form Hamiltonian
+        samples[:, :n] = phase.wrap_angle(samples[:, :n])
     energy, casimir = _energies(model, potential, samples, n)
     return Trajectory(n=n, model=model, potential=potential,
                       times=times, samples=samples,
-                      energy=energy, casimir=casimir, control=control,
-                      energy_tolerance=energy_tolerance)
+                      energy=energy, casimir=casimir, control=control)
 
 
 def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
@@ -427,8 +424,7 @@ def reconstruct_attitudes(model, trajectory, L0, R0):
     return Trajectory(n=n, model=model_, potential=potential,
                       times=times, samples=trajectory.samples,
                       energy=trajectory.energy, casimir=trajectory.casimir,
-                      control=trajectory.control, attitudes=attitudes,
-                      energy_tolerance=trajectory.energy_tolerance)
+                      control=trajectory.control, attitudes=attitudes)
 
 
 def geodesic_exponential(phi0, Omega, t):
@@ -454,8 +450,10 @@ def reduced_state_from_velocity(phi, Omega, model, reference=None):
         raise ConfigError("velocity extraction implemented for AffAff")
     phi = np.asarray(phi, dtype=float)
     Omega = np.asarray(Omega, dtype=float)
-    n = phi.shape[0]
+    if Omega.shape != phi.shape:
+        raise ShapeMismatch("phi and Omega must have matching shapes")
     tp = two_polar(phi)
+    n = phi.shape[0]
     if reference is not None:
         tp = align_two_polar(tp, reference)
     Sigma = model.A * Omega + model.B * np.trace(Omega) * np.eye(n)
@@ -469,7 +467,7 @@ def reduced_state_from_velocity(phi, Omega, model, reference=None):
     return ReducedState(tp.q, p, M=0.5 * (M - M.T), N=0.5 * (N - N.T)), tp
 
 
-def stationary_check(X, model_kind=None):
+def stationary_check(X):
     """Residual of the stationary-solution condition [X, X^T] = 0.
 
     Pass Omega-hat for affine-metric models and Omega for metric-affine
@@ -515,26 +513,12 @@ def planar_effective_potential(m, n_coupling, A, x):
 DEG_X_TOL = 1e-12
 
 
-def _bisect(f, lo, hi, iters=200):
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def classify_planar(m, n_coupling, A=1.0, energy=None):
     """Boundedness verdict for the planar shape motion.
 
     |m| < |n| gives bounded vibrations, |m| > |n| pure repulsion; the
     threshold |m| = |n| (to 1e-12) separates them.  With an energy below
-    the escape level the turning points are found by bisection.
+    the escape level the turning points are found by Brent's method.
     """
     am, an = abs(m), abs(n_coupling)
     if abs(am - an) <= THRESHOLD_TOL * max(am, an, 1.0):
@@ -548,9 +532,10 @@ def classify_planar(m, n_coupling, A=1.0, energy=None):
     x_star = None
     if verdict == "Bounded":
         if m != 0.0:
-            x_star = _minimize_scalar(
+            x_star = float(scipy.optimize.minimize_scalar(
                 lambda x: planar_effective_potential(m, n_coupling, A, x),
-                1e-8, 50.0)
+                bounds=(1e-8, 50.0), method="bounded",
+                options={"xatol": 1e-12}).x)
         else:
             x_star = 0.0
     if energy is not None and verdict == "Bounded":
@@ -558,12 +543,14 @@ def classify_planar(m, n_coupling, A=1.0, energy=None):
         if m != 0.0:
             # repulsive wall at 0+, minimum, rise to 0-: bracket both roots
             if v(x_star) < 0.0:
-                inner = _bisect(v, 1e-10, x_star)
+                inner = scipy.optimize.brentq(v, 1e-10, x_star,
+                                              xtol=TURNING_XTOL)
                 hi = x_star
                 while v(hi) < 0.0 and hi < 1e3:
                     hi *= 2.0
                 if v(hi) >= 0.0:
-                    outer = _bisect(v, x_star, hi)
+                    outer = scipy.optimize.brentq(v, x_star, hi,
+                                                  xtol=TURNING_XTOL)
                     turning = (inner, outer)
         else:
             if v(0.0) < 0.0:
@@ -571,7 +558,8 @@ def classify_planar(m, n_coupling, A=1.0, energy=None):
                 while v(hi) < 0.0 and hi < 1e3:
                     hi *= 2.0
                 if v(hi) >= 0.0:
-                    x_t = _bisect(v, 0.0, hi)
+                    x_t = scipy.optimize.brentq(v, 0.0, hi,
+                                                xtol=TURNING_XTOL)
                     turning = (-x_t, x_t)
         if turning is not None:
             period = _planar_period(m, n_coupling, A, energy, turning)
@@ -599,27 +587,6 @@ def _planar_period(m, n_coupling, A, energy, turning):
     val, _ = scipy.integrate.quad(integrand, -0.5 * np.pi, 0.5 * np.pi,
                                   limit=200)
     return float(val)
-
-
-def _minimize_scalar(f, lo, hi, iters=200):
-    """Golden-section minimum of a unimodal function on [lo, hi]."""
-    gr = 0.5 * (np.sqrt(5.0) - 1.0)
-    a, b = lo, hi
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
-        if b - a < 1e-12:
-            break
-    return 0.5 * (a + b)
 
 
 def planar_state(m, n_coupling, x0, px, A=1.0, B=0.0):

@@ -1,4 +1,4 @@
-"""Serialisation helpers: JSON reports and trajectories.
+"""Serialisation helpers: JSON reports and CSV tables.
 
 All floating point output uses 17 significant digits so values round-trip
 exactly through text.
@@ -9,6 +9,7 @@ import json
 import numpy as np
 
 from .errors import ConfigError
+from .phase import pair_layout
 
 FLOAT_FMT = "%.17g"
 
@@ -33,8 +34,7 @@ def load_json(path):
 
 def upper_triangle_labels(symbol, n):
     """Column labels M_12, M_13, ... in row-major strictly-upper order."""
-    iu = np.triu_indices(n, k=1)
-    return [f"{symbol}_{i + 1}{j + 1}" for i, j in zip(*iu)]
+    return [f"{symbol}_{i + 1}{j + 1}" for i, j in zip(*pair_layout(n).iu)]
 
 
 def trajectory_header(n):
@@ -47,17 +47,18 @@ def trajectory_header(n):
     return cols
 
 
-def write_trajectory_csv(path, trajectory):
-    n = trajectory.n
-    header = trajectory_header(n)
+def write_csv(path, header, rows):
+    """A header line, then one line per row of the 2-d array `rows`."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(len(trajectory.times)):
-            row = [trajectory.times[k]]
-            row.extend(trajectory.samples[k])
-            row.append(trajectory.energy[k])
-            row.append(trajectory.casimir[k])
+        for row in rows:
             fh.write(",".join(format_float(v) for v in row) + "\n")
+
+
+def write_trajectory_csv(path, trajectory):
+    write_csv(path, trajectory_header(trajectory.n), np.column_stack(
+        [trajectory.times, trajectory.samples, trajectory.energy,
+         trajectory.casimir]))
 
 
 def read_trajectory_csv(path):

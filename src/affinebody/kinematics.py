@@ -37,21 +37,14 @@ def _check_orientation(phi):
 
 @dataclass(frozen=True)
 class Configuration:
-    """Internal configuration phi, optionally with a centre-of-mass position."""
+    """Internal configuration phi."""
 
     phi: np.ndarray
-    x: np.ndarray | None = None
 
     def __post_init__(self):
         phi = _check_square(self.phi)
         _check_orientation(phi)
         object.__setattr__(self, "phi", phi)
-        if self.x is not None:
-            x = np.asarray(self.x, dtype=float)
-            if x.shape != (phi.shape[0],):
-                raise ShapeMismatch(
-                    f"centre must have shape ({phi.shape[0]},), got {x.shape}")
-            object.__setattr__(self, "x", x)
 
     @property
     def n(self):

@@ -9,7 +9,8 @@ Sutherland-type lattice Hamiltonian in them.
 """
 
 import functools
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +26,17 @@ HYPERBOLIC_KINDS = ("AffAff", "AffMetr", "MetrAff", "MetrMetr")
 DEGENERACY_TOL = 1e-9
 
 POTENTIAL_KINDS = ("none", "harmonic_well", "box", "steep_oscillator")
+
+
+def json_number(value, where, kind=float):
+    """A finite JSON number as `kind`: 64 and 64.0 pass as an int, 64.5
+    and "64" do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max \
+            or (kind is int and value % 1):
+        raise ConfigError(f"{where} must be a finite {kind.__name__}, "
+                          f"got {value!r}")
+    return kind(value)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +171,9 @@ class ModelSpec:
     """
 
     kind: str
-    m: float = 1.0
     I: float = 1.0
     A: float = 1.0
     B: float = 0.0
-    I1: float | None = None
-    I2: float | None = None
     a: float | None = None
     b: float | None = None
     c: float | None = None
@@ -174,7 +183,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}")
-        for name in ("m", "I", "A", "B", "hbar"):
+        for name in ("I", "A", "B", "hbar"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"constant {name} must be finite")
         if self.kind == "DAlembert" and self.I <= 0.0:
@@ -228,9 +237,9 @@ class ModelSpec:
         return val
 
     def to_json(self):
-        out = {"kind": self.kind, "m": self.m, "I": self.I, "A": self.A,
-               "B": self.B, "hbar": self.hbar}
-        for name in ("I1", "I2", "a", "b", "c", "d"):
+        out = {"kind": self.kind, "I": self.I, "A": self.A, "B": self.B,
+               "hbar": self.hbar}
+        for name in ("a", "b", "c", "d"):
             v = getattr(self, name)
             if v is not None:
                 out[name] = v
@@ -240,28 +249,26 @@ class ModelSpec:
     def from_json(cls, block):
         if not isinstance(block, dict):
             raise ConfigError("model block must be a JSON object")
-        allowed = {"kind", "m", "I", "A", "B", "I1", "I2",
-                   "a", "b", "c", "d", "hbar"}
-        unknown = set(block) - allowed
+        unknown = set(block) - {"kind", "I", "A", "B", "a", "b", "c", "d",
+                                "hbar"}
         if unknown:
             raise ConfigError(f"unknown model keys: {sorted(unknown)}")
         if "kind" not in block:
             raise ConfigError("model block requires a 'kind'")
-        return cls(**block)
+        return cls(**{key: value if key == "kind"
+                      else json_number(value, f"model.{key}")
+                      for key, value in block.items()})
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Potential V(q) = dilatational part V(qbar) + pairwise couplings.
+    """Dilatational potential V(qbar), qbar the mean of q.
 
-    Depends on q only, so the (q, p, M, N) dynamics stays closed.  The
-    library tags cover the dilatational part; arbitrary pairwise couplings
-    f(q_i - q_j) enter through a (f, dfdx) callable pair.
+    Depends on q only, so the (q, p, M, N) dynamics stays closed.
     """
 
     kind: str = "none"
     params: tuple = ()
-    pairwise: tuple | None = None  # (f, dfdx), both ndarray-aware
 
     def __post_init__(self):
         if self.kind not in POTENTIAL_KINDS:
@@ -299,7 +306,7 @@ class PotentialSpec:
 
     @property
     def is_trivial(self):
-        return self.kind == "none" and self.pairwise is None
+        return self.kind == "none"
 
     def dilatational_value(self, qbar):
         """V(qbar) for the library tag; qbar may be an array."""
@@ -328,31 +335,14 @@ class PotentialSpec:
     def value(self, q):
         """Total potential on q, batched over leading dimensions."""
         q = np.asarray(q, dtype=float)
-        qbar = q.mean(axis=-1)
-        total = self.dilatational_value(qbar)
-        if self.pairwise is not None:
-            f = self.pairwise[0]
-            diffs = q[..., :, None] - q[..., None, :]
-            n = q.shape[-1]
-            off = ~np.eye(n, dtype=bool)
-            total = total + 0.5 * np.sum(f(diffs) * off, axis=(-2, -1))
-        return total
+        return self.dilatational_value(q.mean(axis=-1))
 
     def grad(self, q):
         q = np.asarray(q, dtype=float)
         n = q.shape[-1]
         qbar = q.mean(axis=-1)
-        g = np.broadcast_to(
+        return np.broadcast_to(
             (self.dilatational_slope(qbar) / n)[..., None], q.shape).copy()
-        if self.pairwise is not None:
-            df = self.pairwise[1]
-            diffs = q[..., :, None] - q[..., None, :]
-            off = ~np.eye(n, dtype=bool)
-            slopes = df(diffs) * off
-            # d/dq_c of (1/2) sum_{i != j} f(q_i - q_j)
-            g = g + 0.5 * (np.sum(slopes, axis=-1)
-                           - np.sum(df(-diffs) * off, axis=-1))
-        return g
 
     def to_json(self):
         out = {"kind": self.kind}
@@ -369,15 +359,19 @@ class PotentialSpec:
         unknown = set(block) - {"kind", "params"}
         if unknown:
             raise ConfigError(f"unknown potential keys: {sorted(unknown)}")
+        params = block.get("params", [])
+        if not isinstance(params, list):
+            raise ConfigError("potential.params must be a JSON array")
         return cls(kind=block.get("kind", "none"),
-                   params=tuple(block.get("params", ())))
+                   params=[json_number(v, "potential.params") for v in params])
 
 
 def wrap_angle(q):
-    """Map angles into the (-pi, pi] convention."""
+    """Map angles into the (-pi, pi] convention; angles already there are
+    returned bit for bit."""
     q = np.asarray(q, dtype=float)
-    wrapped = np.mod(-q + np.pi, 2.0 * np.pi)
-    return np.pi - wrapped
+    inside = (q > -np.pi) & (q <= np.pi)
+    return np.where(inside, q, np.pi - np.mod(-q + np.pi, 2.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +447,6 @@ def inverse_legendre_dalembert(D, P, rho_hat, tau_hat, inertia):
 # ---------------------------------------------------------------------------
 # kinetic energies, Hamiltonians, Casimir
 
-_OFF_CACHE = {}
-
-
-def _offdiag(n):
-    if n not in _OFF_CACHE:
-        _OFF_CACHE[n] = ~np.eye(n, dtype=bool)
-    return _OFF_CACHE[n]
-
-
 def _pair_denominators(kind, q, M, N):
     """Per-pair inverse-square denominators with removable-singularity
     masking.  Returns (inv_m, inv_n, sign_n) where the M-coupling energy
@@ -469,7 +454,7 @@ def _pair_denominators(kind, q, M, N):
     each already including the removable-limit zeros.
     """
     n = q.shape[-1]
-    off = _offdiag(n)
+    off = ~np.eye(n, dtype=bool)
     x = q[..., :, None] - q[..., None, :]
     if kind == "DAlembert":
         Q = np.exp(q)
@@ -575,13 +560,10 @@ def hamiltonian_affaff_lattice(model, potential, state):
     return float(value + potential.value(q))
 
 
-def casimir_csl2(state, n=None):
+def casimir_csl2(state):
     """Quadratic Casimir of the special linear group in reduced variables;
     neither the mean momentum nor qbar enters."""
-    q, p, M, N = state.q, state.p, state.M, state.N
-    if n is None:
-        n = q.size
-    return float(_casimir_arrays(q, p, M, N))
+    return float(_casimir_arrays(state.q, state.p, state.M, state.N))
 
 
 def _casimir_arrays(q, p, M, N):
@@ -606,7 +588,7 @@ def gradients(model, potential, q, p, M, N):
     if kind == "TrigUn":
         _check_trig_domain(q)
     x = q[..., :, None] - q[..., None, :]
-    off = _offdiag(n)
+    off = ~np.eye(n, dtype=bool)
 
     if kind == "DAlembert":
         I = model.I

@@ -98,13 +98,6 @@ class ProductObservable(Observable):
                              gv * gf.dN + fv * gg.dN)
 
 
-def _unit_skew(n, a, b):
-    E = np.zeros((n, n))
-    E[a, b] = 1.0
-    E[b, a] = -1.0
-    return E
-
-
 def coordinate_observable(tag, n, a=None, b=None):
     """Observable for a phase-space coordinate.
 
@@ -120,7 +113,8 @@ def coordinate_observable(tag, n, a=None, b=None):
     if tag in ("M", "N", "rho", "tau"):
         if a is None or b is None or not 0 <= a < b < n:
             raise UnknownObservable(f"bad index pair for {tag}")
-        E = _unit_skew(n, a, b)
+        layout = phase.pair_layout(n)
+        E = layout.skew(layout.upper_flat == a * n + b)
         if tag == "M":
             return LinearObservable(n, CM=E, name=f"M_{a + 1}{b + 1}")
         if tag == "N":

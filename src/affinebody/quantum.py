@@ -345,9 +345,7 @@ def _build_dilatation(problem):
     ds, dj = problem.block_shape
     return ReducedOperator(
         matrix=H, weight=None, nodes=nodes, block_shape=(1, 1),
-        block_dim=ds * dj, problem=problem,
-        meta={"mass_coefficient": mass_inv, "step": h,
-              "multiplicity": ds * dj})
+        block_dim=ds * dj, problem=problem, meta={"step": h})
 
 
 def _shear_weight_functions(kind):
@@ -401,8 +399,7 @@ def _build_shear(problem):
         weight = w
     return ReducedOperator(
         matrix=H, weight=weight, nodes=nodes, block_shape=(1, 1),
-        block_dim=1, problem=problem,
-        meta={"radial_coefficient": 2.0 * hb2 * cL, "step": h})
+        block_dim=1, problem=problem, meta={"step": h})
 
 
 def _amended_potential_nodes(kind, coords):
@@ -429,7 +426,8 @@ def _amended_potential_nodes(kind, coords):
 
 
 def _block_couplings(problem):
-    """Ordered-pair block operators (a, b) -> (Bm^2, Bp^2) as dense blocks."""
+    """Ordered-pair block operators (a, b) -> (Bm^2, Bp^2) as real dense
+    blocks: the squares of the spin actions are real for every label."""
     ds, dj = problem.block_shape
     hbar = problem.model.hbar
     if problem.n == 2:
@@ -451,7 +449,7 @@ def _block_couplings(problem):
         right = np.kron(Ss, np.eye(dj))      # S^s f
         Bm = left - right
         Bp = left + right
-        out[(a, b)] = (Bm @ Bm, Bp @ Bp)
+        out[(a, b)] = ((Bm @ Bm).real, (Bp @ Bp).real)
     return out
 
 
@@ -489,8 +487,6 @@ def _build_full(problem):
     cpl, sign_n = _coupling_constants(model)
 
     blocks = _block_couplings(problem)
-    coupling_nonzero = any(np.max(np.abs(B)) > 0.0
-                           for B, _ in blocks.values())
 
     # sparse 1D pieces
     eye_ax = sp.identity(pts, format="csr")
@@ -537,18 +533,15 @@ def _build_full(problem):
         D1 = _stencil(0.0, np.full(pts, -0.5 / h), np.full(pts, 0.5 / h),
                          problem.boundary == "periodic")
         G = sum(axis_op(D1, a) for a in range(n))
-        if problem.use_amended_transform or weight is None:
+        if weight is None:
             node_op = node_op - hb2 * cQ * (G @ G)
         else:
             W = sp.diags(weight)
             Winv = sp.diags(1.0 / weight)
             node_op = node_op - hb2 * cQ * (Winv @ (G @ (W @ G)))
 
-    complex_blocks = any(np.iscomplexobj(B) and np.max(np.abs(B.imag)) > 0
-                         for pair in blocks.values() for B in pair)
-    dtype = complex if complex_blocks else float
     eye_block = sp.identity(bdim, format="csr")
-    H = sp.kron(node_op, eye_block, format="csr").astype(dtype)
+    H = sp.kron(node_op, eye_block, format="csr")
 
     for (a, b), (Bm2, Bp2) in blocks.items():
         denom_m = dm[:, a, b] ** 2
@@ -560,23 +553,16 @@ def _build_full(problem):
         inv_m = np.where(bad, 0.0, cpl / np.where(bad, 1.0, denom_m))
         inv_n = sign_n * cpl / denom_n
         if np.max(np.abs(Bm2)) > 0.0:
-            H = H + sp.kron(sp.diags(inv_m),
-                            sp.csr_matrix(np.real_if_close(Bm2)
-                                          if not complex_blocks else Bm2),
-                            format="csr")
+            H = H + sp.kron(sp.diags(inv_m), sp.csr_matrix(Bm2), format="csr")
         if np.max(np.abs(Bp2)) > 0.0:
-            H = H + sp.kron(sp.diags(inv_n),
-                            sp.csr_matrix(np.real_if_close(Bp2)
-                                          if not complex_blocks else Bp2),
-                            format="csr")
+            H = H + sp.kron(sp.diags(inv_n), sp.csr_matrix(Bp2), format="csr")
     H = H + sp.kron(sp.diags(v_nodes + shift_c), eye_block, format="csr")
 
     weight_out = None if weight is None else np.repeat(weight, bdim)
     return ReducedOperator(
         matrix=H, weight=weight_out, nodes=coords,
         block_shape=(ds, dj), block_dim=1, problem=problem,
-        meta={"step": h, "axis_points": pts,
-              "coupling_nonzero": coupling_nonzero})
+        meta={"step": h})
 
 
 def build_reduced_hamiltonian(problem):

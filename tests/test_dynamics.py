@@ -207,11 +207,21 @@ class TestEomRhs:
             q, np.zeros(2), m_upper=[0.2], n_upper=[0.0]))
         assert np.all(np.isfinite(dynamics.pack_state(rhs)))
 
-    def test_trig_domain(self):
+    def test_trig_periodic(self, rng):
+        # the TrigUn flow sees the angles only through squares of sin and
+        # cos of half the pair differences: shifting one angle by 2 pi,
+        # past pi, leaves it unchanged
         model = ModelSpec(kind="TrigUn", A=1.3, B=0.4)
-        st_ = ReducedState(np.array([np.pi + 0.1, 0.0]), np.zeros(2))
-        with pytest.raises(DomainError):
-            dynamics.eom_rhs(model, GEODETIC, st_)
+        for n in (2, 3):
+            st_ = kind_state(rng, model, n)
+            rhs = dynamics.pack_state(dynamics.eom_rhs(model, GEODETIC, st_))
+            for a in range(n):
+                q = st_.q.copy()
+                q[a] += 2.0 * np.pi
+                shifted = dynamics.eom_rhs(model, GEODETIC, ReducedState(
+                    q, st_.p, m_upper=st_.m_upper, n_upper=st_.n_upper))
+                assert np.allclose(dynamics.pack_state(shifted), rhs,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestIntegrate:
@@ -252,6 +262,18 @@ class TestIntegrate:
             dynamics.integrate(model, GEODETIC, st_, 5.0,
                                StepControl(method="rk45", rtol=1e-10,
                                            atol=1e-14, min_step=1e-2))
+
+    def test_rk45_error_estimate_without_cancellation(self):
+        # y' = lam y: the embedded estimate is |P(z) y|, z = h lam, with P
+        # the difference of the Dormand-Prince 5 and 4 stability
+        # polynomials.  On entries of order 1e6 with a small rate it lies
+        # below one ulp of y, where max|y5 - y4| reads 0.
+        lam, h = 1e-2, 0.2
+        z = h * lam
+        P = -97 / 120000 * z ** 5 + 13 / 40000 * z ** 6 - z ** 7 / 24000
+        y = np.array([1e6, -3e6])
+        _, err = dynamics._rk45_step(lambda v: lam * v, y, h)
+        assert err == pytest.approx(3e6 * abs(P), rel=1e-2)
 
     def test_box_potential_rejected(self):
         model = ModelSpec(kind="AffAff", A=1.0, B=0.0)
