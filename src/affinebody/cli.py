@@ -13,88 +13,21 @@ import numpy as np
 
 from . import dynamics, io, kinematics, phase, poisson, quantum
 from .errors import AffineBodyError, ConfigError
-from .phase import json_number as _number
+from .schema import ARRAY, Key, table, walk
 
 BRACKET_TOL = 1e-9
 DECOMP_RECON_TOL = 1e-10
 DECOMP_ORTHO_TOL = 1e-12
 DECOMP_SV_TOL = 1e-9
 
-COMMANDS = ("simulate", "geodesic", "classify", "spectrum",
-            "check-brackets", "check-decomp")
-
-
-def _check_keys(block, required, optional, where):
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    missing = [k for k in required if k not in block]
-    if missing:
-        raise ConfigError(f"{where} missing keys: {missing}")
-    unknown = [k for k in block if k not in required and k not in optional]
-    if unknown:
-        raise ConfigError(f"{where} has unknown keys: {unknown}")
-    return block
-
-
-def _numbers(value, where):
-    """A finite float scalar or array from a config value."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be numeric: {exc}") from exc
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{where} must be finite")
-    return arr
-
-
-def _flag(value, where):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, got {value!r}")
-    return value
-
-
-def _artifact_path(config, output_dir, default):
-    out_block = _check_keys(config.get("output", {}), (), ("path",),
-                            "output")
-    path = out_block.get("path", default)
-    if not isinstance(path, str):
-        raise ConfigError(f"output.path must be a string, got {path!r}")
-    return os.path.join(output_dir, path)
-
-
-def _state_from_json(block):
-    _check_keys(block, ("q", "p"), ("M", "N"), "initial")
-    q = _numbers(block["q"], "initial.q")
-    p = _numbers(block["p"], "initial.p")
-    n = q.size
-    M = _numbers(block.get("M", np.zeros((n, n))), "initial.M")
-    N = _numbers(block.get("N", np.zeros((n, n))), "initial.N")
-    return phase.ReducedState(q, p, M=M, N=N)
-
-
-def _numerics_from_json(block, optional):
-    """The numerics block as keyword values, each of its declared type."""
-    _check_keys(block, ("t_end",), optional, "numerics")
-    return {key: value if key == "method"
-            else _number(value, f"numerics.{key}",
-                         int if key in ("record_every", "samples") else float)
-            for key, value in block.items()}
-
 
 # ---------------------------------------------------------------------------
-# commands: each returns (artifact writer, artifact, summary line, exit code)
+# commands: config values in; (artifact writer, artifact, summary, code) out
 
 
-def _cmd_simulate(config):
-    _check_keys(config, ("model", "initial", "numerics"),
-                ("command", "potential", "output", "seed"), "config")
-    model = phase.ModelSpec.from_json(config["model"])
-    potential = phase.PotentialSpec.from_json(config.get("potential"))
-    state0 = _state_from_json(config["initial"])
-    numerics = _numerics_from_json(
-        config["numerics"], ("step", "method", "record_every", "rtol", "atol"))
+def _cmd_simulate(model, potential, initial, numerics):
     t_end = numerics.pop("t_end")
-    traj = dynamics.integrate(model, potential, state0, t_end,
+    traj = dynamics.integrate(model, potential, initial, t_end,
                               dynamics.StepControl(**numerics))
     return io.write_trajectory_csv, traj, (
         f"simulate: kind={model.kind} samples={len(traj.times)} "
@@ -102,37 +35,20 @@ def _cmd_simulate(config):
         f"casimir_drift={traj.casimir_drift:.3e}"), 0
 
 
-def _cmd_geodesic(config):
-    _check_keys(config, ("model", "initial", "numerics"),
-                ("command", "output", "seed"), "config")
-    model = phase.ModelSpec.from_json(config["model"])
-    init = _check_keys(config["initial"], ("phi0", "Omega"), (), "initial")
-    phi0 = _numbers(init["phi0"], "initial.phi0")
-    Omega = _numbers(init["Omega"], "initial.Omega")
-    numerics = _numerics_from_json(config["numerics"],
-                                   ("step", "samples", "tolerance"))
-    tol = numerics.pop("tolerance", 1e-6)
-    report = geodesic_cross_check(model, phi0, Omega, **numerics)
+def _cmd_geodesic(model, initial, numerics):
+    tol = numerics.pop("tolerance")
+    report = geodesic_cross_check(model, **initial, **numerics)
     verdict = "PASS" if report["max_error"] < tol else "FAIL"
-    report["tolerance"] = tol
-    report["verdict"] = verdict
+    report.update(tolerance=tol, verdict=verdict)
     return io.write_json, report, (
         f"geodesic: max_error={report['max_error']:.3e} "
         f"verdict={verdict}"), 0 if verdict == "PASS" else 1
 
 
-def _cmd_classify(config):
-    _check_keys(config, ("m", "n"),
-                ("command", "A", "energy", "output", "seed"), "config")
-    m = _number(config["m"], "m")
-    n_coupling = _number(config["n"], "n")
-    A = _number(config.get("A", 1.0), "A")
-    energy = config.get("energy")
-    result = dynamics.classify_planar(m, n_coupling, A=A,
-                                      energy=None if energy is None
-                                      else _number(energy, "energy"))
+def _cmd_classify(m, n, A, energy):
+    result = dynamics.classify_planar(m, n, A=A, energy=energy)
     report = {
-        "verdict": result.verdict, "m": m, "n": n_coupling, "A": A,
+        "verdict": result.verdict, "m": m, "n": n, "A": A,
         "energy": result.energy, "x_min": result.x_min,
         "turning_points": list(result.turning_points)
         if result.turning_points is not None else None,
@@ -141,7 +57,7 @@ def _cmd_classify(config):
     extra = "" if result.period is None else f" period={result.period:.6g}"
     return io.write_json, report, (
         f"classify: verdict={result.verdict} m={m:g} "
-        f"n={n_coupling:g}{extra}"), 0
+        f"n={n:g}{extra}"), 0
 
 
 EIGENVECTOR_HEADER = ("level", "node", "m_row", "k_col", "real", "imag")
@@ -159,29 +75,7 @@ def _eigenvector_rows(op, spec):
                             amp.real, amp.imag])
 
 
-def _cmd_spectrum(config):
-    _check_keys(config, ("problem",),
-                ("command", "count", "eigenvectors", "output", "seed"),
-                "config")
-    pb = dict(_check_keys(
-        config["problem"], ("n", "model"),
-        ("alpha_label", "beta_label", "coordinate", "q_min", "q_max",
-         "points", "boundary", "potential", "use_amended_transform",
-         "half_integer_labels"), "problem"))
-    pb["model"] = phase.ModelSpec.from_json(pb["model"])
-    if "potential" in pb:
-        pb["potential"] = phase.PotentialSpec.from_json(pb["potential"])
-    for key in ("n", "points", "alpha_label", "beta_label", "q_min",
-                "q_max"):
-        if key in pb:
-            pb[key] = _number(pb[key], f"problem.{key}",
-                              int if key in ("n", "points") else float)
-    for key in ("use_amended_transform", "half_integer_labels"):
-        if key in pb:
-            pb[key] = _flag(pb[key], f"problem.{key}")
-    problem = quantum.SpectralProblem(**pb)
-    count = _number(config.get("count", 5), "count", int)
-    vectors = _flag(config.get("eigenvectors", False), "eigenvectors")
+def _cmd_spectrum(problem, count=5, eigenvectors=False):
     op = quantum.build_reduced_hamiltonian(problem)
     spec = quantum.eigensolve(op, count)
     report = {
@@ -196,7 +90,7 @@ def _cmd_spectrum(config):
 
     def write(path, artifact):
         io.write_json(path, artifact)
-        if vectors:
+        if eigenvectors:
             io.write_csv(os.path.splitext(path)[0] + "_vectors.csv",
                          EIGENVECTOR_HEADER, _eigenvector_rows(op, spec))
 
@@ -206,29 +100,17 @@ def _cmd_spectrum(config):
         f"max_residual={float(np.max(spec.residuals)):.3e}"), 0
 
 
-def _cmd_check_brackets(config, rng):
-    _check_keys(config, (), ("command", "trials", "n", "output", "seed"),
-                "config")
-    trials = _number(config.get("trials", 200), "trials", int)
-    n = _number(config.get("n", 3), "n", int)
-    report = check_brackets(rng, trials=trials, n=n)
+def _cmd_check_brackets(seed, trials, n):
+    report = check_brackets(np.random.default_rng(seed), trials, n)
     return io.write_json, report, (
         f"check-brackets: trials={trials} "
         f"max_residual={report['max_residual']:.3e} "
         f"verdict={report['verdict']}"), int(report["verdict"] != "PASS")
 
 
-def _cmd_check_decomp(config, rng):
-    _check_keys(config, (), ("command", "trials", "dims", "cond_max",
-                             "output", "seed"), "config")
-    trials = _number(config.get("trials", 1000), "trials", int)
-    dims = config.get("dims", [2, 3])
-    if not isinstance(dims, list) or not dims:
-        raise ConfigError(f"dims must be a nonempty JSON array, got {dims!r}")
-    dims = tuple(_number(d, "dims", int) for d in dims)
-    cond_max = _number(config.get("cond_max", 1e6), "cond_max")
-    report = check_decomposition(rng, trials=trials, dims=dims,
-                                 cond_max=cond_max)
+def _cmd_check_decomp(seed, trials, dims, cond_max):
+    report = check_decomposition(np.random.default_rng(seed), trials, dims,
+                                 cond_max)
     return io.write_json, report, (
         f"check-decomp: trials={trials} "
         f"max_reconstruction={report['max_reconstruction']:.3e} "
@@ -392,17 +274,65 @@ def geodesic_cross_check(model, phi0, Omega, t_end, step=1e-3, samples=11):
 # entry point
 
 
-# command -> (function, default artifact name); the check commands also
-# take the random generator
-_DISPATCH = {
-    "simulate": (_cmd_simulate, "trajectory.csv"),
-    "geodesic": (_cmd_geodesic, "geodesic.json"),
-    "classify": (_cmd_classify, "classify.json"),
-    "spectrum": (_cmd_spectrum, "spectrum.json"),
-    "check-brackets": (_cmd_check_brackets, "brackets.json"),
-    "check-decomp": (_cmd_check_decomp, "decomp.json"),
+def _command(name, function, artifact, target=None, **keys):
+    """`function` with its config table: `keys`, defaulting from `target`,
+    plus the `command` and `output` keys every config takes."""
+    return function, table(
+        target, command=Key((name,), None),
+        output=Key({"path": Key(str, artifact)}, {}), **keys)
+
+
+_MODEL = Key(phase.MODEL_KEYS, build=phase.ModelSpec)
+_POTENTIAL = Key(phase.POTENTIAL_KEYS, {}, build=phase.PotentialSpec)
+_SEED = Key(int, 0, ">= 0")
+
+# one table per command: each key's type, default, range and scope
+COMMANDS = {
+    "simulate": _command(
+        "simulate", _cmd_simulate, "trajectory.csv", model=_MODEL,
+        potential=_POTENTIAL,
+        initial=Key(table(phase.ReducedState, q=Key(ARRAY), p=Key(ARRAY),
+                          M=Key(ARRAY), N=Key(ARRAY)),
+                    build=phase.ReducedState),
+        numerics=Key(table(
+            dynamics.StepControl, t_end=Key(float), step=Key(float),
+            method=Key(dynamics.METHODS),
+            record_every=Key(int, when=("method", ("rk4",))),
+            rtol=Key(float, range="> 0", when=("method", ("rk45",))),
+            atol=Key(float, range="> 0", when=("method", ("rk45",)))))),
+    "geodesic": _command(
+        "geodesic", _cmd_geodesic, "geodesic.json", model=_MODEL,
+        initial=Key({"phi0": Key(ARRAY), "Omega": Key(ARRAY)}),
+        numerics=Key(table(
+            geodesic_cross_check, t_end=Key(float), step=Key(float),
+            samples=Key(int, range=">= 2"),
+            tolerance=Key(float, 1e-6, "> 0")))),
+    "classify": _command(
+        "classify", _cmd_classify, "classify.json", dynamics.classify_planar,
+        m=Key(float), n=Key(float), A=Key(float, range="> 0"),
+        energy=Key(float)),
+    "spectrum": _command(
+        "spectrum", _cmd_spectrum, "spectrum.json", _cmd_spectrum,
+        problem=Key(table(
+            quantum.SpectralProblem, n=Key(int),
+            model=Key(table(phase.ModelSpec, **phase.MODEL_KEYS,
+                            hbar=Key(float)), build=phase.ModelSpec),
+            alpha_label=Key(float), beta_label=Key(float),
+            coordinate=Key(quantum.COORDINATES), q_min=Key(float),
+            q_max=Key(float), points=Key(int),
+            boundary=Key(quantum.BOUNDARIES), potential=_POTENTIAL,
+            use_amended_transform=Key(bool), half_integer_labels=Key(bool)),
+            build=quantum.SpectralProblem),
+        count=Key(int), eigenvectors=Key(bool)),
+    "check-brackets": _command(
+        "check-brackets", _cmd_check_brackets, "brackets.json",
+        check_brackets, seed=_SEED, trials=Key(int, range=">= 1"),
+        n=Key(int, range=">= 1")),
+    "check-decomp": _command(
+        "check-decomp", _cmd_check_decomp, "decomp.json",
+        check_decomposition, seed=_SEED, trials=Key(int, range=">= 1"),
+        dims=Key([int], range=">= 1"), cond_max=Key(float, range=">= 1")),
 }
-RANDOM_COMMANDS = ("check-brackets", "check-decomp")
 
 
 def main(argv=None):
@@ -417,25 +347,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        try:
-            config = io.load_json(args.config)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config: {exc}")
-        if not isinstance(config, dict):
-            raise ConfigError("config must be a JSON object")
-        declared = config.get("command")
-        if declared is not None and declared != args.command:
-            raise ConfigError(
-                f"config declares command {declared!r}, "
-                f"invoked as {args.command!r}")
-        seed = _number(config.get("seed", 0) if args.seed is None
-                       else args.seed, "seed", int)
-        command, default = _DISPATCH[args.command]
-        path = _artifact_path(config, args.output_dir, default)
-        extra = (np.random.default_rng(seed),) \
-            if args.command in RANDOM_COMMANDS else ()
+        command, keys = COMMANDS[args.command]
+        values = walk(keys, io.load_json(args.config), "config")
+        if args.seed is not None:
+            if "seed" not in keys:
+                raise ConfigError(f"'--seed' does not apply to {args.command}"
+                                  ": it draws no random numbers")
+            values["seed"] = keys["seed"].parse(args.seed, "'--seed'")
+        del values["command"]
+        path = os.path.join(args.output_dir, values.pop("output")["path"])
         os.makedirs(args.output_dir, exist_ok=True)
-        write, artifact, summary, code = command(config, *extra)
+        write, artifact, summary, code = command(**values)
         write(path, artifact)
         if not args.quiet:
             print(f"{summary} artifact={path}")

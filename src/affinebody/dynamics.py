@@ -30,6 +30,7 @@ THRESHOLD_TOL = 1e-12
 # turning points near the steep wall at x = 0 miss V_eff = E by up to 4e-13
 # with brentq's default xtol of 2e-12, and stay near round-off with this
 TURNING_XTOL = 1e-15
+METHODS = ("rk4", "rk45")
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class StepControl:
     max_step: float = 0.1
 
     def __post_init__(self):
-        if self.method not in ("rk4", "rk45"):
+        if self.method not in METHODS:
             raise ConfigError(f"unknown integrator {self.method!r}")
         if self.step <= 0 or self.record_every < 1:
             raise ConfigError("step must be positive, record_every >= 1")
@@ -517,9 +518,12 @@ def classify_planar(m, n_coupling, A=1.0, energy=None):
     """Boundedness verdict for the planar shape motion.
 
     |m| < |n| gives bounded vibrations, |m| > |n| pure repulsion; the
-    threshold |m| = |n| (to 1e-12) separates them.  With an energy below
-    the escape level the turning points are found by Brent's method.
+    threshold |m| = |n| (to 1e-12) separates them.  A bounded V_eff has
+    its minimum where tanh^4(x/2) = (m/n)^2.  With an energy below the
+    escape level the turning points are found by Brent's method.
     """
+    if not A > 0.0:
+        raise ConfigError(f"A must be positive, got {A!r}")
     am, an = abs(m), abs(n_coupling)
     if abs(am - an) <= THRESHOLD_TOL * max(am, an, 1.0):
         verdict = "Threshold"
@@ -529,15 +533,8 @@ def classify_planar(m, n_coupling, A=1.0, energy=None):
         verdict = "Unbounded"
     turning = None
     period = None
-    x_star = None
-    if verdict == "Bounded":
-        if m != 0.0:
-            x_star = float(scipy.optimize.minimize_scalar(
-                lambda x: planar_effective_potential(m, n_coupling, A, x),
-                bounds=(1e-8, 50.0), method="bounded",
-                options={"xatol": 1e-12}).x)
-        else:
-            x_star = 0.0
+    x_star = 2.0 * float(np.arctanh(np.sqrt(am / an))) \
+        if verdict == "Bounded" else None
     if energy is not None and verdict == "Bounded":
         v = lambda x: planar_effective_potential(m, n_coupling, A, x) - energy
         if m != 0.0:

@@ -28,7 +28,7 @@ def load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
 
 

@@ -9,12 +9,12 @@ Sutherland-type lattice Hamiltonian in them.
 """
 
 import functools
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInertia, DomainError
+from .schema import Key, table, walk
 
 MODEL_KINDS = ("DAlembert", "AffAff", "AffMetr", "MetrAff", "MetrMetr", "TrigUn")
 
@@ -26,17 +26,6 @@ HYPERBOLIC_KINDS = ("AffAff", "AffMetr", "MetrAff", "MetrMetr")
 DEGENERACY_TOL = 1e-9
 
 POTENTIAL_KINDS = ("none", "harmonic_well", "box", "steep_oscillator")
-
-
-def json_number(value, where, kind=float):
-    """A finite JSON number as `kind`: 64 and 64.0 pass as an int, 64.5
-    and "64" do not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max \
-            or (kind is int and value % 1):
-        raise ConfigError(f"{where} must be a finite {kind.__name__}, "
-                          f"got {value!r}")
-    return kind(value)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +152,9 @@ class ReducedState:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Kinetic model tag with inertial constants.
-
-    Per-kind usage: DAlembert needs I > 0; AffAff and TrigUn use A, B;
-    AffMetr/MetrAff use I, A, B through alpha = I + A and mu = (I^2 - A^2)/I;
-    MetrMetr takes its four constants (a, b, c, d) directly.
-    """
+    """Kinetic model tag with inertial constants; `MODEL_KEYS` lists the
+    ones each kind reads.  AffMetr and MetrAff use I and A through
+    alpha = I + A and mu = (I^2 - A^2)/I."""
 
     kind: str
     I: float = 1.0
@@ -237,27 +223,22 @@ class ModelSpec:
         return val
 
     def to_json(self):
-        out = {"kind": self.kind, "I": self.I, "A": self.A, "B": self.B,
-               "hbar": self.hbar}
-        for name in ("a", "b", "c", "d"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
+        """The kind and the constants it reads."""
+        return {name: getattr(self, name) for name, key in MODEL_KEYS.items()
+                if key.applies({"kind": self.kind})}
 
     @classmethod
     def from_json(cls, block):
-        if not isinstance(block, dict):
-            raise ConfigError("model block must be a JSON object")
-        unknown = set(block) - {"kind", "I", "A", "B", "a", "b", "c", "d",
-                                "hbar"}
-        if unknown:
-            raise ConfigError(f"unknown model keys: {sorted(unknown)}")
-        if "kind" not in block:
-            raise ConfigError("model block requires a 'kind'")
-        return cls(**{key: value if key == "kind"
-                      else json_number(value, f"model.{key}")
-                      for key, value in block.items()})
+        return cls(**walk(MODEL_KEYS, block, "model"))
+
+
+# the constants each kind reads; the spectrum command adds hbar
+_AB_KINDS = ("kind", ("AffAff", "AffMetr", "MetrAff", "TrigUn"))
+MODEL_KEYS = table(
+    ModelSpec, kind=Key(MODEL_KINDS),
+    I=Key(float, when=("kind", ("DAlembert", "AffMetr", "MetrAff"))),
+    A=Key(float, when=_AB_KINDS), B=Key(float, when=_AB_KINDS),
+    **{name: Key(float, when=("kind", ("MetrMetr",))) for name in "abcd"})
 
 
 @dataclass(frozen=True)
@@ -354,16 +335,11 @@ class PotentialSpec:
     def from_json(cls, block):
         if block is None:
             return cls.none()
-        if not isinstance(block, dict):
-            raise ConfigError("potential block must be a JSON object")
-        unknown = set(block) - {"kind", "params"}
-        if unknown:
-            raise ConfigError(f"unknown potential keys: {sorted(unknown)}")
-        params = block.get("params", [])
-        if not isinstance(params, list):
-            raise ConfigError("potential.params must be a JSON array")
-        return cls(kind=block.get("kind", "none"),
-                   params=[json_number(v, "potential.params") for v in params])
+        return cls(**walk(POTENTIAL_KEYS, block, "potential"))
+
+
+POTENTIAL_KEYS = table(PotentialSpec, kind=Key(POTENTIAL_KINDS),
+                       params=Key([float], when=("kind", POTENTIAL_KINDS[1:])))
 
 
 def wrap_angle(q):

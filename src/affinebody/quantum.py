@@ -28,6 +28,8 @@ COINCIDENCE_TOL = 1e-12
 MIN_POINTS = 16
 MAX_LABEL = 4
 MAX_AXIS_POINTS_3D = 64
+COORDINATES = ("dilatation", "shear", "full")
+BOUNDARIES = ("dirichlet", "periodic")
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +150,9 @@ class SpectralProblem:
     def __post_init__(self):
         if self.n not in (2, 3):
             raise ConfigError("n must be 2 or 3")
-        if self.coordinate not in ("dilatation", "shear", "full"):
+        if self.coordinate not in COORDINATES:
             raise ConfigError(f"unknown coordinate {self.coordinate!r}")
-        if self.boundary not in ("dirichlet", "periodic"):
+        if self.boundary not in BOUNDARIES:
             raise ConfigError(f"unknown boundary {self.boundary!r}")
         if self.q_max <= self.q_min:
             raise ConfigError("q_max must exceed q_min")
@@ -201,15 +203,8 @@ class SpectralProblem:
         return (ds, dj)
 
     def to_json(self):
-        return {
-            "n": self.n, "model": self.model.to_json(),
-            "alpha_label": self.alpha_label, "beta_label": self.beta_label,
-            "coordinate": self.coordinate, "q_min": self.q_min,
-            "q_max": self.q_max, "points": self.points,
-            "boundary": self.boundary, "potential": self.potential.to_json(),
-            "use_amended_transform": self.use_amended_transform,
-            "half_integer_labels": self.half_integer_labels,
-        }
+        return dict(vars(self), potential=self.potential.to_json(),
+                    model=dict(self.model.to_json(), hbar=self.model.hbar))
 
 
 @dataclass

@@ -1,11 +1,12 @@
 import json
+import pathlib
 import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from affinebody import cli, io, quantum
+from affinebody import cli, io, quantum, schema
 from affinebody.phase import ModelSpec
 
 
@@ -132,8 +133,14 @@ class TestSpectrum:
             < 0.01
         assert report["boundary"] == "dirichlet"
         assert report["grid"]["points"] == 256
-        # echoed problem block re-parses
-        assert report["problem"]["model"]["kind"] == "AffAff"
+        # the echoed problem block carries the constants AffAff reads, and
+        # re-parses to the same levels
+        assert report["problem"]["model"] == {"kind": "AffAff", "A": 1.0,
+                                              "B": 0.5, "hbar": 1.0}
+        again = {"problem": report["problem"], "count": 5,
+                 "output": {"path": "again.json"}}
+        assert run(tmp_path, "spectrum", again) == 0
+        assert io.load_json(tmp_path / "again.json")["eigenvalues"] == ev
 
     def test_numeric_error_exit_code(self, tmp_path):
         assert run(tmp_path, "spectrum", self.config(points=8)) == 4
@@ -240,31 +247,44 @@ class TestGeodesicCommand:
 
 
 class TestShippedConfigs:
-    @pytest.mark.parametrize("name,command", [
-        ("classify_planar.json", "classify"),
-        ("geodesic_n3.json", "geodesic"),
-        ("spectrum_box.json", "spectrum"),
-    ])
-    def test_example_config_runs(self, tmp_path, name, command):
-        import pathlib
+    # max_residual and max_error are matched by format and bound: their
+    # last digits depend on the LAPACK build
+    @pytest.mark.parametrize("name,command,line", [
+        ("classify_planar.json", "classify",
+         r"classify: verdict=Bounded m=1 n=2 period=22\.2144"),
+        ("geodesic_n3.json", "geodesic",
+         r"geodesic: max_error=(?P<err>\d\.\d{3}e[+-]\d\d) verdict=PASS"),
+        ("spectrum_box.json", "spectrum",
+         r"spectrum: count=5 eigenvalues=\[0\.308424174, 1\.23368513, "
+         r"2\.77574816, 4\.93455545, 7\.71002602\] "
+         r"max_residual=(?P<res>\d\.\d{3}e[+-]\d\d)"),
+    ], ids=["classify_planar.json-classify", "geodesic_n3.json-geodesic",
+            "spectrum_box.json-spectrum"])
+    def test_example_config_runs(self, tmp_path, capsys, name, command,
+                                 line):
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" \
             / name
         code = cli.main([command, "--config", str(cfg), "--output-dir",
-                         str(tmp_path), "--quiet"])
+                         str(tmp_path)])
         assert code == 0
+        match = re.fullmatch(line + r" artifact=\S+\n",
+                             capsys.readouterr().out)
+        assert match
+        assert float(match.groupdict().get("err", 0.0)) < 1e-6
+        assert float(match.groupdict().get("res", 0.0)) < 1e-10
 
 
 # one small valid config per command
 BASES = {
     "simulate": {
-        "command": "simulate", "seed": 1,
+        "command": "simulate",
         "model": {"kind": "AffAff", "A": 1.0, "B": 0.0},
         "potential": {"kind": "harmonic_well", "params": [0.5]},
         "initial": {"q": [0.3, -0.3], "p": [0.1, 0.0],
                     "M": [[0.0, 0.2], [-0.2, 0.0]],
                     "N": [[0.0, 0.1], [-0.1, 0.0]]},
         "numerics": {"t_end": 0.01, "step": 0.001, "method": "rk4",
-                     "record_every": 5, "rtol": 1e-8, "atol": 1e-10},
+                     "record_every": 5},
         "output": {"path": "out.csv"}},
     "geodesic": {
         "model": {"kind": "AffAff", "A": 1.3, "B": 0.4},
@@ -275,7 +295,7 @@ BASES = {
     "classify": {"m": 1.0, "n": 2.0, "A": 1.0, "energy": -0.02},
     "spectrum": {
         "problem": {"n": 2, "model": {"kind": "AffAff", "A": 1.0, "B": 0.5,
-                                      "I": 1.0, "hbar": 1.0},
+                                      "hbar": 1.0},
                     "alpha_label": 0.0, "beta_label": 0.0,
                     "coordinate": "dilatation", "q_min": -1.0, "q_max": 1.0,
                     "points": 16, "boundary": "dirichlet",
@@ -283,8 +303,9 @@ BASES = {
                     "use_amended_transform": True,
                     "half_integer_labels": False},
         "count": 2, "eigenvectors": False},
-    "check-brackets": {"trials": 1, "n": 2},
-    "check-decomp": {"trials": 2, "dims": [2, 3], "cond_max": 10.0},
+    "check-brackets": {"seed": 1, "trials": 1, "n": 2},
+    "check-decomp": {"seed": 1, "trials": 2, "dims": [2, 3],
+                     "cond_max": 10.0},
 }
 
 
@@ -302,10 +323,22 @@ def _at(config, path):
     return config
 
 
-# keys some block accepts; the MetrMetr constants are the only ones that
-# no base config sets
-KNOWN_KEYS = {path[-1] for config in BASES.values()
-              for path in _paths(config)} | {"a", "b", "c", "d"}
+def _table_keys(keys, prefix=()):
+    """(key path, Key, its table) of every key of a config table, nested
+    ones too."""
+    for name, key in keys.items():
+        yield prefix + (name,), key, keys
+        if isinstance(key.type, dict):
+            yield from _table_keys(key.type, prefix + (name,))
+
+
+# keys that some block of some command accepts
+KNOWN_KEYS = {path[-1] for _, keys in cli.COMMANDS.values()
+              for path, _, _ in _table_keys(keys)}
+# (command, key path, Key, its table) of every key with a range
+RANGED = [(command, path, key, siblings)
+          for command, (_, keys) in cli.COMMANDS.items()
+          for path, key, siblings in _table_keys(keys) if key.range]
 JSON_TYPES = {
     bool: st.booleans(),
     float: st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
@@ -343,30 +376,126 @@ def malformed(draw, config):
     return config
 
 
+# (command, block, content merged into it, the key the error names)
+IGNORED = [
+    # once accepted and then ignored
+    ("simulate", "output", {"format": 1}, "format"),
+    ("simulate", "model", {"m": 1}, "m"),
+    ("simulate", "model", {"I1": 1}, "I1"),
+    ("simulate", "model", {"I2": 1}, "I2"),
+    ("simulate", "numerics", {"tolerance": 1}, "tolerance"),
+    ("simulate", "numerics", {"samples": 1}, "samples"),
+    ("geodesic", "numerics", {"method": 1}, "method"),
+    ("geodesic", "numerics", {"record_every": 1}, "record_every"),
+    ("geodesic", "numerics", {"rtol": 1}, "rtol"),
+    ("geodesic", "numerics", {"atol": 1}, "atol"),
+    # outside the scope of the chosen method, kind or command
+    ("simulate", "numerics", {"method": "rk45"}, "record_every"),
+    ("simulate", "numerics", {"rtol": 1e-8}, "rtol"),
+    ("simulate", "numerics", {"atol": 1e-10}, "atol"),
+    ("simulate", None, {"seed": 1}, "seed"),
+    ("geodesic", None, {"seed": 1}, "seed"),
+    ("classify", None, {"seed": 1}, "seed"),
+    ("spectrum", None, {"seed": 1}, "seed"),
+    ("simulate", "model", {"I": 1.0}, "I"),
+    ("simulate", "model", {"kind": "TrigUn", "I": 1.0}, "I"),
+    ("simulate", "model", {"a": 1.0}, "a"),
+    ("simulate", "model", {"b": 1.0}, "b"),
+    ("simulate", "model", {"c": 1.0}, "c"),
+    ("simulate", "model", {"d": 1.0}, "d"),
+    ("simulate", "model", {"kind": "DAlembert", "I": 1.0, "B": None},
+     "A"),
+    ("simulate", "model", {"kind": "DAlembert", "I": 1.0, "A": None},
+     "B"),
+    ("simulate", "model", {"hbar": 1.0}, "hbar"),
+    ("geodesic", "model", {"hbar": 1.0}, "hbar"),
+    ("spectrum", "problem", {"model": {"kind": "AffAff", "A": 1.0,
+                                       "I": 1.0}}, "I"),
+    ("simulate", "potential", {"kind": "none"}, "params"),
+]
+
+
 class TestConfigParser:
     @pytest.mark.parametrize("command", sorted(BASES))
     def test_base_configs_run(self, tmp_path, command):
         assert run(tmp_path, command, BASES[command]) == 0
 
-    @pytest.mark.parametrize("command,block,key", [
-        ("simulate", "output", "format"),
-        ("simulate", "model", "m"),
-        ("simulate", "model", "I1"),
-        ("simulate", "model", "I2"),
-        ("simulate", "numerics", "tolerance"),
-        ("simulate", "numerics", "samples"),
-        ("geodesic", "numerics", "method"),
-        ("geodesic", "numerics", "record_every"),
-        ("geodesic", "numerics", "rtol"),
-        ("geodesic", "numerics", "atol"),
-    ])
+    @pytest.mark.parametrize("command,block,content,key", IGNORED, ids=[
+        "-".join([command, block or "config"]
+                 + [str(content[k]) for k in ("kind", "method")
+                    if k in content and k != key]
+                 + [key]) for command, block, content, key in IGNORED])
     def test_ignored_key_rejected(self, tmp_path, capsys, command, block,
-                                  key):
-        # keys that were once accepted and then ignored
+                                  content, key):
+        # `content` is merged into the block (None: the whole config); a
+        # None value deletes the key
         config = json.loads(json.dumps(BASES[command]))
-        config[block][key] = 1
+        target = config if block is None else config.setdefault(block, {})
+        target.update(content)
+        for name in [name for name, value in target.items() if value is None]:
+            del target[name]
         assert run(tmp_path, command, config) == 2
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        c for c in sorted(BASES) if "seed" not in cli.COMMANDS[c][1]])
+    def test_seed_flag_rejected(self, tmp_path, capsys, command):
+        assert run(tmp_path, command, BASES[command], seed=1) == 2
+        assert "'--seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,path,value", [
+        ("check-brackets", ("n",), -1),
+        ("check-brackets", ("n",), 0),
+        ("check-brackets", ("trials",), 0),
+        ("check-brackets", ("seed",), -1),
+        ("check-decomp", ("dims",), [-2]),
+        ("check-decomp", ("dims",), [2, 0]),
+        ("check-decomp", ("trials",), -3),
+        ("check-decomp", ("cond_max",), 0.5),
+        ("geodesic", ("numerics", "samples"), 0),
+        ("geodesic", ("numerics", "samples"), 1),
+        ("geodesic", ("numerics", "tolerance"), 0.0),
+        ("classify", ("A",), -1.0),
+        ("classify", ("A",), 0.0),
+    ])
+    def test_out_of_range_exit_code(self, tmp_path, capsys, command, path,
+                                    value):
+        # each once ended in a traceback, or in a vacuous PASS
+        config = json.loads(json.dumps(BASES[command]))
+        _at(config, path[:-1])[path[-1]] = value
+        assert run(tmp_path, command, config) == 2
+        captured = capsys.readouterr()
+        assert repr(path[-1]) in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command,path,key,siblings", RANGED, ids=[
+        f"{c}:{'.'.join(p)}" for c, p, _, _ in RANGED])
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_out_of_range_draws(self, tmp_path, capsys, command, path, key,
+                                siblings, data):
+        op, bound = key.range.split()
+        bound = float(bound)
+        if key.type in (int, [int]):
+            top = int(bound) - (1 if op == ">=" else 0)
+            value = data.draw(st.integers(max_value=top))
+        else:
+            value = data.draw(st.floats(max_value=bound,
+                                        exclude_max=op == ">=",
+                                        allow_nan=False,
+                                        allow_infinity=False))
+        config = json.loads(json.dumps(BASES[command]))
+        block = _at(config, path[:-1])
+        if key.when is not None:
+            # bring the key into scope, and its out-of-scope siblings out
+            block[key.when[0]] = key.when[1][0]
+            for name in [name for name in block
+                         if not siblings[name].applies(block)]:
+                del block[name]
+        block[path[-1]] = [value] if isinstance(key.type, list) else value
+        assert run(tmp_path, command, config) == 2
+        assert repr(path[-1]) in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(BASES))
     @settings(max_examples=60, deadline=None,
@@ -377,3 +506,36 @@ class TestConfigParser:
         config = data.draw(malformed(BASES[command]))
         assert run(tmp_path, command, config) in (2, 3, 4)
         assert "error: " in capsys.readouterr().err
+
+
+TYPE_NAMES = {float: "number", int: "integer", bool: "boolean",
+              str: "string", schema.ARRAY: "numeric array", dict: "object"}
+
+
+def _readme_row(path, key):
+    """The README's key-reference row for one table key."""
+    kind = key.type
+    if isinstance(kind, tuple):
+        kind = "one of " + ", ".join(f"`{json.dumps(v)}`" for v in kind)
+    elif isinstance(kind, list):
+        kind = f"array of {TYPE_NAMES[kind[0]]}s"
+    else:
+        kind = TYPE_NAMES[dict if isinstance(kind, dict) else kind]
+    default = "required" if key.default is schema.REQUIRED \
+        else f"`{json.dumps(key.default)}`"
+    scope = "" if key.when is None else f"`{key.when[0]}`: " + ", ".join(
+        f"`{json.dumps(v)}`" for v in key.when[1])
+    rng = f"`{key.range}`" if key.range else ""
+    return f"| `{'.'.join(path)}` | {kind} | {rng} | {default} | {scope} |"
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_readme_key_reference(command):
+    # the README's table for a command lists exactly the keys of its config
+    # table, with their types, ranges, defaults and scopes
+    readme = (pathlib.Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    section = readme.split(f"### `{command}` keys\n", 1)[1].split("\n#", 1)[0]
+    rows = {line for line in section.splitlines() if line.startswith("| `")}
+    assert rows == {_readme_row(path, key) for path, key, _
+                    in _table_keys(cli.COMMANDS[command][1])}

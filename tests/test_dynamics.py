@@ -3,7 +3,8 @@ import pytest
 
 from affinebody import dynamics, kinematics, phase, poisson
 from affinebody.dynamics import StepControl
-from affinebody.errors import DegenerateInertia, DomainError, StepFailure
+from affinebody.errors import (ConfigError, DegenerateInertia, DomainError,
+                               StepFailure)
 from affinebody.phase import ModelSpec, PotentialSpec, ReducedState
 
 from test_phase import ALL_KINDS, random_state
@@ -410,6 +411,25 @@ class TestPlanar:
         assert dynamics.classify_planar(1.0, 2.0).verdict == "Bounded"
         assert dynamics.classify_planar(2.0, 1.0).verdict == "Unbounded"
         assert dynamics.classify_planar(1.0, 1.0).verdict == "Threshold"
+
+    @pytest.mark.parametrize("m,n", [(1.0, 2.0), (0.1, 3.0), (-0.5, 0.6),
+                                     (2.0, -7.0), (0.0, 1.5)])
+    def test_x_min_closed_form(self, m, n):
+        # V_eff' = 0 where tanh^4(x/2) = (m/n)^2
+        x_min = dynamics.classify_planar(m, n, A=1.3).x_min
+        expected = 2.0 * np.arctanh(np.sqrt(abs(m / n)))
+        assert x_min == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert np.tanh(0.5 * x_min) ** 4 == pytest.approx((m / n) ** 2,
+                                                          rel=1e-14)
+        for step in (1e-4, -1e-4):
+            assert dynamics.planar_effective_potential(m, n, 1.3, x_min) \
+                < dynamics.planar_effective_potential(m, n, 1.3,
+                                                      x_min + step)
+
+    @pytest.mark.parametrize("A", [0.0, -1.0, float("nan")])
+    def test_nonpositive_A_rejected(self, A):
+        with pytest.raises(ConfigError):
+            dynamics.classify_planar(1.0, 2.0, A=A)
 
     def test_turning_points_bracket_energy(self):
         res0 = dynamics.classify_planar(1.0, 2.0, A=1.0)
