@@ -8,6 +8,14 @@ The packed state vector layout matches the trajectory CSV columns:
 
 with G_M = dH/dM, G_N = dH/dN the skew gradient matrices.  Conservation
 of energy and the quadratic Casimir is monitored, never enforced.
+
+Layout contract: every public array of packed states is (..., dim), one
+state per trailing row, a single state being (dim,).  The kernel itself
+works component-major, on the transpose (dim, B) of the states flattened
+to (B, dim).  A Fortran-ordered (B, dim) batch is the fast path: its
+transpose is a free view in which each component is one contiguous row.
+integrate_batch holds its state that way.  Any other input gives the same
+numbers and is read through strides or a copy.
 """
 
 import functools
@@ -62,33 +70,43 @@ def unpack_state(y, n):
 
 
 @functools.lru_cache(maxsize=None)
-def _commutator_contraction(n):
-    """Constant matrix K with (u x g).ravel() @ K equal to the upper parts
-    of ([M, G_M] + [N, G_N], [N, G_M] + [M, G_N]), where u and g stack the
-    upper components of (M, N) and (G_M, G_N)."""
+def _commutator_terms(n):
+    """(partners, signs) with signs @ (u[:, :, None] * g[partners]).ravel()
+    equal to the upper parts of ([M, G_M] + [N, G_N], [N, G_M] + [M, G_N]),
+    where u (2, k) holds upper(M), upper(N) and g (2k,) stacks upper(G_M),
+    upper(G_N).  Row i of partners picks the elements of both blocks of g
+    that do not commute with E_i: one product per nonzero structure
+    constant of so(n), none for the abelian so(2)."""
     layout = phase.pair_layout(n)
     k = layout.count
     basis = layout.skew(np.eye(k))
     # structure constants of so(n): [E_i, E_j] = sum_l C[i, j, l] E_l
     C = layout.upper(basis[:, None] @ basis[None, :]
                      - basis[None, :] @ basis[:, None])
-    K = np.zeros((2 * k, 2 * k, 2 * k))
-    K[:k, :k, :k] = C           # M G_M  -> dM
-    K[k:, k:, :k] = C           # N G_N  -> dM
-    K[k:, :k, k:] = C           # N G_M  -> dN
-    K[:k, k:, k:] = C           # M G_N  -> dN
-    return K.reshape(4 * k * k, 2 * k)
+    # E_ab fails to commute with the T = 2 (n - 2) elements sharing one
+    # index with it
+    T = 2 * max(n - 2, 0)
+    partners = np.nonzero(C.any(axis=-1))[1].reshape(k, T)
+    constants = C[np.arange(k)[:, None], partners].transpose(2, 0, 1)
+    # signs[output block, l, u block, i, g block, t]: M G_M and N G_N
+    # feed dM, N G_M and M G_N feed dN
+    signs = np.zeros((2, k, 2, k, 2, T))
+    for ub in (0, 1):
+        for gb in (0, 1):
+            signs[ub ^ gb, :, ub, :, gb] = constants
+    return np.concatenate([partners, k + partners], axis=1), \
+        signs.reshape(2 * k, 4 * k * T)
 
 
 class EomKernel:
     """Reduced equations of motion of one model and potential at size n.
 
-    Works on packed states (..., dim) without building matrices: the pair
-    vector u = (upper(M), upper(N)) sits at the end of the packed layout,
-    each pair's sinh/cosh (sin/cos for TrigUn, exp for DAlembert) is
-    evaluated once per call, and the commutators are contracted with the
-    so(n) structure constants.  Every constant of the model is computed
-    once, at construction.
+    Takes and returns packed states (..., dim) and works on their
+    component-major transpose (dim, B), one row per component (see the
+    module docstring).  Each pair's sinh/cosh (sin/cos for TrigUn, exp for
+    DAlembert) is evaluated once per call, the commutators are summed over
+    the nonzero so(n) structure constants, and every constant of the model
+    is computed once, at construction.
     """
 
     def __init__(self, model, potential, n):
@@ -99,24 +117,25 @@ class EomKernel:
         self.kind = model.kind
         self.layout = layout
         self.potential = potential
-        self.potential_grad = None if potential.is_trivial else potential.grad
-        self.contraction = _commutator_contraction(n)
+        self.slope = None if potential.is_trivial \
+            else potential.dilatational_slope
+        self.partners, self.spin_signs = _commutator_terms(n)
         self.coupling = None
         if self.kind == "DAlembert":
             # pair denominators (Q_a - Q_b, Q_a + Q_b) with Q = exp(q)
-            stacked = np.concatenate([inc, np.abs(inc)])
-            self.pair_map = stacked.T
-            self.coef = np.full(2 * k, 0.5 / model.I)
-            self.q_weights = 2.0 * model.I * stacked
+            self.pair_map = np.concatenate([inc, np.abs(inc)])
+            self.coef = np.full((2 * k, 1), 0.5 / model.I)
+            self.q_weights = 2.0 * model.I * self.pair_map.T
             self.inv_inertia = 1.0 / model.I
             return
         alpha = model.alpha
         trig = self.kind == "TrigUn"
         # pair denominators (sm, cm) of half the pair difference
-        self.pair_map = 0.5 * inc.T
+        self.pair_map = 0.5 * inc
         self.sm, self.cm = (np.sin, np.cos) if trig else (np.sinh, np.cosh)
-        self.coef = np.repeat([1.0, 1.0 if trig else -1.0], k) / (8.0 * alpha)
-        self.q_weights = 4.0 * alpha * inc
+        self.coef = np.repeat([1.0, 1.0 if trig else -1.0], k)[:, None] \
+            / (8.0 * alpha)
+        self.q_weights = 4.0 * alpha * inc.T
         self.momentum = np.eye(n) / alpha + (
             2.0 / model.trace_coefficient(n) - 1.0 / (n * alpha))
         # metric parts of the kinetic energy, |tau|^2 and |rho|^2 terms,
@@ -133,91 +152,118 @@ class EomKernel:
             off = (plus - minus) * np.eye(k)
             self.coupling = np.block([[diag, off], [off, diag]])
 
-    def _pairs(self, q, u):
-        """Pair denominators d (..., 2k) and the weights coef/d^2 with
-        which u enters dH/du, the removable terms of vanishing coupling set
-        to zero."""
+    def _pairs(self, x, u):
+        """Pair denominators d (2k, B) and the weights coef/d^2 with which
+        u enters dH/du, the removable terms of vanishing coupling set to
+        zero.  x is Q = exp(q) for DAlembert and q otherwise, (n, B)."""
         k = self.layout.count
         tol = phase.DEGENERACY_TOL
+        d = np.empty((2 * k,) + x.shape[1:])
         if self.kind == "DAlembert":
-            Q = np.exp(q)
-            d = Q @ self.pair_map
+            np.matmul(self.pair_map, x, out=d)
             # Q_a + Q_b >= max(Q_a, Q_b): a screen for the exact test below
-            near = np.abs(d[..., :k]) < tol * d[..., k:]
+            near = np.abs(d[:k]) < tol * d[k:]
         else:
-            h = q @ self.pair_map
-            d = np.concatenate([self.sm(h), self.cm(h)], axis=-1)
+            h = self.pair_map @ x
+            self.sm(h, out=d[:k])
+            self.cm(h, out=d[k:])
             # sinh(h) == h below 2^-28, so for the hyperbolic kinds this is
             # exactly |q_a - q_b| < tol; cosh never triggers it
-            near = np.abs(d) < 0.5 * tol
-        if not near.any():
+            near = np.abs(d if self.kind == "TrigUn" else d[:k]) < 0.5 * tol
+        if not np.count_nonzero(near):
             return d, self.coef / (d * d)
         if self.kind == "DAlembert":
             ia, ib = self.layout.iu
-            near = np.abs(d[..., :k]) < tol * np.maximum(Q[..., ia],
-                                                         Q[..., ib])
-            near = np.concatenate([near, np.zeros_like(near)], axis=-1)
-        if np.any(near[..., k:] & (u[..., k:] != 0.0)):
+            near = np.abs(d[:k]) < tol * np.maximum(x[ia], x[ib])
+        if len(near) == k:
+            near = np.concatenate([near, np.zeros_like(near)])
+        if np.any(near[k:] & (u[k:] != 0.0)):
             raise DegenerateInertia(
                 "antipodal invariants q_a - q_b = pi with N coupling")
-        if np.any(near[..., :k] & (u[..., :k] != 0.0)):
+        if np.any(near[:k] & (u[:k] != 0.0)):
             raise DegenerateInertia(
                 "coincident deformation invariants with nonzero M coupling")
         return d, np.where(near, 0.0,
                            self.coef / np.where(near, 1.0, d) ** 2)
 
-    def _gradients(self, q, p, u):
-        """(dH/dp, -dH/dq, dH/du) of the kinetic energy."""
+    def _gradients(self, q, p, u, dHdp, force):
+        """Kinetic energy gradients, component-major: writes dH/dp and
+        -dH/dq into dHdp and force, (n, B) like q and p, and returns dH/du,
+        (2k, B) like u."""
         k = self.layout.count
-        d, weights = self._pairs(q, u)
-        g = u * weights
         if self.kind == "DAlembert":
             Q = np.exp(q)
-            dHdp = p / (Q * Q) * self.inv_inertia
-            force = ((g * g * d) @ self.q_weights) * Q + p * dHdp
-            return dHdp, force, g
+            d, weights = self._pairs(Q, u)
+            g = u * weights
+            np.multiply(p / (Q * Q), self.inv_inertia, out=dHdp)
+            np.multiply(self.q_weights @ (g * g * d), Q, out=force)
+            force += p * dHdp
+            return g
+        d, weights = self._pairs(q, u)
+        g = u * weights
         v = g * g
-        force = ((v[..., :k] - v[..., k:]) * (d[..., :k] * d[..., k:])) \
-            @ self.q_weights
-        dHdp = p @ self.momentum
+        np.matmul(self.q_weights, (v[:k] - v[k:]) * (d[:k] * d[k:]),
+                  out=force)
+        np.matmul(self.momentum, p, out=dHdp)
         if self.coupling is not None:
-            g = g + u @ self.coupling
-        return dHdp, force, g
+            g = g + self.coupling @ u
+        return g
+
+    def _flow(self, z):
+        """Time derivative dz of component-major states z (dim, B) and
+        the stacked upper components of G_M and G_N, (2k, B)."""
+        n, k = self.n, self.layout.count
+        q, u = z[:n], z[2 * n:]
+        dz = np.empty(z.shape)
+        g = self._gradients(q, z[n:2 * n], u, dz[:n], dz[n:2 * n])
+        if self.slope is not None:
+            dz[n:2 * n] -= self.slope(q.sum(axis=0) / n) / n
+        if self.partners.size:
+            tail = z.shape[1:]
+            products = u.reshape((2, k, 1) + tail) * g[self.partners]
+            np.matmul(self.spin_signs, products.reshape((-1,) + tail),
+                      out=dz[2 * n:])
+        else:
+            dz[2 * n:] = 0.0
+        return dz, g
 
     def flow(self, y):
         """Time derivative of packed states y (..., dim), together with
         the stacked upper components of G_M = dH/dM and G_N = dH/dN."""
-        n = self.n
-        q = y[..., :n]
-        u = y[..., 2 * n:]
-        dHdp, force, g = self._gradients(q, y[..., n:2 * n], u)
-        if self.potential_grad is not None:
-            force = force - self.potential_grad(q)
-        spin = (u[..., :, None] * g[..., None, :]).reshape(
-            u.shape[:-1] + (-1,)) @ self.contraction
-        return np.concatenate([dHdp, force, spin], axis=-1), g
+        y = np.asarray(y, dtype=float)
+        dz, g = self._flow(y.reshape(-1, y.shape[-1]).T)
+        return dz.T.reshape(y.shape), g.T.reshape(y.shape[:-1] + (-1,))
 
     def rhs(self, y):
-        return self.flow(y)[0]
+        y = np.asarray(y, dtype=float)
+        return self._flow(y.reshape(-1, y.shape[-1]).T)[0].T.reshape(y.shape)
 
     def energies(self, ys):
         """Energy H and quadratic Casimir C2 of packed states (..., dim)."""
         n = self.n
-        q, p, u = ys[..., :n], ys[..., n:2 * n], ys[..., 2 * n:]
-        dHdp, _, g = self._gradients(q, p, u)
+        ys = np.asarray(ys, dtype=float)
+        z = ys.reshape(-1, ys.shape[-1]).T
+        q, p, u = z[:n], z[n:2 * n], z[2 * n:]
+        dHdp, force = np.empty((2,) + p.shape)
+        g = self._gradients(q, p, u, dHdp, force)
         # the kinetic energy is quadratic in (p, u): T = (p.dT/dp + u.dT/du)/2
-        energy = 0.5 * (np.sum(p * dHdp, axis=-1) + np.sum(u * g, axis=-1)) \
-            + self.potential.value(q)
+        energy = 0.5 * (np.sum(p * dHdp, axis=0) + np.sum(u * g, axis=0)) \
+            + self.potential.dilatational_value(q.mean(axis=0))
         # the coupling part of C2 is u.dH/du of the hyperbolic lattice
         # with A = 1, whatever the model kind
-        _, weights = EomKernel(_CASIMIR_MODEL, self.potential, n)._pairs(q, u)
-        dp = p @ self.layout.incidence.T
-        casimir = np.sum(dp * dp, axis=-1) / n \
-            + np.sum(u * u * weights, axis=-1)
-        return energy, casimir
+        _, weights = _casimir_kernel(n)._pairs(q, u)
+        dp = self.layout.incidence @ p
+        casimir = np.sum(dp * dp, axis=0) / n \
+            + np.sum(u * u * weights, axis=0)
+        shape = ys.shape[:-1]
+        return energy.reshape(shape), casimir.reshape(shape)
 
 
-_CASIMIR_MODEL = phase.ModelSpec(kind="AffAff")
+@functools.lru_cache(maxsize=None)
+def _casimir_kernel(n):
+    """Hyperbolic lattice kernel with A = 1, whose pair weights give the
+    coupling part of C2 for every model kind."""
+    return EomKernel(phase.ModelSpec(kind="AffAff"), phase.PotentialSpec(), n)
 
 
 def eom_rhs(model, potential, state):
@@ -348,13 +394,15 @@ def integrate(model, potential, state0, t_end, control=StepControl()):
 def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
     """Fixed-step RK4 over a batch of packed states; records only the
     endpoints unless record_every is given.  Returns (times, samples) with
-    samples shaped (records, batch, dim)."""
+    samples shaped (records, batch, dim).  The state is held
+    Fortran-ordered, so each RHS call reads it through a free transpose."""
     fun = EomKernel(model, potential, n).rhs
     nsteps = max(1, int(round(t_end / step)))
     h = t_end / nsteps
-    y = np.asarray(y0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    y = np.asfortranarray(y0)
     times = [0.0]
-    samples = [y]
+    samples = [y0]
     for k in range(nsteps):
         y = _rk4_step(fun, y, h)
         if record_every is not None and ((k + 1) % record_every == 0
@@ -520,7 +568,7 @@ def classify_planar(m, n_coupling, A=1.0, energy=None):
     |m| < |n| gives bounded vibrations, |m| > |n| pure repulsion; the
     threshold |m| = |n| (to 1e-12) separates them.  A bounded V_eff has
     its minimum where tanh^4(x/2) = (m/n)^2.  With an energy below the
-    escape level the turning points are found by Brent's method.
+    escape level 0 the turning points are found by Brent's method.
     """
     if not A > 0.0:
         raise ConfigError(f"A must be positive, got {A!r}")
@@ -535,7 +583,9 @@ def classify_planar(m, n_coupling, A=1.0, energy=None):
     period = None
     x_star = 2.0 * float(np.arctanh(np.sqrt(am / an))) \
         if verdict == "Bounded" else None
-    if energy is not None and verdict == "Bounded":
+    # V_eff rises to 0 from below as |x| grows: at E >= 0 the motion has
+    # no outer turning point, and so no period
+    if energy is not None and verdict == "Bounded" and energy < 0.0:
         v = lambda x: planar_effective_potential(m, n_coupling, A, x) - energy
         if m != 0.0:
             # repulsive wall at 0+, minimum, rise to 0-: bracket both roots

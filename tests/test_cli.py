@@ -1,6 +1,7 @@
 import json
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,28 @@ class TestClassify:
         code = run(tmp_path, "classify", {"m": 2.0, "n": 1.0})
         assert code == 0
         assert "verdict=Unbounded" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("m", [1.0, 0.0])
+    @pytest.mark.parametrize("energy", [0.02, 0.0])
+    def test_energy_at_or_above_escape_level(self, tmp_path, capsys, m,
+                                             energy):
+        # V_eff -> 0- as x grows: no outer turning point, so no search
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(tmp_path, "classify",
+                       {"m": m, "n": 2.0, "energy": energy})
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == 0
+        assert "verdict=Bounded" in captured.out
+        assert "period=" not in captured.out
+        report = io.load_json(tmp_path / "classify.json")
+        assert report["verdict"] == "Bounded"
+        assert report["energy"] == energy
+        assert report["turning_points"] is None
+        assert report["period"] is None
+        assert report["x_min"] == 2.0 * np.arctanh(np.sqrt(m / 2.0))
 
     def test_artifact_roundtrip(self, tmp_path):
         run(tmp_path, "classify", {"m": 1.0, "n": 2.0, "energy": -0.02})

@@ -10,7 +10,9 @@ from affinebody.phase import ModelSpec, PotentialSpec, ReducedState
 from test_phase import ALL_KINDS, random_state
 
 GEODETIC = PotentialSpec.none()
-POTENTIALS = [GEODETIC, PotentialSpec.harmonic_well(1.5)]
+WELL = PotentialSpec.harmonic_well(1.5)
+POTENTIALS = [GEODETIC, WELL]
+MODELS = {m.kind: m for m in ALL_KINDS}
 
 
 def kind_state(rng, model, n):
@@ -223,6 +225,150 @@ class TestEomRhs:
                     q, st_.p, m_upper=st_.m_upper, n_upper=st_.n_upper))
                 assert np.allclose(dynamics.pack_state(shifted), rhs,
                                    rtol=1e-12, atol=1e-12)
+
+
+def packed_batch(rng, model, n, count):
+    """(count, dim) packed states, q well apart (TrigUn inside (-pi, pi])."""
+    spread = np.linspace(0.6 * (n - 1), -0.6 * (n - 1), n)
+    q = spread + rng.uniform(-0.1, 0.1, (count, n))
+    if model.kind == "TrigUn":
+        q *= 0.5
+    rest = rng.standard_normal((count, n + n * (n - 1))) * 0.6
+    return np.concatenate([q, rest], axis=1)
+
+
+def rel_err(a, b):
+    return np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b)))
+
+
+class TestLayout:
+    """Public arrays are (..., dim); the kernel's component-major
+    internals give the same numbers for every memory order and rank."""
+
+    @kinds
+    @sizes
+    @potentials
+    def test_rhs_flow_energies_agree_across_layouts(self, model, n, pot,
+                                                    rng):
+        kernel = dynamics.EomKernel(model, pot, n)
+        ys = packed_batch(rng, model, n, 6)
+        dim = ys.shape[1]
+        singles = [kernel.flow(y) for y in ys]
+        dy1 = np.array([dy for dy, _ in singles])
+        g1 = np.array([g for _, g in singles])
+        e1 = np.array([kernel.energies(y) for y in ys])
+        for batch in (np.ascontiguousarray(ys), np.asfortranarray(ys),
+                      ys.reshape(2, 3, dim)):
+            dy, g = kernel.flow(batch)
+            assert dy.shape == batch.shape
+            assert g.shape == batch.shape[:-1] + (n * (n - 1),)
+            assert rel_err(dy.reshape(6, dim), dy1) <= 1e-14
+            assert rel_err(g.reshape(6, -1), g1) <= 1e-14
+            assert rel_err(kernel.rhs(batch).reshape(6, dim), dy1) <= 1e-14
+            energy, casimir = kernel.energies(batch)
+            assert energy.shape == casimir.shape == batch.shape[:-1]
+            assert rel_err(energy.ravel(), e1[:, 0]) <= 1e-14
+            assert rel_err(casimir.ravel(), e1[:, 1]) <= 1e-14
+
+    @kinds
+    @sizes
+    def test_integrate_batch_memory_order(self, model, n, rng):
+        ys = packed_batch(rng, model, n, 5)
+        runs = [dynamics.integrate_batch(model, WELL, y0, 0.05, 0.01, n,
+                                         record_every=1)
+                for y0 in (np.ascontiguousarray(ys), np.asfortranarray(ys))]
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
+
+    def test_samples_do_not_alias_integrator_state(self, rng):
+        model = MODELS["AffAff"]
+        y0 = np.asfortranarray(packed_batch(rng, model, 3, 4))
+        before = y0.copy()
+        times, samples = dynamics.integrate_batch(
+            model, GEODETIC, y0, 0.03, 0.01, 3, record_every=1)
+        assert np.array_equal(y0, before)
+        assert not np.shares_memory(samples, y0)
+        assert np.array_equal(samples[0], before)
+        # every record is the state of its own step, not a later one
+        for k in range(1, len(times)):
+            _, upto = dynamics.integrate_batch(model, GEODETIC, before,
+                                               times[k], 0.01, 3)
+            assert np.array_equal(samples[k], upto[-1])
+            assert not np.array_equal(samples[k], samples[k - 1])
+
+    @kinds
+    @potentials
+    def test_planar_spin_rows_exactly_zero(self, model, pot, rng):
+        # so(2) is abelian: dM/dt = dN/dt = 0 for every n = 2 state
+        ys = np.asfortranarray(packed_batch(rng, model, 2, 50))
+        kernel = dynamics.EomKernel(model, pot, 2)
+        assert np.all(kernel.rhs(ys)[:, 4:] == 0.0)
+        assert np.all(kernel.rhs(ys[0])[4:] == 0.0)
+
+
+class TestDegenerateBatch:
+    """One degenerate state among 1000 Fortran-ordered states."""
+
+    def fortran_batch(self, rng, model, state, at=417):
+        ys = packed_batch(rng, model, 3, 1000)
+        ys[at] = dynamics.pack_state(state)
+        return np.asfortranarray(ys)
+
+    @kinds
+    def test_coincident_with_coupling_raises(self, model, rng):
+        coupled = ReducedState(np.array([0.2, 0.2, -0.3]), np.ones(3),
+                               m_upper=np.array([0.5, 0.0, 0.0]),
+                               n_upper=np.array([0.4, 0.1, 0.0]))
+        ys = self.fortran_batch(rng, model, coupled)
+        with pytest.raises(DegenerateInertia):
+            dynamics.EomKernel(model, GEODETIC, 3).rhs(ys)
+
+    @kinds
+    def test_removable_state_matches_single(self, model, rng):
+        removable = ReducedState(np.array([0.2, 0.2, -0.3]), np.ones(3),
+                                 m_upper=np.array([0.0, 0.3, 0.0]),
+                                 n_upper=np.array([0.4, 0.1, 0.0]))
+        ys = self.fortran_batch(rng, model, removable)
+        kernel = dynamics.EomKernel(model, WELL, 3)
+        batched = kernel.rhs(ys)
+        assert np.all(np.isfinite(batched))
+        alone = kernel.rhs(dynamics.pack_state(removable))
+        assert rel_err(batched[417], alone) <= 1e-14
+        assert rel_err(batched[:417], kernel.rhs(ys[:417])) <= 1e-14
+
+    def test_dalembert_exact_test(self, rng):
+        model = MODELS["DAlembert"]
+        kernel = dynamics.EomKernel(model, GEODETIC, 3)
+        # |Q_1 - Q_2| below tol max(Q_1, Q_2): degenerate
+        q = np.array([0.2, 0.2 - 0.5e-9, -0.3])
+        coupled = ReducedState(q, np.ones(3), m_upper=[0.5, 0.0, 0.0],
+                               n_upper=[0.4, 0.1, 0.0])
+        with pytest.raises(DegenerateInertia):
+            kernel.rhs(self.fortran_batch(rng, model, coupled))
+        # between tol max(Q_1, Q_2) and the screen tol (Q_1 + Q_2): regular
+        q = np.array([0.2, 0.2 - 1.5e-9, -0.3])
+        near = ReducedState(q, np.ones(3), m_upper=[0.5, 0.0, 0.0],
+                            n_upper=[0.4, 0.1, 0.0])
+        batched = kernel.rhs(self.fortran_batch(rng, model, near))
+        alone = kernel.rhs(dynamics.pack_state(near))
+        assert np.all(np.isfinite(batched))
+        assert rel_err(batched[417], alone) <= 1e-14
+
+    def test_trig_antipodal_with_n_coupling(self, rng):
+        model = MODELS["TrigUn"]
+        kernel = dynamics.EomKernel(model, GEODETIC, 3)
+        q = np.array([0.5 * np.pi, 0.1, -0.5 * np.pi])
+        # pair (1, 3) is antipodal
+        coupled = ReducedState(q, np.zeros(3), m_upper=[0.2, 0.1, 0.3],
+                               n_upper=[0.1, 0.3, 0.2])
+        with pytest.raises(DegenerateInertia):
+            kernel.rhs(self.fortran_batch(rng, model, coupled))
+        removable = ReducedState(q, np.zeros(3), m_upper=[0.2, 0.1, 0.3],
+                                 n_upper=[0.1, 0.0, 0.2])
+        batched = kernel.rhs(self.fortran_batch(rng, model, removable))
+        assert np.all(np.isfinite(batched))
+        assert rel_err(batched[417],
+                       kernel.rhs(dynamics.pack_state(removable))) <= 1e-14
 
 
 class TestIntegrate:
@@ -443,6 +589,16 @@ class TestPlanar:
             v = dynamics.planar_effective_potential(1.0, 2.0, 1.0, x)
             assert v == pytest.approx(E, abs=1e-9)
         assert res.period > 0
+
+    @pytest.mark.parametrize("m", [1.0, 0.0])
+    def test_no_turning_points_at_or_above_escape(self, m):
+        below = dynamics.classify_planar(m, 2.0, energy=None)
+        for energy in (0.0, 0.02, 1e3):
+            res = dynamics.classify_planar(m, 2.0, energy=energy)
+            assert res.verdict == below.verdict == "Bounded"
+            assert res.x_min == below.x_min
+            assert res.turning_points is None
+            assert res.period is None
 
     def test_period_against_integration(self):
         # launch at the inner turning point and watch the oscillation
