@@ -11,8 +11,8 @@ from .kinematics import (AffineVelocity, Configuration, Deformation,
                          align_two_polar, deformation, degeneracy_margin,
                          polar_decompose, two_polar)
 from .phase import (ModelSpec, PotentialSpec, ReducedState, casimir_csl2,
-                    gradients, hamiltonian, inverse_legendre_dalembert,
-                    kinetic_energy, legendre_dalembert)
+                    hamiltonian, inverse_legendre_dalembert, kinetic_energy,
+                    legendre_dalembert)
 from .poisson import (LinearObservable, ProductObservable,
                       bracket_observable, coordinate_observable,
                       hamiltonian_observable, poisson_bracket,

@@ -300,8 +300,11 @@ COMMANDS = {
             record_every=Key(int, when=("method", ("rk4",))),
             rtol=Key(float, range="> 0", when=("method", ("rk45",))),
             atol=Key(float, range="> 0", when=("method", ("rk45",)))))),
+    # the velocity extraction is coded for AffAff only
     "geodesic": _command(
-        "geodesic", _cmd_geodesic, "geodesic.json", model=_MODEL,
+        "geodesic", _cmd_geodesic, "geodesic.json",
+        model=Key(table(phase.ModelSpec, kind=Key(("AffAff",)),
+                        A=Key(float), B=Key(float)), build=phase.ModelSpec),
         initial=Key({"phi0": Key(ARRAY), "Omega": Key(ARRAY)}),
         numerics=Key(table(
             geodesic_cross_check, t_end=Key(float), step=Key(float),

@@ -416,8 +416,10 @@ def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
 
 
 def _project_rotation(L):
-    u, _, vt = np.linalg.svd(L)
-    return u @ vt
+    """The rotation u vt nearest to L = u diag(s) vt, and max |s - 1|,
+    how far L has left the rotation group (s is sorted descending)."""
+    u, s, vt = np.linalg.svd(L)
+    return u @ vt, max(s[0] - 1.0, 1.0 - s[-1])
 
 
 def reconstruct_attitudes(model, trajectory, L0, R0):
@@ -430,7 +432,8 @@ def reconstruct_attitudes(model, trajectory, L0, R0):
     re-integrated
     jointly so the rotational velocities are available at the interior
     Runge-Kutta stages; L, R are re-projected onto the rotation group
-    after every step.
+    after every step, and a step that leaves it by more than
+    ORTHOGONALITY_TOL raises StepFailure.
     """
     n = trajectory.n
     L0 = np.asarray(L0, dtype=float)
@@ -460,16 +463,15 @@ def reconstruct_attitudes(model, trajectory, L0, R0):
         h = (times[k] - times[k - 1]) / substeps
         for _ in range(substeps):
             z = _rk4_step(joint_rhs, z, h)
-            L = _project_rotation(z[-2 * n * n:-n * n].reshape(n, n))
-            R = _project_rotation(z[-n * n:].reshape(n, n))
-            z[-2 * n * n:-n * n] = L.ravel()
-            z[-n * n:] = R.ravel()
+            L, drift_L = _project_rotation(z[-2 * nn:-nn].reshape(n, n))
+            R, drift_R = _project_rotation(z[-nn:].reshape(n, n))
+            resid = max(drift_L, drift_R)
+            if resid > ORTHOGONALITY_TOL:
+                raise StepFailure(f"orthogonality residual {resid:g} "
+                                  "exceeded during attitude propagation")
+            z[-2 * nn:-nn] = L.ravel()
+            z[-nn:] = R.ravel()
         attitudes.append((L, R))
-        resid = max(np.max(np.abs(L.T @ L - np.eye(n))),
-                    np.max(np.abs(R.T @ R - np.eye(n))))
-        if resid > ORTHOGONALITY_TOL:
-            raise StepFailure(f"orthogonality residual {resid:g} "
-                              "exceeded during attitude propagation")
     return Trajectory(n=n, model=model_, potential=potential,
                       times=times, samples=trajectory.samples,
                       energy=trajectory.energy, casimir=trajectory.casimir,

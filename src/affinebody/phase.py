@@ -68,22 +68,14 @@ def pair_layout(n):
     return PairLayout(n)
 
 
-def upper_from_skew(M):
-    M = np.asarray(M, dtype=float)
-    return pair_layout(M.shape[-1]).upper(M)
-
-
-def skew_from_upper(upper, n):
-    return pair_layout(n).skew(upper)
-
-
-def _check_skew(M, name):
+def _skew_upper(M, name):
+    """Upper components of a matrix checked to be square and skew."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigError(f"{name} must be a square matrix")
     if np.max(np.abs(M + M.T)) > 1e-12 * max(1.0, np.max(np.abs(M))):
         raise ConfigError(f"{name} must be skew-symmetric")
-    return M
+    return pair_layout(len(M)).upper(M)
 
 
 class ReducedState:
@@ -105,13 +97,13 @@ class ReducedState:
         if m_upper is not None:
             self.m_upper = np.asarray(m_upper, dtype=float).copy()
         else:
-            self.m_upper = upper_from_skew(_check_skew(M, "M")) \
-                if M is not None else np.zeros(nupper)
+            self.m_upper = _skew_upper(M, "M") if M is not None \
+                else np.zeros(nupper)
         if n_upper is not None:
             self.n_upper = np.asarray(n_upper, dtype=float).copy()
         else:
-            self.n_upper = upper_from_skew(_check_skew(N, "N")) \
-                if N is not None else np.zeros(nupper)
+            self.n_upper = _skew_upper(N, "N") if N is not None \
+                else np.zeros(nupper)
         if self.m_upper.size != nupper or self.n_upper.size != nupper:
             raise ConfigError("M/N sizes inconsistent with q")
 
@@ -121,21 +113,21 @@ class ReducedState:
 
     @property
     def M(self):
-        return skew_from_upper(self.m_upper, self.n)
+        return pair_layout(self.n).skew(self.m_upper)
 
     @property
     def N(self):
-        return skew_from_upper(self.n_upper, self.n)
+        return pair_layout(self.n).skew(self.n_upper)
 
     @property
     def rho(self):
         """Spin in L-co-moving axes: rho = (N - M)/2."""
-        return skew_from_upper(0.5 * (self.n_upper - self.m_upper), self.n)
+        return pair_layout(self.n).skew(0.5 * (self.n_upper - self.m_upper))
 
     @property
     def tau(self):
         """Negative vorticity in R-co-moving axes: tau = -(M + N)/2."""
-        return skew_from_upper(-0.5 * (self.m_upper + self.n_upper), self.n)
+        return pair_layout(self.n).skew(-0.5 * (self.m_upper + self.n_upper))
 
     def copy(self):
         return ReducedState(self.q, self.p,
@@ -317,13 +309,6 @@ class PotentialSpec:
         """Total potential on q, batched over leading dimensions."""
         q = np.asarray(q, dtype=float)
         return self.dilatational_value(q.mean(axis=-1))
-
-    def grad(self, q):
-        q = np.asarray(q, dtype=float)
-        n = q.shape[-1]
-        qbar = q.mean(axis=-1)
-        return np.broadcast_to(
-            (self.dilatational_slope(qbar) / n)[..., None], q.shape).copy()
 
     def to_json(self):
         out = {"kind": self.kind}
@@ -519,23 +504,6 @@ def hamiltonian(model, potential, state):
     return float(value)
 
 
-def hamiltonian_affaff_lattice(model, potential, state):
-    """Second, independent coding of the AffAff energy: the explicit
-    lattice form with the 1/(2A) momentum sum and the -B/(2A(A+nB))
-    trace correction, instead of the Casimir split."""
-    if model.kind != "AffAff":
-        raise ConfigError("lattice coding applies to AffAff only")
-    q, p, M, N = state.q, state.p, state.M, state.N
-    n = q.size
-    A, B = model.A, model.B
-    ptot = p.sum()
-    inv_m, inv_n, _ = _pair_denominators("AffAff", q, M, N)
-    value = 0.5 * np.sum(p ** 2) / A \
-        - B * ptot ** 2 / (2.0 * A * (A + n * B)) \
-        + np.sum(M ** 2 * inv_m - N ** 2 * inv_n) / (32.0 * A)
-    return float(value + potential.value(q))
-
-
 def casimir_csl2(state):
     """Quadratic Casimir of the special linear group in reduced variables;
     neither the mean momentum nor qbar enters."""
@@ -548,72 +516,3 @@ def _casimir_arrays(q, p, M, N):
     pdiff = p[..., :, None] - p[..., None, :]
     return (0.5 / n) * np.sum(pdiff ** 2, axis=(-2, -1)) \
         + np.sum(M ** 2 * inv_m - N ** 2 * inv_n, axis=(-2, -1)) / 16.0
-
-
-def gradients(model, potential, q, p, M, N):
-    """Closed-form gradients (dH/dq, dH/dp, dH/dM, dH/dN).
-
-    dH/dM and dH/dN are skew matrices whose (a, b) entries, a < b, are the
-    partials with respect to the independent upper components.  Batched
-    over leading dimensions.
-    """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n = q.shape[-1]
-    kind = model.kind
-    if kind == "TrigUn":
-        _check_trig_domain(q)
-    x = q[..., :, None] - q[..., None, :]
-    off = ~np.eye(n, dtype=bool)
-
-    if kind == "DAlembert":
-        I = model.I
-        inv_m, inv_n, _ = _pair_denominators(kind, q, M, N)
-        GM = M * inv_m / (2.0 * I)
-        GN = N * inv_n / (2.0 * I)
-        dHdp = p * np.exp(-2.0 * q) / I
-        Q = np.exp(q)
-        dm = Q[..., :, None] - Q[..., None, :]
-        dn = Q[..., :, None] + Q[..., None, :]
-        bad = ~off | (inv_m == 0.0)
-        cube_m = np.where(bad, 0.0, 1.0 / np.where(bad, 1.0, dm) ** 3)
-        cube_n = np.where(off, 1.0 / dn ** 3, 0.0)
-        pair_q = -0.5 * Q * np.sum(
-            M ** 2 * cube_m + N ** 2 * cube_n, axis=-1) / I
-        dHdq = -p ** 2 * np.exp(-2.0 * q) / I + pair_q \
-            + potential.grad(q)
-        return dHdq, dHdp, GM, GN
-
-    alpha = model.alpha
-    inv_m, inv_n, sign_n = _pair_denominators(kind, q, M, N)
-    GM = M * inv_m / (8.0 * alpha)
-    GN = sign_n * N * inv_n / (8.0 * alpha)
-
-    half = 0.5 * x
-    if kind == "TrigUn":
-        sm, cm = np.sin(half), np.cos(half)
-    else:
-        sm, cm = np.sinh(half), np.cosh(half)
-    # d/dq_c of 1/sm^2(x/2) = -cm/sm^3 and of 1/cm^2(x/2) = -/+ sm/cm^3
-    # (hyperbolic/trigonometric); removable-singularity masks reuse inv_m/inv_n
-    grad_m = -cm * sm * inv_m ** 2
-    grad_n = sm * cm * inv_n ** 2
-    pair_q = np.sum(M ** 2 * grad_m + N ** 2 * grad_n, axis=-1) \
-        / (16.0 * alpha)
-
-    ptot = p.sum(axis=-1, keepdims=True)
-    dHdp = (p - ptot / n) / alpha + 2.0 * ptot / model.trace_coefficient(n)
-    dHdq = pair_q + potential.grad(q)
-
-    if kind == "AffMetr":
-        cv = 1.0 / (2.0 * model.mu)
-        GM = GM + cv * 0.5 * (M + N)
-        GN = GN + cv * 0.5 * (M + N)
-    elif kind == "MetrAff":
-        cv = 1.0 / (2.0 * model.mu)
-        GM = GM + cv * 0.5 * (M - N)
-        GN = GN + cv * 0.5 * (N - M)
-    elif kind == "MetrMetr":
-        GM = GM + 0.25 * (M - N) / model.c + 0.25 * (M + N) / model.d
-        GN = GN + 0.25 * (N - M) / model.c + 0.25 * (M + N) / model.d
-    return dHdq, dHdp, GM, GN

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownObservable
-from . import phase
-from .phase import ReducedState, skew_from_upper, upper_from_skew
+from . import dynamics, phase
+from .phase import ReducedState
 
 
 @dataclass
@@ -71,9 +71,10 @@ class LinearObservable(Observable):
         self.CN = np.zeros((n, n)) if CN is None else np.asarray(CN, float)
 
     def value(self, state):
+        upper = phase.pair_layout(self.n).upper
         return (self.c0 + self.cq @ state.q + self.cp @ state.p
-                + upper_from_skew(self.CM) @ state.m_upper
-                + upper_from_skew(self.CN) @ state.n_upper)
+                + upper(self.CM) @ state.m_upper
+                + upper(self.CN) @ state.n_upper)
 
     def gradient(self, state):
         return PhaseGradient(self.cq.copy(), self.cp.copy(),
@@ -129,13 +130,19 @@ def coordinate_observable(tag, n, a=None, b=None):
 
 
 def hamiltonian_observable(model, potential):
+    """H = T + V with its exact gradient, both read from the equations of
+    motion: dH/dq = -dp/dt, dH/dp = dq/dt, and the kernel's G_M, G_N."""
     def value(state):
-        return phase.hamiltonian(model, potential, state)
+        kernel = dynamics.EomKernel(model, potential, state.n)
+        return kernel.energies(dynamics.pack_state(state))[0]
 
     def grad(state):
-        dq, dp, GM, GN = phase.gradients(model, potential,
-                                         state.q, state.p, state.M, state.N)
-        return PhaseGradient(dq, dp, GM, GN)
+        n = state.n
+        kernel = dynamics.EomKernel(model, potential, n)
+        dz, g = kernel.flow(dynamics.pack_state(state))
+        k = kernel.layout.count
+        return PhaseGradient(-dz[n:2 * n], dz[:n], kernel.layout.skew(g[:k]),
+                             kernel.layout.skew(g[k:]))
 
     return FunctionObservable(f"H[{model.kind}]", value, grad)
 
@@ -198,7 +205,6 @@ def bracket_observable(F, G):
         sn = ReducedState(np.zeros(n), np.zeros(n),
                           m_upper=np.zeros(nupper), n_upper=unit)
         cn[k] = poisson_bracket(F, G, sn) - c0
-    CM = skew_from_upper(cm, n)
-    CN = skew_from_upper(cn, n)
-    return LinearObservable(n, c0=c0, CM=CM, CN=CN,
+    skew = phase.pair_layout(n).skew
+    return LinearObservable(n, c0=c0, CM=skew(cm), CN=skew(cn),
                             name=f"{{{F.name},{G.name}}}")

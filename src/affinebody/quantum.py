@@ -621,7 +621,10 @@ def eigensolve(operator, count):
 
     Weighted operators are symmetrized by the similarity transform
     D^{1/2} H D^{-1/2} with D = diag(weight); eigenvectors are returned in
-    the original variables, orthonormal under the weighted product.
+    the original variables, orthonormal under the weighted product.  An
+    unweighted ReducedOperator is assembled exactly symmetric, so the
+    sparse path takes it as it is and averages only other operators with
+    their adjoints.
 
     The solver follows the operator's structure.  A real sparse operator
     whose nonzeros all lie on the three central diagonals goes to LAPACK
@@ -633,9 +636,11 @@ def eigensolve(operator, count):
     if isinstance(operator, ReducedOperator):
         mat = operator.matrix
         weight = operator.weight
+        symmetric = weight is None
     else:
         mat = operator
         weight = None
+        symmetric = False
     dim = mat.shape[0]
     if count < 1 or count > dim:
         raise ConfigError("count must lie in [1, dim]")
@@ -664,8 +669,9 @@ def eigensolve(operator, count):
     elif sparse and count < dim - 1:
         path = "sparse"
         try:
-            vals, vecs = spla.eigsh(0.5 * (mat + mat.conj().T), k=count,
-                                    which="SA")
+            vals, vecs = spla.eigsh(
+                mat if symmetric else 0.5 * (mat + mat.conj().T), k=count,
+                which="SA")
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceFailure(f"sparse eigensolver failed: {exc}")
         order = np.argsort(vals)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from affinebody import cli, io, quantum, schema
-from affinebody.phase import ModelSpec
+from affinebody.phase import MODEL_KINDS, ModelSpec
 
 
 def run(tmp_path, command, config, seed=None):
@@ -267,6 +267,17 @@ class TestGeodesicCommand:
         assert "verdict=PASS" in capsys.readouterr().out
         report = io.load_json(tmp_path / "geodesic.json")
         assert report["max_error"] < 1e-6
+
+    @pytest.mark.parametrize("kind", [k for k in MODEL_KINDS
+                                      if k != "AffAff"])
+    def test_other_kinds_rejected(self, tmp_path, capsys, kind):
+        # the velocity extraction is coded for AffAff only
+        config = json.loads(json.dumps(BASES["geodesic"]))
+        config["model"]["kind"] = kind
+        assert run(tmp_path, "geodesic", config) == 2
+        captured = capsys.readouterr()
+        assert "config.model key 'kind'" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestShippedConfigs:

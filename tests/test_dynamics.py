@@ -7,6 +7,7 @@ from affinebody.errors import (ConfigError, DegenerateInertia, DomainError,
                                StepFailure)
 from affinebody.phase import ModelSpec, PotentialSpec, ReducedState
 
+from reference import gradients
 from test_phase import ALL_KINDS, random_state
 
 GEODETIC = PotentialSpec.none()
@@ -126,11 +127,11 @@ class TestEomRhs:
     @potentials
     def test_matches_phase_gradients(self, model, n, pot, rng):
         # matrix-form oracle: dq = dH/dp, dp = -dH/dq, and the commutators
-        # of the skew gradient matrices from phase.gradients
+        # of the skew gradient matrices from the reference gradients
         for _ in range(5):
             st_ = kind_state(rng, model, n)
-            dq, dp, GM, GN = phase.gradients(model, pot, st_.q, st_.p,
-                                             st_.M, st_.N)
+            dq, dp, GM, GN = gradients(model, pot, st_.q, st_.p, st_.M,
+                                       st_.N)
             M, N = st_.M, st_.N
             rhs = dynamics.eom_rhs(model, pot, st_)
             scale = max(1.0, np.max(np.abs(dynamics.pack_state(rhs))))
@@ -455,6 +456,25 @@ class TestAttitudeReconstruction:
             assert np.allclose(L, np.eye(2), atol=1e-12)
             assert np.allclose(R, np.eye(2), atol=1e-12)
 
+    def test_drift_from_rotation_group_raises(self):
+        # the drift is read from the singular values before the projection,
+        # which would otherwise erase it: a coarse step fails, a fine one
+        # passes
+        model = ModelSpec(kind="AffAff", A=1.3, B=0.4)
+        st_ = ReducedState(np.array([0.8, 0.0, -0.8]),
+                           np.array([0.5, -0.3, 0.2]),
+                           m_upper=[2.0, -1.2, 1.6], n_upper=[0.8, 1.8, -1.0])
+
+        def attitudes(step):
+            traj = dynamics.integrate(model, GEODETIC, st_, 0.5,
+                                      StepControl(step=step))
+            return dynamics.reconstruct_attitudes(model, traj, np.eye(3),
+                                                  np.eye(3))
+
+        with pytest.raises(StepFailure):
+            attitudes(0.05)
+        attitudes(0.001)
+
     def test_velocity_consistency(self, rng):
         # rebuild phi(t) = L exp(q) R^T and compare the finite-difference
         # phi-dot phi^{-1} against the model Omega from the gradients
@@ -475,8 +495,7 @@ class TestAttitudeReconstruction:
         phid = (phi_at(k + 1) - phi_at(k - 1)) / dt
         Omega_fd = phid @ np.linalg.inv(phi_at(k))
         s = out.state(k)
-        _, qdot, GM, GN = phase.gradients(model, GEODETIC, s.q, s.p, s.M,
-                                          s.N)
+        _, qdot, GM, GN = gradients(model, GEODETIC, s.q, s.p, s.M, s.N)
         L, R = out.attitudes[k]
         chi = GM - GN
         theta = GM + GN

@@ -5,7 +5,9 @@ from affinebody import phase, poisson
 from affinebody.errors import UnknownObservable
 from affinebody.phase import ModelSpec, PotentialSpec
 
-from test_phase import random_state
+from reference import gradients
+from test_dynamics import POTENTIALS, kind_state
+from test_phase import ALL_KINDS, random_state
 
 
 def random_linear(rng, n):
@@ -166,3 +168,25 @@ class TestConservedObservables:
                 st_ = random_state(rng, 3)
                 val = poisson.poisson_bracket(obs, H, st_)
                 assert abs(val) < 1e-10
+
+
+class TestHamiltonianObservable:
+    @pytest.mark.parametrize("model", ALL_KINDS,
+                             ids=[m.kind for m in ALL_KINDS])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("pot", POTENTIALS,
+                             ids=["none", "harmonic_well"])
+    def test_matches_reference(self, model, n, pot, rng):
+        # value and every gradient block, G_M and G_N compared directly:
+        # at n = 2 their commutators vanish, so the flow alone checks
+        # neither
+        H = poisson.hamiltonian_observable(model, pot)
+        for _ in range(5):
+            st_ = kind_state(rng, model, n)
+            ref = gradients(model, pot, st_.q, st_.p, st_.M, st_.N)
+            got = H.gradient(st_)
+            for a, b in zip((got.dq, got.dp, got.dM, got.dN), ref):
+                assert np.max(np.abs(a - b)) \
+                    <= 1e-13 * max(1.0, np.max(np.abs(b)))
+            value = phase.hamiltonian(model, pot, st_)
+            assert abs(H.value(st_) - value) <= 1e-13 * max(1.0, abs(value))

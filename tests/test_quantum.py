@@ -11,6 +11,8 @@ from affinebody.errors import (ConfigError, GridTooCoarse, InvalidLabel,
 from affinebody.phase import ModelSpec, PotentialSpec
 from affinebody.quantum import SpectralProblem
 
+from test_phase import ALL_KINDS
+
 AFFAFF = ModelSpec(kind="AffAff", A=1.0, B=0.5)
 
 
@@ -320,6 +322,40 @@ class TestFullGrid:
         assert abs(op.matrix - op.matrix.getH()).max() == 0.0
         spec = quantum.eigensolve(op, 3)
         assert np.all(np.diff(spec.eigenvalues) >= -1e-12)
+
+
+def _unweighted_problems():
+    """Every family of unweighted operator that reaches the sparse path:
+    full grids of each kind, and the periodic TrigUn grids."""
+    for model in [m for m in ALL_KINDS if m.kind != "TrigUn"]:
+        q_min, q_max = (0.2, 3.0) if model.kind == "DAlembert" \
+            else (-2.0, 2.0)
+        for n in (2, 3):
+            for labels in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)):
+                yield f"{model.kind}-n{n}-{labels[0]:g}{labels[1]:g}", \
+                    SpectralProblem(
+                        n=n, model=model, alpha_label=labels[0],
+                        beta_label=labels[1], coordinate="full",
+                        q_min=q_min, q_max=q_max, points=16,
+                        potential=PotentialSpec.harmonic_well(1.0))
+    trig = ModelSpec(kind="TrigUn", A=1.0, B=0.3)
+    for coordinate in ("shear", "dilatation"):
+        yield f"TrigUn-{coordinate}", SpectralProblem(
+            n=2, model=trig, alpha_label=1.0, beta_label=1.0,
+            coordinate=coordinate, q_min=0.3, q_max=0.3 + 2.0 * np.pi,
+            points=64, boundary="periodic")
+
+
+UNWEIGHTED = dict(_unweighted_problems())
+
+
+@pytest.mark.parametrize("name", UNWEIGHTED)
+def test_unweighted_operator_exactly_symmetric(name):
+    # eigensolve hands these to ARPACK without averaging them with their
+    # adjoints
+    op = quantum.build_reduced_hamiltonian(UNWEIGHTED[name])
+    assert op.weight is None
+    assert abs(op.matrix - op.matrix.T.conj()).max() == 0.0
 
 
 class TestEigensolve:
