@@ -14,8 +14,9 @@ state per trailing row, a single state being (dim,).  The kernel itself
 works component-major, on the transpose (dim, B) of the states flattened
 to (B, dim).  A Fortran-ordered (B, dim) batch is the fast path: its
 transpose is a free view in which each component is one contiguous row.
-integrate_batch holds its state that way.  Any other input gives the same
-numbers and is read through strides or a copy.
+integrate_batch and reconstruct_attitudes hold their states component-major
+and pass such views.  Any other input gives the same numbers and is read
+through strides or a copy.
 """
 
 import functools
@@ -119,7 +120,8 @@ class EomKernel:
         self.potential = potential
         self.slope = None if potential.is_trivial \
             else potential.dilatational_slope
-        self.partners, self.spin_signs = _commutator_terms(n)
+        partners, self.spin_signs = _commutator_terms(n)
+        self.partners = partners.ravel()
         self.coupling = None
         if self.kind == "DAlembert":
             # pair denominators (Q_a - Q_b, Q_a + Q_b) with Q = exp(q)
@@ -130,12 +132,17 @@ class EomKernel:
             return
         alpha = model.alpha
         trig = self.kind == "TrigUn"
-        # pair denominators (sm, cm) of half the pair difference
-        self.pair_map = 0.5 * inc
+        # half the pair differences, whose sm and cm are the pair
+        # denominators, and qbar in the last row
+        self.pair_map = np.vstack([0.5 * inc, np.full((1, n), 1.0 / n)])
         self.sm, self.cm = (np.sin, np.cos) if trig else (np.sinh, np.cosh)
         self.coef = np.repeat([1.0, 1.0 if trig else -1.0], k)[:, None] \
             / (8.0 * alpha)
         self.q_weights = 4.0 * alpha * inc.T
+        if self.slope is not None:
+            # V(qbar) pulls every q_a with -V'(qbar)/n: one more column
+            self.q_weights = np.hstack([self.q_weights,
+                                        np.full((n, 1), -1.0 / n)])
         self.momentum = np.eye(n) / alpha + (
             2.0 / model.trace_coefficient(n) - 1.0 / (n * alpha))
         # metric parts of the kinetic energy, |tau|^2 and |rho|^2 terms,
@@ -155,7 +162,8 @@ class EomKernel:
     def _pairs(self, x, u):
         """Pair denominators d (2k, B) and the weights coef/d^2 with which
         u enters dH/du, the removable terms of vanishing coupling set to
-        zero.  x is Q = exp(q) for DAlembert and q otherwise, (n, B)."""
+        zero.  x is Q = exp(q), (n, B), for DAlembert and half the pair
+        differences, (k, B), otherwise."""
         k = self.layout.count
         tol = phase.DEGENERACY_TOL
         d = np.empty((2 * k,) + x.shape[1:])
@@ -164,9 +172,8 @@ class EomKernel:
             # Q_a + Q_b >= max(Q_a, Q_b): a screen for the exact test below
             near = np.abs(d[:k]) < tol * d[k:]
         else:
-            h = self.pair_map @ x
-            self.sm(h, out=d[:k])
-            self.cm(h, out=d[k:])
+            self.sm(x, out=d[:k])
+            self.cm(x, out=d[k:])
             # sinh(h) == h below 2^-28, so for the hyperbolic kinds this is
             # exactly |q_a - q_b| < tol; cosh never triggers it
             near = np.abs(d if self.kind == "TrigUn" else d[:k]) < 0.5 * tol
@@ -187,9 +194,9 @@ class EomKernel:
                            self.coef / np.where(near, 1.0, d) ** 2)
 
     def _gradients(self, q, p, u, dHdp, force):
-        """Kinetic energy gradients, component-major: writes dH/dp and
-        -dH/dq into dHdp and force, (n, B) like q and p, and returns dH/du,
-        (2k, B) like u."""
+        """Energy gradients, component-major: writes dH/dp and -dH/dq into
+        dHdp and force, (n, B) like q and p, and returns dH/du, (2k, B)
+        like u."""
         k = self.layout.count
         if self.kind == "DAlembert":
             Q = np.exp(q)
@@ -198,29 +205,35 @@ class EomKernel:
             np.multiply(p / (Q * Q), self.inv_inertia, out=dHdp)
             np.multiply(self.q_weights @ (g * g * d), Q, out=force)
             force += p * dHdp
+            if self.slope is not None:
+                force -= self.slope(q.sum(axis=0) / self.n) / self.n
             return g
-        d, weights = self._pairs(q, u)
+        h = self.pair_map @ q
+        d, weights = self._pairs(h[:k], u)
         g = u * weights
         v = g * g
-        np.matmul(self.q_weights, (v[:k] - v[k:]) * (d[:k] * d[k:]),
-                  out=force)
+        pulls = (v[:k] - v[k:]) * (d[:k] * d[k:])
+        if self.slope is not None:
+            pulls = np.concatenate([pulls, self.slope(h[k:])])
+        np.matmul(self.q_weights, pulls, out=force)
         np.matmul(self.momentum, p, out=dHdp)
         if self.coupling is not None:
             g = g + self.coupling @ u
         return g
 
-    def _flow(self, z):
-        """Time derivative dz of component-major states z (dim, B) and
-        the stacked upper components of G_M and G_N, (2k, B)."""
+    def _flow(self, z, dz=None):
+        """Time derivative dz of component-major states z (dim, B), written
+        into dz if given, and the stacked upper components of G_M and G_N,
+        (2k, B)."""
         n, k = self.n, self.layout.count
-        q, u = z[:n], z[2 * n:]
-        dz = np.empty(z.shape)
-        g = self._gradients(q, z[n:2 * n], u, dz[:n], dz[n:2 * n])
-        if self.slope is not None:
-            dz[n:2 * n] -= self.slope(q.sum(axis=0) / n) / n
+        u = z[2 * n:]
+        if dz is None:
+            dz = np.empty(z.shape)
+        g = self._gradients(z[:n], z[n:2 * n], u, dz[:n], dz[n:2 * n])
         if self.partners.size:
             tail = z.shape[1:]
-            products = u.reshape((2, k, 1) + tail) * g[self.partners]
+            products = u.reshape((2, k, 1) + tail) \
+                * g.take(self.partners, axis=0).reshape((k, -1) + tail)
             np.matmul(self.spin_signs, products.reshape((-1,) + tail),
                       out=dz[2 * n:])
         else:
@@ -234,9 +247,12 @@ class EomKernel:
         dz, g = self._flow(y.reshape(-1, y.shape[-1]).T)
         return dz.T.reshape(y.shape), g.T.reshape(y.shape[:-1] + (-1,))
 
-    def rhs(self, y):
+    def rhs(self, y, out=None):
+        """Time derivative of packed states y (..., dim), written into the
+        component-major (dim, B) array out if one is given."""
         y = np.asarray(y, dtype=float)
-        return self._flow(y.reshape(-1, y.shape[-1]).T)[0].T.reshape(y.shape)
+        dz = self._flow(y.reshape(-1, y.shape[-1]).T, out)[0]
+        return dz.T.reshape(y.shape)
 
     def energies(self, ys):
         """Energy H and quadratic Casimir C2 of packed states (..., dim)."""
@@ -251,7 +267,8 @@ class EomKernel:
             + self.potential.dilatational_value(q.mean(axis=0))
         # the coupling part of C2 is u.dH/du of the hyperbolic lattice
         # with A = 1, whatever the model kind
-        _, weights = _casimir_kernel(n)._pairs(q, u)
+        lattice = _casimir_kernel(n)
+        _, weights = lattice._pairs(lattice.pair_map[:-1] @ q, u)
         dp = self.layout.incidence @ p
         casimir = np.sum(dp * dp, axis=0) / n \
             + np.sum(u * u * weights, axis=0)
@@ -302,12 +319,8 @@ def _energies(model, potential, ys, n):
     return EomKernel(model, potential, n).energies(ys)
 
 
-def _rk4_step(fun, y, h):
-    k1 = fun(y)
-    k2 = fun(y + 0.5 * h * k1)
-    k3 = fun(y + 0.5 * h * k2)
-    k4 = fun(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+# RK4 weights of the four stages, in units of the step
+_RK4_B = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
 
 
 # Dormand-Prince 5(4) embedded pair: row i of _DP_A weighs the earlier
@@ -395,31 +408,47 @@ def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
     """Fixed-step RK4 over a batch of packed states; records only the
     endpoints unless record_every is given.  Returns (times, samples) with
     samples shaped (records, batch, dim).  The state is held
-    Fortran-ordered, so each RHS call reads it through a free transpose."""
-    fun = EomKernel(model, potential, n).rhs
+    component-major, (dim, B); each RHS call writes its stage into one
+    (4, dim, B) buffer, and a step ends with one product of the RK4
+    weights with that buffer."""
+    rhs = EomKernel(model, potential, n).rhs
     nsteps = max(1, int(round(t_end / step)))
     h = t_end / nsteps
     y0 = np.asarray(y0, dtype=float)
-    y = np.asfortranarray(y0)
+    z = y0.reshape(-1, y0.shape[-1]).T.copy()
+    stages = np.empty((4,) + z.shape)
+    k1, k2, k3, k4 = stages
+    flat = stages.reshape(4, -1)
+    weights = h * _RK4_B
+    half = 0.5 * h
     times = [0.0]
     samples = [y0]
     for k in range(nsteps):
-        y = _rk4_step(fun, y, h)
+        rhs(z.T, k1)
+        rhs((z + half * k1).T, k2)
+        rhs((z + half * k2).T, k3)
+        rhs((z + h * k3).T, k4)
+        z = z + (weights @ flat).reshape(z.shape)
         if record_every is not None and ((k + 1) % record_every == 0
                                          or k == nsteps - 1):
             times.append((k + 1) * h)
-            samples.append(y)
+            samples.append(z.T.reshape(y0.shape))
     if record_every is None:
         times.append(t_end)
-        samples.append(y)
+        samples.append(z.T.reshape(y0.shape))
     return np.array(times), np.array(samples)
 
 
-def _project_rotation(L):
-    """The rotation u vt nearest to L = u diag(s) vt, and max |s - 1|,
-    how far L has left the rotation group (s is sorted descending)."""
-    u, s, vt = np.linalg.svd(L)
-    return u @ vt, max(s[0] - 1.0, 1.0 - s[-1])
+def _polar_factors(mats):
+    """Polar factors u vt of a stack of matrices u diag(s) vt.  Raises
+    StepFailure if any of them is more than ORTHOGONALITY_TOL from the
+    rotation group, by max |s - 1| = max(s_0 - 1, 1 - s_-1)."""
+    u, s, vt = np.linalg.svd(mats)
+    resid = np.max(np.abs(s - 1.0), initial=0.0)
+    if resid > ORTHOGONALITY_TOL:
+        raise StepFailure(f"orthogonality residual {resid:g} "
+                          "exceeded during attitude propagation")
+    return u @ vt
 
 
 def reconstruct_attitudes(model, trajectory, L0, R0):
@@ -428,54 +457,84 @@ def reconstruct_attitudes(model, trajectory, L0, R0):
     The co-moving angular velocities chi = L^T dL/dt = G_M - G_N and
     theta = R^T dR/dt = G_M + G_N drive dL/dt = L chi, dR/dt = R theta
     (checked against exact exponential geodesics, where rebuilding
-    L exp(q) R^T recovers exp(Omega t) phi0).  The reduced state is
-    re-integrated
-    jointly so the rotational velocities are available at the interior
-    Runge-Kutta stages; L, R are re-projected onto the rotation group
-    after every step, and a step that leaves it by more than
-    ORTHOGONALITY_TOL raises StepFailure.
+    L exp(q) R^T recovers exp(Omega t) phi0).  These equations are linear
+    in L and R, and chi, theta depend on the reduced state alone, so over
+    the recorded interval [t_k, t_k+1] the flow is a right multiplication,
+    (L, R)_k+1 = (L, R)_k (U_k, V_k), by propagators that start at the
+    identity (Magnus, 1954).  The propagators of all intervals are
+    integrated at once, as one batch: row k starts from the recorded state
+    samples[k] with U = V = I and takes record_every RK4 steps of its own
+    interval's (t_k+1 - t_k) / record_every, jointly with the reduced
+    state so that chi and theta are known at the interior stages.
+
+    After every step each propagator A = u diag(s) vt is replaced by its
+    polar factor u vt, and a step that leaves the rotation group by
+    max |s - 1| > ORTHOGONALITY_TOL raises StepFailure, as do seeds that
+    are not rotations.  For a rotation Q, polar(Q A) = Q polar(A), and
+    Q A has the singular values of A, so this is the step-by-step
+    re-projection of L and R themselves, with the same drift values, up to
+    round-off.  The chained products (L, R)_k are projected once more, in
+    one batched SVD, so that the round-off of the chain does not pile up
+    in their orthogonality over many records.
     """
     n = trajectory.n
     L0 = np.asarray(L0, dtype=float)
     R0 = np.asarray(R0, dtype=float)
     if L0.shape != (n, n) or R0.shape != (n, n):
         raise ShapeMismatch("attitude seeds must be n x n")
-    model_ = trajectory.model
-    potential = trajectory.potential
-    kernel = EomKernel(model_, potential, n)
-    skew = kernel.layout.skew
-    pairs = kernel.layout.count
-    nn = n * n
-
-    def joint_rhs(z):
-        dy, g = kernel.flow(z[:-2 * nn])
-        chi = skew(g[:pairs] - g[pairs:])
-        theta = skew(g[:pairs] + g[pairs:])
-        L = z[-2 * nn:-nn].reshape(n, n)
-        R = z[-nn:].reshape(n, n)
-        return np.concatenate([dy, (L @ chi).ravel(), (R @ theta).ravel()])
-
+    chain = np.empty((len(trajectory.times), 2, n, n))
+    chain[0] = L0, R0
+    # the propagators never see the seeds: test them here
+    _polar_factors(chain[0])
+    kernel = EomKernel(trajectory.model, trajectory.potential, n)
+    layout = kernel.layout
+    k, nn = layout.count, n * n
     times = trajectory.times
-    attitudes = [(L0.copy(), R0.copy())]
-    z = np.concatenate([trajectory.samples[0], L0.ravel(), R0.ravel()])
+    rows = len(times) - 1
+    dim = trajectory.samples.shape[-1]
+    # joint states, component-major: the reduced state over the entries
+    # of U and V; props is the (rows, 2, n, n) view of U, V
+    z = np.empty((dim + 2 * nn, rows))
+    z[:dim] = trajectory.samples[:-1].T
+    props = z[dim:].T.reshape(rows, 2, n, n)
+    props[:] = np.eye(n)
+    stages = np.empty((4,) + z.shape)
+    k1, k2, k3, k4 = stages
+    flat = stages.reshape(4, -1)
+    # (chi, theta) upper and lower entries from (upper(G_M), upper(G_N)),
+    # and their flat positions in the (2, n, n) generator stack
+    mix = np.kron([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]],
+                  np.eye(k))
+    entries = np.concatenate([layout.upper_flat, layout.lower_flat])
+    entries = np.concatenate([entries, nn + entries])
+    generators = np.zeros((rows, 2 * nn))
+
+    def joint_rhs(zs, out):
+        _, g = kernel._flow(zs[:dim], out[:dim])
+        generators[:, entries] = (mix @ g).T
+        np.matmul(zs[dim:].T.reshape(rows, 2, n, n),
+                  generators.reshape(rows, 2, n, n),
+                  out=out[dim:].T.reshape(rows, 2, n, n))
+
     substeps = max(1, trajectory.control.record_every)
-    for k in range(1, len(times)):
-        h = (times[k] - times[k - 1]) / substeps
-        for _ in range(substeps):
-            z = _rk4_step(joint_rhs, z, h)
-            L, drift_L = _project_rotation(z[-2 * nn:-nn].reshape(n, n))
-            R, drift_R = _project_rotation(z[-nn:].reshape(n, n))
-            resid = max(drift_L, drift_R)
-            if resid > ORTHOGONALITY_TOL:
-                raise StepFailure(f"orthogonality residual {resid:g} "
-                                  "exceeded during attitude propagation")
-            z[-2 * nn:-nn] = L.ravel()
-            z[-nn:] = R.ravel()
-        attitudes.append((L, R))
-    return Trajectory(n=n, model=model_, potential=potential,
-                      times=times, samples=trajectory.samples,
-                      energy=trajectory.energy, casimir=trajectory.casimir,
-                      control=trajectory.control, attitudes=attitudes)
+    h = np.diff(times) / substeps
+    half = 0.5 * h
+    for _ in range(substeps):
+        joint_rhs(z, k1)
+        joint_rhs(z + half * k1, k2)
+        joint_rhs(z + half * k2, k3)
+        joint_rhs(z + h * k3, k4)
+        z += h * (_RK4_B @ flat).reshape(z.shape)
+        props[:] = _polar_factors(props)
+    for i, step in enumerate(props):
+        np.matmul(chain[i], step, out=chain[i + 1])
+    chain[1:] = _polar_factors(chain[1:])
+    attitudes = [(L, R) for L, R in chain]
+    return Trajectory(n=n, model=trajectory.model,
+                      potential=trajectory.potential, times=times,
+                      samples=trajectory.samples, energy=trajectory.energy,
+                      casimir=trajectory.casimir, control=trajectory.control,
+                      attitudes=attitudes)
 
 
 def geodesic_exponential(phi0, Omega, t):

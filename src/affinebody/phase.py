@@ -18,9 +18,6 @@ from .schema import Key, table, walk
 
 MODEL_KINDS = ("DAlembert", "AffAff", "AffMetr", "MetrAff", "MetrMetr", "TrigUn")
 
-# alpha-family kinds share the hyperbolic lattice form
-HYPERBOLIC_KINDS = ("AffAff", "AffMetr", "MetrAff", "MetrMetr")
-
 # |q_a - q_b| below this with a nonzero M_ab coupling is a genuine
 # singularity of the lattice terms; with M_ab = 0 the term is removable
 DEGENERACY_TOL = 1e-9
@@ -455,19 +452,12 @@ def _pair_denominators(kind, q, M, N):
     return inv_m, inv_n, sign_n
 
 
-def _check_trig_domain(q):
-    if np.any(q <= -np.pi) or np.any(q > np.pi):
-        raise DomainError("TrigUn invariants must lie in (-pi, pi]")
-
-
 def kinetic_energy(model, q, p, M, N):
     """Kinetic term of the Hamiltonian; batched over leading dimensions."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     n = q.shape[-1]
     kind = model.kind
-    if kind == "TrigUn":
-        _check_trig_domain(q)
     if kind == "DAlembert":
         inv_m, inv_n, _ = _pair_denominators(kind, q, M, N)
         translational = 0.5 * np.sum(p ** 2 * np.exp(-2.0 * q), axis=-1) \

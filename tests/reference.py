@@ -1,16 +1,19 @@
-"""Matrix-form reference codings of the reduced Hamiltonian, kept for the
-tests to compare the library against.
+"""Reference codings kept for the tests to compare the library against.
 
-The library takes H and its gradient from `dynamics.EomKernel`.  These
-are independent codings of the same formulas, on skew n x n matrices
-rather than packed pair vectors: the closed-form gradients of every
-model kind, and the explicit lattice form of the AffAff energy.
+The library takes H and its gradient from `dynamics.EomKernel`.  The
+matrix-form codings here are independent codings of the same formulas, on
+skew n x n matrices rather than packed pair vectors: the closed-form
+gradients of every model kind, and the explicit lattice form of the AffAff
+energy.  The textbook RK4 step and the sequential attitude propagation are
+the step-by-step forms of `dynamics.integrate_batch` and
+`dynamics.reconstruct_attitudes`.
 """
 
 import numpy as np
 
-from affinebody.errors import ConfigError
-from affinebody.phase import _check_trig_domain, _pair_denominators
+from affinebody.dynamics import ORTHOGONALITY_TOL, EomKernel, Trajectory
+from affinebody.errors import ConfigError, ShapeMismatch, StepFailure
+from affinebody.phase import _pair_denominators
 
 
 def potential_grad(potential, q):
@@ -51,8 +54,6 @@ def gradients(model, potential, q, p, M, N):
     p = np.asarray(p, dtype=float)
     n = q.shape[-1]
     kind = model.kind
-    if kind == "TrigUn":
-        _check_trig_domain(q)
     x = q[..., :, None] - q[..., None, :]
     off = ~np.eye(n, dtype=bool)
 
@@ -107,3 +108,65 @@ def gradients(model, potential, q, p, M, N):
         GM = GM + 0.25 * (M - N) / model.c + 0.25 * (M + N) / model.d
         GN = GN + 0.25 * (N - M) / model.c + 0.25 * (M + N) / model.d
     return dHdq, dHdp, GM, GN
+
+
+def rk4_step(fun, y, h):
+    k1 = fun(y)
+    k2 = fun(y + 0.5 * h * k1)
+    k3 = fun(y + 0.5 * h * k2)
+    k4 = fun(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _project_rotation(L):
+    """The rotation u vt nearest to L = u diag(s) vt, and max |s - 1|,
+    how far L has left the rotation group (s is sorted descending)."""
+    u, s, vt = np.linalg.svd(L)
+    return u @ vt, max(s[0] - 1.0, 1.0 - s[-1])
+
+
+def reconstruct_attitudes(model, trajectory, L0, R0):
+    """Sequential attitude propagation: the reduced state is re-integrated
+    from samples[0] jointly with L and R, one RK4 step after another, and
+    L, R are re-projected onto the rotation group after every step."""
+    n = trajectory.n
+    L0 = np.asarray(L0, dtype=float)
+    R0 = np.asarray(R0, dtype=float)
+    if L0.shape != (n, n) or R0.shape != (n, n):
+        raise ShapeMismatch("attitude seeds must be n x n")
+    model_ = trajectory.model
+    potential = trajectory.potential
+    kernel = EomKernel(model_, potential, n)
+    skew = kernel.layout.skew
+    pairs = kernel.layout.count
+    nn = n * n
+
+    def joint_rhs(z):
+        dy, g = kernel.flow(z[:-2 * nn])
+        chi = skew(g[:pairs] - g[pairs:])
+        theta = skew(g[:pairs] + g[pairs:])
+        L = z[-2 * nn:-nn].reshape(n, n)
+        R = z[-nn:].reshape(n, n)
+        return np.concatenate([dy, (L @ chi).ravel(), (R @ theta).ravel()])
+
+    times = trajectory.times
+    attitudes = [(L0.copy(), R0.copy())]
+    z = np.concatenate([trajectory.samples[0], L0.ravel(), R0.ravel()])
+    substeps = max(1, trajectory.control.record_every)
+    for k in range(1, len(times)):
+        h = (times[k] - times[k - 1]) / substeps
+        for _ in range(substeps):
+            z = rk4_step(joint_rhs, z, h)
+            L, drift_L = _project_rotation(z[-2 * nn:-nn].reshape(n, n))
+            R, drift_R = _project_rotation(z[-nn:].reshape(n, n))
+            resid = max(drift_L, drift_R)
+            if resid > ORTHOGONALITY_TOL:
+                raise StepFailure(f"orthogonality residual {resid:g} "
+                                  "exceeded during attitude propagation")
+            z[-2 * nn:-nn] = L.ravel()
+            z[-nn:] = R.ravel()
+        attitudes.append((L, R))
+    return Trajectory(n=n, model=model_, potential=potential,
+                      times=times, samples=trajectory.samples,
+                      energy=trajectory.energy, casimir=trajectory.casimir,
+                      control=trajectory.control, attitudes=attitudes)

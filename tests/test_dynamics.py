@@ -7,7 +7,8 @@ from affinebody.errors import (ConfigError, DegenerateInertia, DomainError,
                                StepFailure)
 from affinebody.phase import ModelSpec, PotentialSpec, ReducedState
 
-from reference import gradients
+import reference
+from reference import gradients, rk4_step
 from test_phase import ALL_KINDS, random_state
 
 GEODETIC = PotentialSpec.none()
@@ -307,6 +308,61 @@ class TestLayout:
         assert np.all(kernel.rhs(ys[0])[4:] == 0.0)
 
 
+class TestRk4Driver:
+    @kinds
+    @sizes
+    def test_matches_textbook_step(self, model, n, rng):
+        # the stage buffer and the weight product give the samples of
+        # y + h/6 (k1 + 2 k2 + 2 k3 + k4), step after step
+        ys = packed_batch(rng, model, n, 5)
+        times, samples = dynamics.integrate_batch(model, WELL, ys, 0.05,
+                                                  0.005, n, record_every=3)
+        fun = dynamics.EomKernel(model, WELL, n).rhs
+        y = ys
+        expected = [y]
+        for step in range(1, 11):
+            y = rk4_step(fun, y, 0.005)
+            if step % 3 == 0 or step == 10:
+                expected.append(y)
+        assert samples.shape == (len(expected), 5, ys.shape[1])
+        for got, want in zip(samples, expected):
+            assert rel_err(got, want) <= 1e-14
+        assert np.allclose(times, [0.0, 0.015, 0.03, 0.045, 0.05],
+                           rtol=0.0, atol=1e-15)
+
+    def test_single_state_shape(self, rng):
+        model = MODELS["MetrMetr"]
+        y0 = packed_batch(rng, model, 3, 1)[0]
+        times, samples = dynamics.integrate_batch(model, WELL, y0, 0.02,
+                                                  0.01, 3)
+        fun = dynamics.EomKernel(model, WELL, 3).rhs
+        assert samples.shape == (2, y0.size)
+        assert rel_err(samples[-1],
+                       rk4_step(fun, rk4_step(fun, y0, 0.01), 0.01)) <= 1e-14
+
+    def test_rhs_calls(self, monkeypatch, rng):
+        # four RHS calls per step from integrate_batch; the attitudes take
+        # the kernel's flow directly and call rhs not at all
+        rhs = dynamics.EomKernel.rhs
+        calls = []
+
+        def counting(self, y, out=None):
+            calls.append(np.shape(y))
+            return rhs(self, y, out)
+
+        monkeypatch.setattr(dynamics.EomKernel, "rhs", counting)
+        model = MODELS["AffAff"]
+        ys = packed_batch(rng, model, 3, 4)
+        dynamics.integrate_batch(model, WELL, ys, 0.1, 0.004, 3)
+        assert calls == [ys.shape] * (4 * 25)
+        st_ = dynamics.unpack_state(ys[0], 3)
+        traj = dynamics.integrate(model, WELL, st_, 0.1,
+                                  StepControl(step=1e-3, record_every=10))
+        calls.clear()
+        dynamics.reconstruct_attitudes(model, traj, np.eye(3), np.eye(3))
+        assert calls == []
+
+
 class TestDegenerateBatch:
     """One degenerate state among 1000 Fortran-ordered states."""
 
@@ -504,6 +560,122 @@ class TestAttitudeReconstruction:
                    + L @ D @ theta.T @ R.T)
         Omega_model = phi_dot @ np.linalg.inv(phi_at(k))
         assert np.max(np.abs(Omega_fd - Omega_model)) < 1e-6
+
+
+def attitude_error(traj, phi0, Omega):
+    """Largest relative distance of L exp(q) R^T from exp(Omega t) phi0
+    over the records."""
+    worst = 0.0
+    for k, t in enumerate(traj.times):
+        L, R = traj.attitudes[k]
+        rebuilt = L @ np.diag(np.exp(traj.samples[k, :3])) @ R.T
+        exact = dynamics.geodesic_exponential(phi0, Omega, t).phi
+        worst = max(worst,
+                    np.max(np.abs(rebuilt - exact)) / np.max(np.abs(exact)))
+    return worst
+
+
+class TestParallelAttitudes:
+    """reconstruct_attitudes integrates the propagators of all recorded
+    intervals at once; tests/reference.py keeps the sequential form."""
+
+    @sizes
+    @pytest.mark.parametrize("record_every", [1, 7, 100])
+    def test_matches_sequential(self, n, record_every, rng):
+        model = MODELS["AffAff"]
+        st_ = dynamics.unpack_state(packed_batch(rng, model, n, 1)[0], n)
+        traj = dynamics.integrate(model, WELL, st_, 0.5,
+                                  StepControl(step=1e-3,
+                                              record_every=record_every))
+        L0 = kinematics.two_polar(np.eye(n) + 0.4 * rng.standard_normal(
+            (n, n))).L
+        R0 = np.eye(n)[::-1] * np.r_[-1.0, np.ones(n - 1)][:, None]
+        got = dynamics.reconstruct_attitudes(model, traj, L0, R0)
+        want = reference.reconstruct_attitudes(model, traj, L0, R0)
+        assert len(got.attitudes) == len(want.attitudes) == len(traj.times)
+        for (L, R), (Lw, Rw) in zip(got.attitudes, want.attitudes):
+            assert np.max(np.abs(L - Lw)) <= 1e-12
+            assert np.max(np.abs(R - Rw)) <= 1e-12
+
+    @staticmethod
+    def adaptive_geodesic(rng, max_step):
+        """A geodesic with stretches e^0.8, 1, e^-0.8 at t = 0, and its
+        reduced trajectory on an RK45 time grid."""
+        model = ModelSpec(kind="AffAff", A=1.3, B=0.4)
+        # -Q is a rotation when the orthogonal Q of odd size is not
+        Q1, Q2 = (Q * np.sign(np.linalg.det(Q)) for Q in (
+            np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2)))
+        phi0 = Q1 @ np.diag(np.exp([0.8, 0.0, -0.8])) @ Q2
+        Omega = rng.standard_normal((3, 3)) * 0.3
+        state0, tp0 = dynamics.reduced_state_from_velocity(phi0, Omega,
+                                                           model)
+        traj = dynamics.integrate(model, GEODETIC, state0, 1.0,
+                                  StepControl(method="rk45", step=1e-3,
+                                              max_step=max_step))
+        # the grid starts at 1e-3 and doubles: the intervals differ
+        assert len(np.unique(np.round(np.diff(traj.times), 12))) > 3
+        return model, phi0, Omega, tp0, traj
+
+    def test_adaptive_grid_matches_sequential(self, rng):
+        # on the RK4 states of an uneven grid, each interval's own step
+        # gives the sequential result
+        model, _, _, tp0, traj = self.adaptive_geodesic(rng, 0.02)
+        fun = dynamics.EomKernel(model, GEODETIC, 3).rhs
+        ys = [traj.samples[0]]
+        for h in np.diff(traj.times):
+            ys.append(rk4_step(fun, ys[-1], h))
+        traj.samples = np.array(ys)
+        got = dynamics.reconstruct_attitudes(model, traj, tp0.L, tp0.R)
+        want = reference.reconstruct_attitudes(model, traj, tp0.L, tp0.R)
+        for (L, R), (Lw, Rw) in zip(got.attitudes, want.attitudes):
+            assert np.max(np.abs(L - Lw)) <= 1e-12
+            assert np.max(np.abs(R - Rw)) <= 1e-12
+
+    def test_adaptive_grid_error(self, rng):
+        # on an RK45 trajectory every interval restarts from its recorded
+        # state, where the sequential form re-integrates that state with
+        # RK4 steps of the grid's size.  Both errors are the propagators'
+        # RK4 truncation: fourth order in the step, and within 0.7-1.7x of
+        # each other on seven such geodesics (the sequential one is smaller
+        # for five of them)
+        errors = []
+        seed = rng.integers(2 ** 32)
+        for max_step in (0.02, 0.01):
+            model, phi0, Omega, tp0, traj = self.adaptive_geodesic(
+                np.random.default_rng(seed), max_step)
+            got = dynamics.reconstruct_attitudes(model, traj, tp0.L, tp0.R)
+            want = reference.reconstruct_attitudes(model, traj, tp0.L,
+                                                   tp0.R)
+            error = attitude_error(got, phi0, Omega)
+            assert error <= 2.0 * attitude_error(want, phi0, Omega)
+            errors.append(error)
+        assert errors[0] < 1e-8
+        assert errors[0] / errors[1] > 12.0
+
+    def test_orthogonal_over_many_records(self, rng):
+        model = MODELS["MetrMetr"]
+        st_ = dynamics.unpack_state(packed_batch(rng, model, 3, 1)[0], 3)
+        traj = dynamics.integrate(model, WELL, st_, 2.0,
+                                  StepControl(step=1e-3))
+        assert len(traj.times) == 2001
+        out = dynamics.reconstruct_attitudes(model, traj, np.eye(3),
+                                             np.eye(3))
+        worst = max(np.max(np.abs(A @ A.T - np.eye(3)))
+                    for pair in out.attitudes for A in pair)
+        assert worst <= 1e-13
+        # the attitudes have moved: the check is not on the identity
+        L, R = out.attitudes[-1]
+        assert np.max(np.abs(L - np.eye(3))) > 0.1
+        assert np.max(np.abs(R - np.eye(3))) > 0.1
+
+    def test_seeds_off_rotation_group_raise(self):
+        model = ModelSpec(kind="AffAff", A=1.0, B=0.0)
+        st_ = ReducedState(np.array([0.4, -0.4]), np.zeros(2))
+        traj = dynamics.integrate(model, GEODETIC, st_, 0.1,
+                                  StepControl(step=1e-2))
+        with pytest.raises(StepFailure):
+            dynamics.reconstruct_attitudes(model, traj, 1.01 * np.eye(2),
+                                           np.eye(2))
 
 
 class TestGeodesics:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affinebody import phase
+from affinebody import phase, poisson
 from affinebody.errors import ConfigError, DegenerateInertia, DomainError
 from affinebody.phase import ModelSpec, PotentialSpec, ReducedState
 from reference import gradients, hamiltonian_affaff_lattice
@@ -124,10 +124,24 @@ class TestEnergy:
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
     def test_trig_domain(self):
-        model = ModelSpec(kind="TrigUn", A=1.0, B=0.0)
-        st_ = ReducedState(np.array([4.0, 0.0]), np.zeros(2))
-        with pytest.raises(DomainError):
-            phase.hamiltonian(model, PotentialSpec.none(), st_)
+        # the TrigUn Hamiltonian is 2 pi-periodic in every angle: an angle
+        # outside (-pi, pi] gives the value of its wrapped representative
+        model = ModelSpec(kind="TrigUn", A=1.0)
+        pot = PotentialSpec.none()
+        M = np.array([[0.0, 0.2], [-0.2, 0.0]])
+        N = np.array([[0.0, 0.1], [-0.1, 0.0]])
+        p = np.array([0.3, 0.1])
+        st_ = ReducedState(np.array([4.0, 0.0]), p, M=M, N=N)
+        wrapped = ReducedState(phase.wrap_angle(st_.q), p, M=M, N=N)
+        value = phase.hamiltonian(model, pot, st_)
+        assert wrapped.q[0] == pytest.approx(4.0 - 2.0 * np.pi, abs=1e-15)
+        assert value == pytest.approx(phase.hamiltonian(model, pot, wrapped),
+                                      rel=1e-14, abs=1e-14)
+        assert value == pytest.approx(0.0566326255951838, rel=1e-14,
+                                      abs=1e-14)
+        observable = poisson.hamiltonian_observable(model, pot)
+        assert value == pytest.approx(observable.value(st_), rel=1e-14,
+                                      abs=1e-14)
 
     def test_degenerate_coupling_rejected(self):
         model = ModelSpec(kind="AffAff", A=1.0, B=0.0)

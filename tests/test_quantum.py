@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -311,6 +312,21 @@ class TestFullGrid:
         ef = quantum.eigensolve(
             quantum.build_reduced_hamiltonian(pbf), 1).eigenvalues[0]
         assert np.isfinite(ef)
+
+    @pytest.mark.parametrize("n, points", [(3, 16), (2, 64)])
+    def test_weyl_group_symmetry(self, n, points):
+        # for labels (0, 0) the amended AffAff operator is a function of
+        # the unordered invariants: every axis permutation of the grid
+        # commutes with it to round-off
+        pb = SpectralProblem(n=n, model=AFFAFF, coordinate="full",
+                             q_min=-2.0, q_max=2.0, points=points)
+        H = quantum.build_reduced_hamiltonian(pb).matrix.tocsr()
+        grid = np.arange(H.shape[0]).reshape((points,) * n)
+        scale = abs(H).max()
+        for perm in itertools.permutations(range(n)):
+            idx = grid.transpose(perm).ravel()
+            # P H P^T - H, with P the permutation of the grid nodes
+            assert abs(H[idx][:, idx] - H).max() <= 1e-12 * scale
 
     def test_dalembert_full(self):
         md = ModelSpec(kind="DAlembert", I=1.3)
