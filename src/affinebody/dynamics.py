@@ -23,9 +23,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
-from scipy.linalg import expm
+# scipy is imported in the functions that call it, so that importing the
+# package (and every command that does not use scipy) loads numpy only
 
 from .errors import (ConfigError, DegenerateInertia, DomainError,
                      ShapeMismatch, StepFailure)
@@ -394,9 +393,10 @@ def integrate(model, potential, state0, t_end, control=StepControl()):
                     f"at t = {t:g}")
         times = np.array(times)
         samples = np.array(samples)
-    if model.kind == "TrigUn":
-        # the flow is 2 pi-periodic in every angle; record the (-pi, pi]
-        # representative, the domain of the matrix-form Hamiltonian
+    if model.kind == "TrigUn" and potential.is_trivial:
+        # without a potential the flow is 2 pi-periodic in every angle;
+        # record the (-pi, pi] representative.  V(qbar) is not periodic,
+        # so with one the angles are recorded as integrated
         samples[:, :n] = phase.wrap_angle(samples[:, :n])
     energy, casimir = _energies(model, potential, samples, n)
     return Trajectory(n=n, model=model, potential=potential,
@@ -544,6 +544,7 @@ def geodesic_exponential(phi0, Omega, t):
     Omega = np.asarray(Omega, dtype=float)
     if phi0.shape != Omega.shape:
         raise ShapeMismatch("phi0 and Omega must have matching shapes")
+    from scipy.linalg import expm
     return Configuration(phi=expm(Omega * t) @ phi0)
 
 
@@ -647,6 +648,7 @@ def classify_planar(m, n_coupling, A=1.0, energy=None):
     # V_eff rises to 0 from below as |x| grows: at E >= 0 the motion has
     # no outer turning point, and so no period
     if energy is not None and verdict == "Bounded" and energy < 0.0:
+        import scipy.optimize
         v = lambda x: planar_effective_potential(m, n_coupling, A, x) - energy
         if m != 0.0:
             # repulsive wall at 0+, minimum, rise to 0-: bracket both roots
@@ -680,6 +682,7 @@ def classify_planar(m, n_coupling, A=1.0, energy=None):
 def _planar_period(m, n_coupling, A, energy, turning):
     """Oscillation period T = integral dx sqrt(A / (E - V_eff(x)))
     between the turning points."""
+    import scipy.integrate
     x1, x2 = turning
     mid = 0.5 * (x1 + x2)
     half = 0.5 * (x2 - x1)

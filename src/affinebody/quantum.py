@@ -16,9 +16,8 @@ weighted form is kept for cross-validation.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# scipy is imported in the functions that call it, so that importing the
+# package (and every command that does not use scipy) loads numpy only
 
 from .errors import (ConfigError, ConvergenceFailure, GridTooCoarse,
                      InvalidLabel, ShapeMismatch, SingularWeight)
@@ -286,6 +285,7 @@ def _stencil(diag, lower, upper, periodic=False, stride=1):
     upper[i].  A periodic 1-d grid wraps lower[0] and upper[-1] round to
     the far corners; otherwise they fall off the grid.
     """
+    import scipy.sparse as sp
     pts = np.size(lower)
     bands = [lower[stride:], np.broadcast_to(diag, pts), upper[:-stride]]
     offsets = [-stride, 0, stride]
@@ -318,6 +318,7 @@ def _flux_operator_1d(weight_at, nodes, h, boundary):
 
 
 def _build_dilatation(problem):
+    import scipy.sparse as sp
     model = problem.model
     cL, cQ = _kinetic_coefficients(model, problem.n)
     mass_inv = cL / problem.n + cQ          # coefficient of pbar^2
@@ -350,6 +351,7 @@ def _shear_weight_functions(kind):
 
 
 def _build_shear(problem):
+    import scipy.sparse as sp
     model = problem.model
     cL, cQ = _kinetic_coefficients(model, 2)
     hb2 = model.hbar ** 2
@@ -449,6 +451,7 @@ def _block_couplings(problem):
 
 
 def _build_full(problem):
+    import scipy.sparse as sp
     model = problem.model
     kind = model.kind
     n = problem.n
@@ -633,6 +636,9 @@ def eigensolve(operator, count):
     ARPACK cannot reach (count >= dim - 1), goes to dense eigh (path
     "dense").  Spectrum.solver records the path, dimension and nnz.
     """
+    import scipy.linalg
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     if isinstance(operator, ReducedOperator):
         mat = operator.matrix
         weight = operator.weight

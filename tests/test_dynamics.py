@@ -445,6 +445,19 @@ class TestIntegrate:
         assert traj.energy_drift < 1e-8
         assert traj.casimir_drift < 1e-8
 
+    def test_trig_with_potential_not_wrapped(self):
+        # V(qbar) is not 2 pi-periodic: wrapping the recorded angles would
+        # change the energy of the samples, so q1 runs on past pi
+        model = ModelSpec(kind="TrigUn", A=1.0, B=0.2)
+        st_ = ReducedState(np.array([2.5, 0.0, -0.5]), np.array([3.0, 0, 0]))
+        traj = dynamics.integrate(model, PotentialSpec.harmonic_well(0.5),
+                                  st_, 1.0,
+                                  StepControl(step=1e-3, record_every=50))
+        assert traj.energy_drift <= 1e-12
+        q1 = traj.samples[:, 0]
+        assert np.max(q1) > np.pi
+        assert np.max(np.abs(np.diff(q1))) < 0.5
+
     def test_rk45_matches_rk4(self, rng):
         model = ModelSpec(kind="AffAff", A=1.3, B=0.4)
         st_ = random_state(rng, 3, scale=0.3, min_gap=0.3)

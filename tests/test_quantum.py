@@ -328,6 +328,24 @@ class TestFullGrid:
             # P H P^T - H, with P the permutation of the grid nodes
             assert abs(H[idx][:, idx] - H).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("labels, doublets", [
+        ((0.0, 0.0), {2: 4.331847664061}),
+        ((1.0, 0.0), {0: 4.624797665461, 2: 4.666478290754})])
+    def test_weyl_group_doublets(self, labels, doublets):
+        # the n = 3 levels of S_3's two-dimensional irrep come in exact
+        # pairs: doublets maps the index of a pair's first member among
+        # the six lowest levels to its value
+        pb = SpectralProblem(n=3, model=ModelSpec(kind="AffAff", A=1.3,
+                                                  B=0.4),
+                             alpha_label=labels[0], beta_label=labels[1],
+                             coordinate="full", q_min=-2.0, q_max=2.0,
+                             points=16)
+        vals = quantum.eigensolve(quantum.build_reduced_hamiltonian(pb),
+                                  6).eigenvalues
+        for i, value in doublets.items():
+            assert abs(vals[i + 1] - vals[i]) <= 1e-10 * abs(vals[i])
+            assert vals[i] == pytest.approx(value, rel=1e-9)
+
     def test_dalembert_full(self):
         md = ModelSpec(kind="DAlembert", I=1.3)
         pb = SpectralProblem(n=2, model=md, alpha_label=1.0,
