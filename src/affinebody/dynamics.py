@@ -20,6 +20,7 @@ through strides or a copy.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +36,6 @@ from .phase import ReducedState
 ORTHOGONALITY_TOL = 1e-9
 STATIONARY_TOL = 1e-10
 THRESHOLD_TOL = 1e-12
-# turning points near the steep wall at x = 0 miss V_eff = E by up to 4e-13
-# with brentq's default xtol of 2e-12, and stay near round-off with this
-TURNING_XTOL = 1e-15
 METHODS = ("rk4", "rk45")
 
 
@@ -629,8 +627,14 @@ def classify_planar(m, n_coupling, A=1.0, energy=None):
 
     |m| < |n| gives bounded vibrations, |m| > |n| pure repulsion; the
     threshold |m| = |n| (to 1e-12) separates them.  A bounded V_eff has
-    its minimum where tanh^4(x/2) = (m/n)^2.  With an energy below the
-    escape level 0 the turning points are found by Brent's method.
+    its minimum where tanh^4(x/2) = (m/n)^2.  An energy E below the escape
+    level 0 and above that minimum (above V_eff(0) for m = 0) gives an
+    orbit, in closed form: with w = cosh x - 1 = 2 sh^2(x/2), V_eff = E is
+    the quadratic 8AE w^2 + (16AE - m^2 + n^2) w - 2m^2 = 0, whose two
+    roots are the turning points.  V_eff is a hyperbolic Poschl-Teller
+    potential, and the motion is isochronous: the period is
+    pi sqrt(A/|E|) whatever m and n, and twice that for m = 0, where the
+    orbit crosses x = 0 and runs between -x_t and x_t.
     """
     if not A > 0.0:
         raise ConfigError(f"A must be positive, got {A!r}")
@@ -647,57 +651,29 @@ def classify_planar(m, n_coupling, A=1.0, energy=None):
         if verdict == "Bounded" else None
     # V_eff rises to 0 from below as |x| grows: at E >= 0 the motion has
     # no outer turning point, and so no period
-    if energy is not None and verdict == "Bounded" and energy < 0.0:
-        import scipy.optimize
-        v = lambda x: planar_effective_potential(m, n_coupling, A, x) - energy
-        if m != 0.0:
-            # repulsive wall at 0+, minimum, rise to 0-: bracket both roots
-            if v(x_star) < 0.0:
-                inner = scipy.optimize.brentq(v, 1e-10, x_star,
-                                              xtol=TURNING_XTOL)
-                hi = x_star
-                while v(hi) < 0.0 and hi < 1e3:
-                    hi *= 2.0
-                if v(hi) >= 0.0:
-                    outer = scipy.optimize.brentq(v, x_star, hi,
-                                                  xtol=TURNING_XTOL)
-                    turning = (inner, outer)
-        else:
-            if v(0.0) < 0.0:
-                hi = 1.0
-                while v(hi) < 0.0 and hi < 1e3:
-                    hi *= 2.0
-                if v(hi) >= 0.0:
-                    x_t = scipy.optimize.brentq(v, 0.0, hi,
-                                                xtol=TURNING_XTOL)
-                    turning = (-x_t, x_t)
-        if turning is not None:
-            period = _planar_period(m, n_coupling, A, energy, turning)
+    if energy is not None and verdict == "Bounded" and energy < 0.0 \
+            and planar_effective_potential(m, n_coupling, A, x_star) < energy:
+        turning, period = _planar_orbit(m, n_coupling, A, energy)
     return PlanarClassification(verdict=verdict, m=float(m),
                                 n_coupling=float(n_coupling),
                                 turning_points=turning, x_min=x_star,
                                 energy=energy, period=period)
 
 
-def _planar_period(m, n_coupling, A, energy, turning):
-    """Oscillation period T = integral dx sqrt(A / (E - V_eff(x)))
-    between the turning points."""
-    import scipy.integrate
-    x1, x2 = turning
-    mid = 0.5 * (x1 + x2)
-    half = 0.5 * (x2 - x1)
-
-    # substitute x = mid + half sin(theta) to remove the endpoint
-    # singularities of the integrand
-    def integrand(theta):
-        x = mid + half * np.sin(theta)
-        gap = energy - planar_effective_potential(m, n_coupling, A, x)
-        gap = max(gap, 1e-300)
-        return half * np.cos(theta) * np.sqrt(A / gap)
-
-    val, _ = scipy.integrate.quad(integrand, -0.5 * np.pi, 0.5 * np.pi,
-                                  limit=200)
-    return float(val)
+def _planar_orbit(m, n_coupling, A, energy):
+    """Turning points and period of the bounded orbit at an energy between
+    the bottom of the well and 0, in the closed form of classify_planar."""
+    a = 8.0 * A * energy
+    b = 16.0 * A * energy - m * m + n_coupling * n_coupling
+    # b > 0 here, so this q does not cancel; the roots are c/q <= q/a
+    q = -0.5 * (b + math.sqrt(max(b * b + 8.0 * a * m * m, 0.0)))
+    # x = 2 arcsinh(sqrt(w/2)): arccosh(1 + w) would lose the digits of a
+    # small w near the wall at x = 0
+    inner, outer = (2.0 * math.asinh(math.sqrt(0.5 * w))
+                    for w in (-2.0 * m * m / q, q / a))
+    if m == 0.0:
+        return (-outer, outer), 2.0 * math.pi * math.sqrt(A / -energy)
+    return (inner, outer), math.pi * math.sqrt(A / -energy)
 
 
 def planar_state(m, n_coupling, x0, px, A=1.0, B=0.0):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.optimize
 
 from affinebody import dynamics, kinematics, phase, poisson
 from affinebody.dynamics import StepControl
@@ -734,6 +736,24 @@ class TestStationary:
         assert res == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
+# the planar orbits checked against root search and quadrature: m/n from
+# 0.007 to 0.83 and 0, A = 1 and 1.7, and E from 1 % to 99 % of the depth
+# of the well, V_eff(x_min)
+planar_orbits = pytest.mark.parametrize("m,n,A,depth", [
+    (ratio * 2.0, 2.0, A, depth)
+    for ratio in (0.007, 0.1, 0.5, 0.83, 0.0)
+    for A in (1.0, 1.7)
+    for depth in (0.01, 0.5, 0.99)])
+
+
+def planar_orbit(m, n, A, depth):
+    """E at the fraction depth of V_eff(x_min), and the classification of
+    the orbit at that energy."""
+    x_min = dynamics.classify_planar(m, n, A=A).x_min
+    E = depth * dynamics.planar_effective_potential(m, n, A, x_min)
+    return E, dynamics.classify_planar(m, n, A=A, energy=E)
+
+
 class TestPlanar:
     def test_zero_couplings(self):
         xs = np.linspace(0.5, 3.0, 7)
@@ -781,28 +801,77 @@ class TestPlanar:
         with pytest.raises(ConfigError):
             dynamics.classify_planar(1.0, 2.0, A=A)
 
-    def test_turning_points_bracket_energy(self):
-        res0 = dynamics.classify_planar(1.0, 2.0, A=1.0)
-        vmin = dynamics.planar_effective_potential(1.0, 2.0, 1.0,
-                                                   res0.x_min)
-        E = 0.5 * vmin
-        res = dynamics.classify_planar(1.0, 2.0, A=1.0, energy=E)
+    @planar_orbits
+    def test_turning_points_bracket_energy(self, m, n, A, depth):
+        E, res = planar_orbit(m, n, A, depth)
         x1, x2 = res.turning_points
         assert x1 < res.x_min < x2
+
+        def gap(x):
+            return dynamics.planar_effective_potential(m, n, A, x) - E
+
+        hi = 2.0 * res.x_min + 1.0
+        while gap(hi) < 0.0:
+            hi *= 2.0
+        outer = scipy.optimize.brentq(gap, res.x_min, hi, xtol=1e-15)
+        inner = scipy.optimize.brentq(gap, 1e-10, res.x_min, xtol=1e-15) \
+            if m else -outer
+        assert (x1, x2) == pytest.approx((inner, outer), rel=1e-14, abs=0.0)
         for x in (x1, x2):
-            v = dynamics.planar_effective_potential(1.0, 2.0, 1.0, x)
+            assert abs(gap(x)) <= 1e-12 * abs(E)
+            v = dynamics.planar_effective_potential(m, n, A, x)
             assert v == pytest.approx(E, abs=1e-9)
         assert res.period > 0
 
     @pytest.mark.parametrize("m", [1.0, 0.0])
     def test_no_turning_points_at_or_above_escape(self, m):
         below = dynamics.classify_planar(m, 2.0, energy=None)
-        for energy in (0.0, 0.02, 1e3):
+        # the bottom of the well: V_eff(x_min), and V_eff(0) for m = 0
+        bottom = dynamics.planar_effective_potential(m, 2.0, 1.0,
+                                                     below.x_min)
+        for energy in (0.0, 0.02, 1e3, bottom,
+                       np.nextafter(bottom, -np.inf), 1.5 * bottom):
             res = dynamics.classify_planar(m, 2.0, energy=energy)
             assert res.verdict == below.verdict == "Bounded"
             assert res.x_min == below.x_min
             assert res.turning_points is None
             assert res.period is None
+
+    @staticmethod
+    def quadrature_period(m, n, A, E, turning):
+        """T = integral dx sqrt(A / (E - V_eff(x))) between the turning
+        points, with x = mid + half sin(theta) to remove the endpoint
+        singularities."""
+        x1, x2 = turning
+        mid, half = 0.5 * (x1 + x2), 0.5 * (x2 - x1)
+
+        def integrand(theta):
+            x = mid + half * np.sin(theta)
+            gap = E - dynamics.planar_effective_potential(m, n, A, x)
+            return half * np.cos(theta) * np.sqrt(A / max(gap, 1e-300))
+
+        return scipy.integrate.quad(integrand, -0.5 * np.pi, 0.5 * np.pi,
+                                    epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    @planar_orbits
+    def test_period_against_quadrature(self, m, n, A, depth):
+        E, res = planar_orbit(m, n, A, depth)
+        period = self.quadrature_period(m, n, A, E, res.turning_points)
+        assert res.period == pytest.approx(period, rel=1e-10)
+
+    def test_period_is_isochronous(self):
+        # at one A and E the period is the same for every m/n whose well
+        # reaches below E, and twice that for m = 0, where x crosses 0
+        A, E = 1.3, -0.01
+        periods = []
+        for m, n in [(0.1, 2.0), (0.5, 1.5), (1.0, 2.0), (2.0, 3.5),
+                     (0.0, 1.0)]:
+            res = dynamics.classify_planar(m, n, A=A, energy=E)
+            period = self.quadrature_period(m, n, A, E, res.turning_points)
+            assert res.period == pytest.approx(period, rel=1e-10)
+            periods.append(period / (2.0 if m == 0.0 else 1.0))
+        assert periods == pytest.approx([np.pi * np.sqrt(A / -E)] * 5,
+                                        rel=1e-10)
 
     def test_period_against_integration(self):
         # launch at the inner turning point and watch the oscillation

@@ -56,14 +56,13 @@ def test_import_loads_no_scipy(tmp_path, module):
     assert scipy_modules(f"import {module}", tmp_path) == []
 
 
-@pytest.mark.parametrize("command",
-                         ["simulate", "check-brackets", "check-decomp"])
+@pytest.mark.parametrize("command", ["simulate", "classify",
+                                     "check-brackets", "check-decomp"])
 def test_command_without_scipy(tmp_path, command):
     assert command_modules(tmp_path, command) == []
 
 
-@pytest.mark.parametrize("command, module", [("spectrum", "scipy.sparse"),
-                                             ("classify", "scipy.optimize")])
+@pytest.mark.parametrize("command, module", [("spectrum", "scipy.sparse")])
 def test_command_loads_its_scipy_module(tmp_path, command, module):
     assert module in command_modules(tmp_path, command)
 
