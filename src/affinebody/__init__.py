@@ -24,7 +24,6 @@ from .dynamics import (PlanarClassification, StepControl, Trajectory,
                        stationary_check)
 from .quantum import (ReducedOperator, SpectralProblem, Spectrum, SpinBlock,
                       angular_shift, build_reduced_hamiltonian, eigensolve,
-                      haar_weight, inner_product, lebesgue_weight,
-                      spin_matrices)
+                      haar_weight, lebesgue_weight, spin_matrices)
 
 __version__ = "0.1.0"

@@ -65,11 +65,14 @@ EIGENVECTOR_HEADER = ("level", "node", "m_row", "k_col", "real", "imag")
 
 def _eigenvector_rows(op, spec):
     """One row (level, node, m_row, k_col, real, imag) per amplitude; the
-    unknowns of a node are its block entries in row-major order."""
+    unknowns of a node are its block entries in row-major order.  A full
+    grid's node is its row-major index in the points^n lattice."""
     dim, levels = spec.eigenvectors.shape
     ds, dj = op.block_shape
     level, idx = np.divmod(np.arange(levels * dim), dim)
     node, entry = np.divmod(idx, ds * dj)
+    if op.lattice is not None:
+        node = op.lattice[node]
     amp = spec.eigenvectors.T.ravel()
     return np.column_stack([level, node, entry // dj, entry % dj,
                             amp.real, amp.imag])

@@ -627,8 +627,8 @@ def classify_planar(m, n_coupling, A=1.0, energy=None):
 
     |m| < |n| gives bounded vibrations, |m| > |n| pure repulsion; the
     threshold |m| = |n| (to 1e-12) separates them.  A bounded V_eff has
-    its minimum where tanh^4(x/2) = (m/n)^2.  An energy E below the escape
-    level 0 and above that minimum (above V_eff(0) for m = 0) gives an
+    its minimum -(|n| - |m|)^2 / (16 A) where tanh^4(x/2) = (m/n)^2.  An
+    energy E below the escape level 0 and above that minimum gives an
     orbit, in closed form: with w = cosh x - 1 = 2 sh^2(x/2), V_eff = E is
     the quadratic 8AE w^2 + (16AE - m^2 + n^2) w - 2m^2 = 0, whose two
     roots are the turning points.  V_eff is a hyperbolic Poschl-Teller
@@ -652,7 +652,7 @@ def classify_planar(m, n_coupling, A=1.0, energy=None):
     # V_eff rises to 0 from below as |x| grows: at E >= 0 the motion has
     # no outer turning point, and so no period
     if energy is not None and verdict == "Bounded" and energy < 0.0 \
-            and planar_effective_potential(m, n_coupling, A, x_star) < energy:
+            and -(an - am) ** 2 / (16.0 * A) < energy:
         turning, period = _planar_orbit(m, n_coupling, A, energy)
     return PlanarClassification(verdict=verdict, m=float(m),
                                 n_coupling=float(n_coupling),

@@ -20,7 +20,7 @@ import numpy as np
 # package (and every command that does not use scipy) loads numpy only
 
 from .errors import (ConfigError, ConvergenceFailure, GridTooCoarse,
-                     InvalidLabel, ShapeMismatch, SingularWeight)
+                     InvalidLabel, SingularWeight)
 from .phase import ModelSpec, PotentialSpec
 
 COINCIDENCE_TOL = 1e-12
@@ -114,16 +114,6 @@ def lebesgue_weight(Q):
     diffs = Q[..., :, None] ** 2 - Q[..., None, :] ** 2
     off = ~np.eye(n, dtype=bool)
     terms = np.where(off, np.abs(diffs), 1.0)
-    return np.prod(terms, axis=(-2, -1))
-
-
-def trig_weight(q):
-    """Trigonometric analogue of the Haar weight: |sin| over ordered pairs."""
-    q = np.asarray(q, dtype=float)
-    n = q.shape[-1]
-    diffs = q[..., :, None] - q[..., None, :]
-    off = ~np.eye(n, dtype=bool)
-    terms = np.where(off, np.abs(np.sin(diffs)), 1.0)
     return np.prod(terms, axis=(-2, -1))
 
 
@@ -223,6 +213,8 @@ class ReducedOperator:
     block_dim: int
     problem: SpectralProblem
     meta: dict
+    lattice: np.ndarray | None = None   # full grids: row-major index of
+                                        # each node in the points^n lattice
 
     @property
     def dim(self):
@@ -450,117 +442,113 @@ def _block_couplings(problem):
     return out
 
 
+def _chamber(points, n):
+    """Multi-indices i_1 < ... < i_n of the points^n lattice, in row-major
+    order, and the row-major lattice index of each."""
+    from itertools import chain, combinations
+    idx = np.fromiter(chain.from_iterable(combinations(range(points), n)),
+                      dtype=np.intp).reshape(-1, n)
+    return idx, idx @ points ** np.arange(n - 1, -1, -1)
+
+
 def _build_full(problem):
+    """Operator on the Weyl chamber q_1 < ... < q_n of one lattice.
+
+    The Weyl group permutes q together with the spin labels, so a regular
+    amplitude is fixed by its values on one chamber and vanishes on the
+    walls q_a = q_b.  The unknowns are the strictly ordered lattice nodes;
+    wall and out-of-box nodes are Dirichlet zeros.  An axis step from a
+    chamber node lands in the chamber or on a dropped node, and so does
+    the step along (1, ..., 1) that carries the cQ (sum_a d_a)^2 term.
+    """
     import scipy.sparse as sp
     model = problem.model
     kind = model.kind
-    n = problem.n
+    n, pts = problem.n, problem.points
     cL, cQ = _kinetic_coefficients(model, n)
     hb2 = model.hbar ** 2
-    axis_nodes, h = _grid_nodes(problem.q_min, problem.q_max,
-                                problem.points, problem.boundary)
-    pts = problem.points
-    # stagger the axes so that no node (and no flux midpoint, offset by
-    # h/2) lands on the coincidence set q_a = q_b where the weight and
-    # couplings are singular
-    stagger = h / (2 * n + 1)
-    axes = [axis_nodes + a * stagger for a in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=-1)
-    npts = coords.shape[0]
-    ds, dj = problem.block_shape
-    bdim = ds * dj
+    axis, h = _grid_nodes(problem.q_min, problem.q_max, pts, "dirichlet")
+    idx, lattice = _chamber(pts, n)
+    coords = axis[idx]
+    npts = len(idx)
+    weight_at = lebesgue_weight if kind == "DAlembert" else haar_weight
+    amended = problem.use_amended_transform
+    weight = None if amended else weight_at(coords)
 
+    def midpoint_weight(a, offset):
+        if amended:
+            return 1.0
+        mid = coords.copy()
+        mid[:, a] = problem.q_min + h * (idx[:, a] + 1.0 + offset)
+        return weight_at(mid)
+
+    # symmetric form: diag(P) H for the raw weighted form, H itself for the
+    # amended one; each edge is stored from its lower node, at both ends
+    diag = np.zeros(npts)
+    edges = []
+
+    def link(stride, valid, value):
+        r = np.flatnonzero(valid)
+        c = np.searchsorted(lattice, lattice[r] + stride)
+        edges.append((r, c, np.broadcast_to(value, npts)[r]))
+
+    strides = pts ** np.arange(n - 1, -1, -1)
+    bound = np.column_stack([idx[:, 1:], np.full(npts, pts)])
+    for a in range(n):
+        wp, wm = midpoint_weight(a, 0.5), midpoint_weight(a, -0.5)
+        diag = diag + hb2 * cL * (wp + wm) / h ** 2
+        link(strides[a], idx[:, a] + 1 < bound[:, a], -hb2 * cL * wp / h ** 2)
+    if cQ != 0.0:
+        # the Haar weight is constant along (1, ..., 1), so in both forms
+        # cQ (sum_a d_a)^2 is the second difference along that diagonal
+        w = 1.0 if amended else weight
+        diag = diag + 2.0 * hb2 * cQ * w / h ** 2
+        link(strides.sum(), idx[:, -1] + 1 < pts, -hb2 * cQ * w / h ** 2)
+    if amended:
+        diag = diag + hb2 * cL * _amended_potential_nodes(kind, coords)
+    r, c, e = (np.concatenate(part) for part in zip(*edges))
+    rows = np.concatenate([r, c, np.arange(npts)])
+    cols = np.concatenate([c, r, np.arange(npts)])
+    vals = np.concatenate([e, e, diag])
+    if not amended:
+        vals = vals / weight[rows]
+
+    # pair couplings and the potential: one (ds dj)^2 block per node
     if kind == "DAlembert":
-        weight_nodes = lebesgue_weight(coords)
         dm = coords[:, :, None] - coords[:, None, :]
         dn = coords[:, :, None] + coords[:, None, :]
         v_nodes = problem.potential.value(np.log(coords))
     else:
-        weight_nodes = haar_weight(coords)
         x = coords[:, :, None] - coords[:, None, :]
-        dm = 2.0 * np.sinh(0.5 * x)   # squared below; factor absorbed
-        dn = 2.0 * np.cosh(0.5 * x)
+        dm = np.sinh(0.5 * x)
+        dn = np.cosh(0.5 * x)
         v_nodes = problem.potential.value(coords)
     cpl, sign_n = _coupling_constants(model)
-
-    blocks = _block_couplings(problem)
-
-    # sparse 1D pieces
-    eye_ax = sp.identity(pts, format="csr")
+    ds, dj = problem.block_shape
+    bdim = ds * dj
     shift_c = angular_shift(kind, problem.alpha_label, problem.beta_label,
                             model)
-
-    def axis_op(mat1d, axis):
-        parts = [eye_ax] * n
-        parts[axis] = sp.csr_matrix(mat1d)
-        out = parts[0]
-        for part in parts[1:]:
-            out = sp.kron(out, part, format="csr")
-        return out
-
-    if problem.use_amended_transform:
-        K1 = _laplacian_1d(pts, h, problem.boundary)
-        kin = sum(axis_op(K1, a) for a in range(n))
-        U = _amended_potential_nodes(kind, coords)
-        node_op = hb2 * cL * kin + sp.diags(hb2 * cL * U)
-        weight = None
-    else:
-        if np.any(weight_nodes <= 0.0):
-            raise SingularWeight("weight vanishes on a grid node")
-        # per-axis flux form with midpoint weights keeps diag(P) H symmetric
-        node_op = sp.csr_matrix((npts, npts))
-        scale = weight_nodes * h ** 2
-        for a in range(n):
-            shifted = coords.copy()
-            shifted[:, a] += 0.5 * h
-            wp = lebesgue_weight(shifted) if kind == "DAlembert" \
-                else haar_weight(shifted)
-            shifted[:, a] -= h
-            wm = lebesgue_weight(shifted) if kind == "DAlembert" \
-                else haar_weight(shifted)
-            stride = pts ** (n - 1 - a)
-            ia = (np.arange(npts) // stride) % pts
-            node_op = node_op + sp.csr_matrix(_stencil(
-                (wp + wm) / scale, np.where(ia > 0, -wm / scale, 0.0),
-                np.where(ia + 1 < pts, -wp / scale, 0.0), stride=stride))
-        node_op = hb2 * cL * node_op
-        weight = weight_nodes
-
-    if cQ != 0.0:
-        D1 = _stencil(0.0, np.full(pts, -0.5 / h), np.full(pts, 0.5 / h),
-                         problem.boundary == "periodic")
-        G = sum(axis_op(D1, a) for a in range(n))
-        if weight is None:
-            node_op = node_op - hb2 * cQ * (G @ G)
-        else:
-            W = sp.diags(weight)
-            Winv = sp.diags(1.0 / weight)
-            node_op = node_op - hb2 * cQ * (Winv @ (G @ (W @ G)))
-
-    eye_block = sp.identity(bdim, format="csr")
-    H = sp.kron(node_op, eye_block, format="csr")
-
-    for (a, b), (Bm2, Bp2) in blocks.items():
-        denom_m = dm[:, a, b] ** 2
-        denom_n = dn[:, a, b] ** 2
-        bad = np.abs(denom_m) < COINCIDENCE_TOL ** 2
-        if np.any(bad) and np.max(np.abs(Bm2)) > 0.0:
-            raise SingularWeight(
-                "grid node on a coincidence with a nonvanishing coupling")
-        inv_m = np.where(bad, 0.0, cpl / np.where(bad, 1.0, denom_m))
-        inv_n = sign_n * cpl / denom_n
-        if np.max(np.abs(Bm2)) > 0.0:
-            H = H + sp.kron(sp.diags(inv_m), sp.csr_matrix(Bm2), format="csr")
-        if np.max(np.abs(Bp2)) > 0.0:
-            H = H + sp.kron(sp.diags(inv_n), sp.csr_matrix(Bp2), format="csr")
-    H = H + sp.kron(sp.diags(v_nodes + shift_c), eye_block, format="csr")
+    blocks = (v_nodes + shift_c)[:, None, None] * np.eye(bdim)
+    for (a, b), (Bm2, Bp2) in _block_couplings(problem).items():
+        blocks += (cpl / dm[:, a, b] ** 2)[:, None, None] * Bm2 \
+            + (sign_n * cpl / dn[:, a, b] ** 2)[:, None, None] * Bp2
+    bi, bj = np.nonzero(np.any(blocks != 0.0, axis=0)
+                        | np.eye(bdim, dtype=bool))
+    k = np.arange(bdim)
+    node = np.arange(npts)[:, None]
+    H = sp.csr_matrix((
+        np.concatenate([np.repeat(vals, bdim), blocks[:, bi, bj].ravel()]),
+        (np.concatenate([(rows[:, None] * bdim + k).ravel(),
+                         (node * bdim + bi).ravel()]),
+         np.concatenate([(cols[:, None] * bdim + k).ravel(),
+                         (node * bdim + bj).ravel()]))),
+        shape=(npts * bdim,) * 2)
 
     weight_out = None if weight is None else np.repeat(weight, bdim)
     return ReducedOperator(
         matrix=H, weight=weight_out, nodes=coords,
         block_shape=(ds, dj), block_dim=1, problem=problem,
-        meta={"step": h})
+        meta={"step": h}, lattice=lattice)
 
 
 def build_reduced_hamiltonian(problem):
@@ -674,10 +662,13 @@ def eigensolve(operator, count):
                 f"tridiagonal eigensolver failed: {exc}")
     elif sparse and count < dim - 1:
         path = "sparse"
+        # a fixed start vector: ARPACK's random one makes the run time, and
+        # the basis of a degenerate level, differ between identical calls
+        start = np.random.default_rng(0).standard_normal(dim)
         try:
             vals, vecs = spla.eigsh(
                 mat if symmetric else 0.5 * (mat + mat.conj().T), k=count,
-                which="SA")
+                which="SA", v0=start.astype(mat.dtype))
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceFailure(f"sparse eigensolver failed: {exc}")
         order = np.argsort(vals)
@@ -706,69 +697,3 @@ def eigensolve(operator, count):
               "nnz": int(mat.nnz if sparse else np.count_nonzero(mat))}
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, residuals=res,
                     weight=weight, solver=solver)
-
-
-# ---------------------------------------------------------------------------
-# inner products
-
-
-def _weight_values(weight_kind, coords):
-    if weight_kind == "none":
-        return np.ones(coords.shape[:-1] if coords.ndim > 1 else
-                       coords.shape)
-    if coords.ndim == 1:
-        # one shear coordinate x corresponds to q = (x/2, -x/2)
-        if weight_kind == "haar":
-            return np.sinh(coords) ** 2
-        if weight_kind == "trig":
-            return np.sin(coords) ** 2
-        raise ConfigError(f"1-d grids do not support {weight_kind!r}")
-    if weight_kind == "haar":
-        return haar_weight(coords)
-    if weight_kind == "trig":
-        return trig_weight(coords)
-    if weight_kind == "lebesgue":
-        return lebesgue_weight(coords)
-    raise ConfigError(f"unknown weight kind {weight_kind!r}")
-
-
-def inner_product(f1, f2, weight_kind, grid):
-    """<f1|f2> = (1/(N_s N_j)) integral Tr(f1^+ f2) P, by trapezoid rule.
-
-    grid is either a 1-d array of nodes of a single coordinate, or a
-    sequence of axis-node arrays for a tensor grid.  Amplitudes carry the
-    grid axes first, optionally followed by the (2s+1, 2j+1) matrix axes.
-    """
-    f1 = np.asarray(f1)
-    f2 = np.asarray(f2)
-    if f1.shape != f2.shape:
-        raise ShapeMismatch("amplitudes must share a shape")
-    if isinstance(grid, np.ndarray) and grid.ndim == 1:
-        axes = [np.asarray(grid, dtype=float)]
-        coords = axes[0]
-    else:
-        axes = [np.asarray(ax, dtype=float) for ax in grid]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack(mesh, axis=-1)
-    grid_ndim = len(axes)
-    grid_shape = tuple(ax.size for ax in axes)
-    if f1.shape[:grid_ndim] != grid_shape:
-        raise ShapeMismatch(
-            f"amplitude grid axes {f1.shape[:grid_ndim]} do not match "
-            f"the grid {grid_shape}")
-    matrix_axes = f1.shape[grid_ndim:]
-    if matrix_axes and len(matrix_axes) != 2:
-        raise ShapeMismatch("matrix amplitudes need two trailing axes")
-    weight = _weight_values(weight_kind, coords)
-    if matrix_axes:
-        integrand = np.einsum("...mk,...mk->...", f1.conj(), f2)
-        norm = matrix_axes[0] * matrix_axes[1]
-    else:
-        integrand = f1.conj() * f2
-        norm = 1
-    integrand = integrand * weight
-    trapz = getattr(np, "trapezoid", None) or np.trapz
-    for ax in reversed(axes):
-        integrand = trapz(integrand, x=ax, axis=grid_ndim - 1)
-        grid_ndim -= 1
-    return complex(integrand) / norm

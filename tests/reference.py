@@ -6,11 +6,16 @@ skew n x n matrices rather than packed pair vectors: the closed-form
 gradients of every model kind, and the explicit lattice form of the AffAff
 energy.  The textbook RK4 step and the sequential attitude propagation are
 the step-by-step forms of `dynamics.integrate_batch` and
-`dynamics.reconstruct_attitudes`.
+`dynamics.reconstruct_attitudes`.  The full-grid operator is assembled
+here the way the library once did, on the whole points^n box with
+Kronecker products, keeping every off-wall node of all n! Weyl chambers;
+the weighted inner product is a trapezoid-rule coding of the norm that
+`quantum.eigensolve` takes by node sums.
 """
 
 import numpy as np
 
+from affinebody import quantum
 from affinebody.dynamics import ORTHOGONALITY_TOL, EomKernel, Trajectory
 from affinebody.errors import ConfigError, ShapeMismatch, StepFailure
 from affinebody.phase import _pair_denominators
@@ -170,3 +175,161 @@ def reconstruct_attitudes(model, trajectory, L0, R0):
                       times=times, samples=trajectory.samples,
                       energy=trajectory.energy, casimir=trajectory.casimir,
                       control=trajectory.control, attitudes=attitudes)
+
+
+def full_grid_all_chambers(problem):
+    """The full-grid operator on every off-wall node of the points^n
+    lattice: the box operator with the wall nodes q_a = q_b dropped.
+
+    The ReducedOperator's `lattice` holds the row-major box index of each
+    node.  Axis stencils are Kronecker products on the box; the cQ
+    term is the flux form -(1/P) d_u (P d_u) along u = (1, ..., 1), with the
+    weight taken at the midpoints x +- h u / 2.
+    """
+    import scipy.sparse as sp
+    model = problem.model
+    kind = model.kind
+    n, pts = problem.n, problem.points
+    cL, cQ = quantum._kinetic_coefficients(model, n)
+    hb2 = model.hbar ** 2
+    axis, h = quantum._grid_nodes(problem.q_min, problem.q_max, pts,
+                                  "dirichlet")
+    grids = np.meshgrid(*[axis] * n, indexing="ij")
+    box = np.stack([g.ravel() for g in grids], axis=-1)
+    index = np.indices((pts,) * n).reshape(n, -1).T
+    keep = np.flatnonzero(np.all(np.diff(np.sort(index, axis=1), axis=1) > 0,
+                                 axis=1))
+    coords = box[keep]
+    weight_at = quantum.lebesgue_weight if kind == "DAlembert" \
+        else quantum.haar_weight
+    amended = problem.use_amended_transform
+    eye_ax = sp.identity(pts, format="csr")
+
+    def axis_op(mat1d, a):
+        parts = [eye_ax] * n
+        parts[a] = sp.csr_matrix(mat1d)
+        out = parts[0]
+        for part in parts[1:]:
+            out = sp.kron(out, part, format="csr")
+        return out
+
+    def flux(step, shift):
+        """-(1/P) d (P d) along `step`, a box vector of length h; `shift`
+        moves a node by one step on the box (zero rows past its edge)."""
+        if amended:
+            wp = wm = np.ones(len(box))
+        else:
+            wp = weight_at(box + 0.5 * step)
+            wm = weight_at(box - 0.5 * step)
+        S = sp.diags(wp + wm) - sp.diags(wp) @ shift - shift.T @ sp.diags(wp)
+        return S.tocsr()[keep][:, keep] / h ** 2
+
+    up = sp.diags(np.ones(pts - 1), 1)
+    node_op = hb2 * cL * sum(
+        flux(h * np.eye(n)[a], axis_op(up, a)) for a in range(n))
+    if cQ != 0.0:
+        diagonal = up
+        for _ in range(n - 1):
+            diagonal = sp.kron(diagonal, up, format="csr")
+        node_op = node_op + hb2 * cQ * flux(np.full(n, h), diagonal)
+    if amended:
+        node_op = node_op + sp.diags(
+            hb2 * cL * quantum._amended_potential_nodes(kind, coords))
+        weight = None
+    else:
+        weight = weight_at(coords)
+        node_op = sp.diags(1.0 / weight) @ node_op
+
+    # the pair denominators of the classical kinetic energy
+    q = np.log(coords) if kind == "DAlembert" else coords
+    zero = np.zeros((len(q), n, n))
+    inv_m, inv_n, sign_n = _pair_denominators(kind, q, zero, zero)
+    cpl = quantum._coupling_constants(model)[0]
+    v_nodes = problem.potential.value(q)
+    ds, dj = problem.block_shape
+    eye_block = sp.identity(ds * dj, format="csr")
+    shift_c = quantum.angular_shift(kind, problem.alpha_label,
+                                    problem.beta_label, model)
+    H = sp.kron(node_op, eye_block, format="csr") + sp.kron(
+        sp.diags(v_nodes + shift_c), eye_block, format="csr")
+    for (a, b), (Bm2, Bp2) in quantum._block_couplings(problem).items():
+        H = H + sp.kron(sp.diags(cpl * inv_m[:, a, b]), sp.csr_matrix(Bm2))
+        H = H + sp.kron(sp.diags(sign_n * cpl * inv_n[:, a, b]),
+                        sp.csr_matrix(Bp2))
+    weight_out = None if weight is None else np.repeat(weight, ds * dj)
+    return quantum.ReducedOperator(
+        matrix=sp.csr_matrix(H), weight=weight_out, nodes=coords,
+        block_shape=(ds, dj), block_dim=1, problem=problem,
+        meta={"step": h}, lattice=keep)
+
+
+def trig_weight(q):
+    """Trigonometric analogue of the Haar weight: |sin| over ordered pairs."""
+    q = np.asarray(q, dtype=float)
+    n = q.shape[-1]
+    diffs = q[..., :, None] - q[..., None, :]
+    off = ~np.eye(n, dtype=bool)
+    terms = np.where(off, np.abs(np.sin(diffs)), 1.0)
+    return np.prod(terms, axis=(-2, -1))
+
+
+def _weight_values(weight_kind, coords):
+    if weight_kind == "none":
+        return np.ones(coords.shape[:-1] if coords.ndim > 1 else
+                       coords.shape)
+    if coords.ndim == 1:
+        # one shear coordinate x corresponds to q = (x/2, -x/2)
+        if weight_kind == "haar":
+            return np.sinh(coords) ** 2
+        if weight_kind == "trig":
+            return np.sin(coords) ** 2
+        raise ConfigError(f"1-d grids do not support {weight_kind!r}")
+    if weight_kind == "haar":
+        return quantum.haar_weight(coords)
+    if weight_kind == "trig":
+        return trig_weight(coords)
+    if weight_kind == "lebesgue":
+        return quantum.lebesgue_weight(coords)
+    raise ConfigError(f"unknown weight kind {weight_kind!r}")
+
+
+def inner_product(f1, f2, weight_kind, grid):
+    """<f1|f2> = (1/(N_s N_j)) integral Tr(f1^+ f2) P, by trapezoid rule.
+
+    grid is either a 1-d array of nodes of a single coordinate, or a
+    sequence of axis-node arrays for a tensor grid.  Amplitudes carry the
+    grid axes first, optionally followed by the (2s+1, 2j+1) matrix axes.
+    """
+    f1 = np.asarray(f1)
+    f2 = np.asarray(f2)
+    if f1.shape != f2.shape:
+        raise ShapeMismatch("amplitudes must share a shape")
+    if isinstance(grid, np.ndarray) and grid.ndim == 1:
+        axes = [np.asarray(grid, dtype=float)]
+        coords = axes[0]
+    else:
+        axes = [np.asarray(ax, dtype=float) for ax in grid]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        coords = np.stack(mesh, axis=-1)
+    grid_ndim = len(axes)
+    grid_shape = tuple(ax.size for ax in axes)
+    if f1.shape[:grid_ndim] != grid_shape:
+        raise ShapeMismatch(
+            f"amplitude grid axes {f1.shape[:grid_ndim]} do not match "
+            f"the grid {grid_shape}")
+    matrix_axes = f1.shape[grid_ndim:]
+    if matrix_axes and len(matrix_axes) != 2:
+        raise ShapeMismatch("matrix amplitudes need two trailing axes")
+    weight = _weight_values(weight_kind, coords)
+    if matrix_axes:
+        integrand = np.einsum("...mk,...mk->...", f1.conj(), f2)
+        norm = matrix_axes[0] * matrix_axes[1]
+    else:
+        integrand = f1.conj() * f2
+        norm = 1
+    integrand = integrand * weight
+    trapz = getattr(np, "trapezoid", None) or np.trapz
+    for ax in reversed(axes):
+        integrand = trapz(integrand, x=ax, axis=grid_ndim - 1)
+        grid_ndim -= 1
+    return complex(integrand) / norm

@@ -54,6 +54,15 @@ class TestClassify:
         assert report["period"] is None
         assert report["x_min"] == 2.0 * np.arctanh(np.sqrt(m / 2.0))
 
+    def test_tiny_m_orbit(self, tmp_path, capsys):
+        # |m|/|n| = 1e-26 puts x_min below the x = 0 guard of V_eff
+        code = run(tmp_path, "classify",
+                   {"m": 1e-26, "n": 1.0, "energy": -0.01})
+        assert code == 0
+        assert "period=31.4159" in capsys.readouterr().out
+        report = io.load_json(tmp_path / "classify.json")
+        assert len(report["turning_points"]) == 2
+
     def test_artifact_roundtrip(self, tmp_path):
         run(tmp_path, "classify", {"m": 1.0, "n": 2.0, "energy": -0.02})
         report = io.load_json(tmp_path / "classify.json")
@@ -203,7 +212,9 @@ class TestSpectrum:
 
     def test_eigenvectors_csv(self, tmp_path):
         # an n = 3 grid with (2, 2) amplitude blocks, so that every column
-        # of the table varies; its three lowest levels are simple
+        # of the table varies.  Its second and third levels are a doublet;
+        # eigensolve starts ARPACK from a fixed vector, so a second solve
+        # returns the same basis of it
         problem = {"n": 3, "model": {"kind": "AffAff", "A": 1.0, "B": 0.5},
                    "alpha_label": 0.5, "beta_label": 0.5,
                    "half_integer_labels": True, "coordinate": "full",
@@ -214,12 +225,18 @@ class TestSpectrum:
         assert lines[0] == "level,node,m_row,k_col,real,imag"
         rows = np.array([[float(v) for v in line.split(",")]
                          for line in lines[1:]])
-        nodes = 16 ** 3
+        # the chamber's C(16, 3) nodes q_1 < q_2 < q_3, each named by its
+        # row-major index in the 16^3 lattice
+        nodes = 16 * 15 * 14 // 6
         assert rows.shape == (3 * nodes * 4, 6)
         level, node, m_row, k_col = rows[:, :4].astype(int).T
+        index = np.array(np.unravel_index(node, (16,) * 3))
+        assert np.all((index[0] < index[1]) & (index[1] < index[2]))
+        chamber = np.unique(node)
+        assert chamber.size == nodes
         vectors = np.zeros((nodes * 4, 3), dtype=complex)
-        vectors[node * 4 + m_row * 2 + k_col, level] = \
-            rows[:, 4] + 1j * rows[:, 5]
+        vectors[np.searchsorted(chamber, node) * 4 + m_row * 2 + k_col,
+                level] = rows[:, 4] + 1j * rows[:, 5]
         problem["model"] = ModelSpec(kind="AffAff", A=1.0, B=0.5)
         spec = quantum.eigensolve(quantum.build_reduced_hamiltonian(
             quantum.SpectralProblem(**problem)), 3)

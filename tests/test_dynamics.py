@@ -447,6 +447,33 @@ class TestIntegrate:
         assert traj.energy_drift < 1e-8
         assert traj.casimir_drift < 1e-8
 
+    @pytest.mark.parametrize("kind", ["MetrMetr", "TrigUn"])
+    def test_conservation_order(self, kind, rng):
+        # RK4's energy error is O(h^4) over a fixed time: at n = 3, ten
+        # states clear of the walls, t = 5, the largest relative drift falls
+        # at least 16x per halving of the step (28-32x measured), and so
+        # does the drift of C2 where it is conserved, which TrigUn's is not
+        model = MODELS[kind]
+        states = [random_state(rng, 3, scale=0.3, min_gap=0.8)
+                  for _ in range(10)]
+        if kind == "TrigUn":
+            states = [ReducedState(0.5 * s.q, s.p, M=s.M, N=s.N)
+                      for s in states]
+        y0 = np.array([dynamics.pack_state(s) for s in states])
+        kernel = dynamics.EomKernel(model, WELL, 3)
+        e0, c0 = kernel.energies(y0)
+        drifts = []
+        for step in (0.01, 0.005, 0.0025):
+            _, samples = dynamics.integrate_batch(model, WELL, y0, 5.0, step,
+                                                  3)
+            e, c = kernel.energies(samples[-1])
+            drifts.append((np.max(np.abs(e - e0) / np.abs(e0)),
+                           np.max(np.abs(c - c0) / np.abs(c0))))
+        ratios = np.array(drifts[:-1]) / np.array(drifts[1:])
+        assert np.all(ratios[:, 0] >= 16.0)
+        if kind != "TrigUn":
+            assert np.all(ratios[:, 1] >= 16.0)
+
     def test_trig_with_potential_not_wrapped(self):
         # V(qbar) is not 2 pi-periodic: wrapping the recorded angles would
         # change the energy of the samples, so q1 runs on past pi
@@ -836,6 +863,20 @@ class TestPlanar:
             assert res.x_min == below.x_min
             assert res.turning_points is None
             assert res.period is None
+
+    def test_well_bottom_closed_form(self):
+        # at 0 < |m|/|n| < 2.5e-25 x_min lies below the x = 0 guard of
+        # V_eff, and the bottom -(|n| - |m|)^2 / (16 A) needs no V_eff there
+        res = dynamics.classify_planar(1e-26, 1.0, energy=-0.01)
+        assert res.verdict == "Bounded"
+        x1, x2 = res.turning_points
+        assert 0.0 < x1 < res.x_min < x2
+        assert res.period == pytest.approx(10.0 * np.pi, rel=1e-14)
+        for m, n, A in [(1.0, 2.0, 1.0), (0.0, 2.0, 1.0), (0.5, 1.5, 1.3),
+                        (2.0, 3.5, 1.3)]:
+            x_min = dynamics.classify_planar(m, n, A=A).x_min
+            assert dynamics.planar_effective_potential(m, n, A, x_min) == \
+                pytest.approx(-(n - m) ** 2 / (16.0 * A), rel=1e-15)
 
     @staticmethod
     def quadrature_period(m, n, A, E, turning):

@@ -12,9 +12,27 @@ from affinebody.errors import (ConfigError, GridTooCoarse, InvalidLabel,
 from affinebody.phase import ModelSpec, PotentialSpec
 from affinebody.quantum import SpectralProblem
 
+import reference
 from test_phase import ALL_KINDS
 
 AFFAFF = ModelSpec(kind="AffAff", A=1.0, B=0.5)
+FULL_KINDS = [m for m in ALL_KINDS if m.kind != "TrigUn"]
+
+
+def _full_grid(model, n, labels, amended=True):
+    q_min, q_max = (0.2, 3.0) if model.kind == "DAlembert" else (-2.0, 2.0)
+    return SpectralProblem(
+        n=n, model=model, alpha_label=labels[0], beta_label=labels[1],
+        coordinate="full", q_min=q_min, q_max=q_max, points=16,
+        potential=PotentialSpec.harmonic_well(1.0),
+        use_amended_transform=amended)
+
+
+CHAMBER_CASES = {
+    f"{m.kind}-n{n}-{'amended' if amended else 'raw'}":
+        _full_grid(m, n, labels, amended)
+    for m in FULL_KINDS for n, labels in ((2, (1.0, 1.0)), (3, (1.0, 0.0)))
+    for amended in (True, False)}
 
 
 class TestSpin:
@@ -304,37 +322,137 @@ class TestFullGrid:
             < 1e-10
 
     def test_scalar_full_matches_separated(self):
-        # s = j = 0 on a 2-d hyperbolic grid: the spectrum contains the
-        # sums of dilatational and shear levels; compare the ground state
-        pbf = SpectralProblem(n=2, model=AFFAFF, coordinate="full",
-                              q_min=-2.0, q_max=2.0, points=48,
-                              potential=PotentialSpec.harmonic_well(4.0))
-        ef = quantum.eigensolve(
-            quantum.build_reduced_hamiltonian(pbf), 1).eigenvalues[0]
-        assert np.isfinite(ef)
+        # n = 2 amplitudes are scalars.  On the chamber q_1 < q_2 the
+        # operator separates into the dilatation qbar and the shear
+        # x = q_2 - q_1: a harmonic well binds qbar (omega = 1, so 1/2),
+        # and at labels (2, 4) the Poschl-Teller shear well binds x with
+        # (hbar^2/A)[1 - ((lambda - kappa - 1)/2)^2], kappa(kappa - 1) =
+        # (j - s)^2/4 and lambda(lambda - 1) = (j + s)^2/4.  On [-8, 8]^2
+        # the box cuts the bound state off far below the grid error, which
+        # falls at second order in h
+        kappa = 0.5 + math.sqrt(0.25 + 1.0)
+        lam = 0.5 + math.sqrt(0.25 + 9.0)
+        oracle = 0.5 + 1.0 - 0.25 * (lam - kappa - 1.0) ** 2
+        assert oracle == pytest.approx(1.28685745, abs=1e-8)
+
+        def error(points):
+            pb = SpectralProblem(n=2, model=AFFAFF, alpha_label=2.0,
+                                 beta_label=4.0, coordinate="full",
+                                 q_min=-8.0, q_max=8.0, points=points,
+                                 potential=PotentialSpec.harmonic_well(4.0))
+            op = quantum.build_reduced_hamiltonian(pb)
+            return abs(quantum.eigensolve(op, 1).eigenvalues[0] - oracle)
+
+        coarse, fine = error(63), error(127)
+        assert fine < 1e-3
+        assert coarse / fine > 3.5
 
     @pytest.mark.parametrize("n, points", [(3, 16), (2, 64)])
     def test_weyl_group_symmetry(self, n, points):
         # for labels (0, 0) the amended AffAff operator is a function of
-        # the unordered invariants: every axis permutation of the grid
-        # commutes with it to round-off
+        # the unordered invariants.  On every off-wall node of the lattice
+        # (all n! chambers) each axis permutation commutes with it to
+        # round-off, no entry couples two chambers, and its principal
+        # submatrix on the chamber q_1 < ... < q_n is the library's operator
         pb = SpectralProblem(n=n, model=AFFAFF, coordinate="full",
                              q_min=-2.0, q_max=2.0, points=points)
-        H = quantum.build_reduced_hamiltonian(pb).matrix.tocsr()
-        grid = np.arange(H.shape[0]).reshape((points,) * n)
+        ref = reference.full_grid_all_chambers(pb)
+        H = ref.matrix
+        shape = (points,) * n
+        index = np.array(np.unravel_index(ref.lattice, shape)).T
         scale = abs(H).max()
         for perm in itertools.permutations(range(n)):
-            idx = grid.transpose(perm).ravel()
+            moved = np.ravel_multi_index(index[:, perm].T, shape)
+            idx = np.searchsorted(ref.lattice, moved)
+            assert np.array_equal(ref.lattice[idx], moved)
             # P H P^T - H, with P the permutation of the grid nodes
             assert abs(H[idx][:, idx] - H).max() <= 1e-12 * scale
+        chamber = np.argsort(index, axis=1) @ n ** np.arange(n)
+        rows, cols = H.nonzero()
+        assert np.all(chamber[rows] == chamber[cols])
+        ordered = np.flatnonzero(np.all(np.diff(index, axis=1) > 0, axis=1))
+        op = quantum.build_reduced_hamiltonian(pb)
+        assert np.array_equal(ref.lattice[ordered], op.lattice)
+        assert abs(H[ordered][:, ordered] - op.matrix).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", sorted(CHAMBER_CASES))
+    def test_chamber_is_principal_submatrix(self, name):
+        # the chamber operator of every kind and form is the principal
+        # submatrix of the all-chamber box assembly, whose couplings are
+        # the pair denominators of the classical kinetic energy
+        pb = CHAMBER_CASES[name]
+        ref = reference.full_grid_all_chambers(pb)
+        op = quantum.build_reduced_hamiltonian(pb)
+        index = np.array(np.unravel_index(ref.lattice,
+                                          (pb.points,) * pb.n)).T
+        ordered = np.flatnonzero(np.all(np.diff(index, axis=1) > 0, axis=1))
+        assert np.array_equal(ref.lattice[ordered], op.lattice)
+        assert np.array_equal(op.nodes, ref.nodes[ordered])
+        bdim = op.block_shape[0] * op.block_shape[1]
+        rows = (ordered[:, None] * bdim + np.arange(bdim)).ravel()
+        sub = ref.matrix[rows][:, rows]
+        assert sub.nnz == op.matrix.nnz
+        assert abs(sub - op.matrix).max() <= 1e-12 * abs(sub).max()
+        if pb.use_amended_transform:
+            assert op.weight is None
+        else:
+            assert np.allclose(op.weight, ref.weight[rows], rtol=1e-12,
+                               atol=0.0)
+
+    @pytest.mark.parametrize("n, grids, oracle", [
+        (2, (31, 63, 127), [2.5421, 4.0843, 5.0095, 6.2432]),
+        (3, (16, 33), [8.3180, 10.4769])])
+    def test_chamber_closed_form(self, n, grids, oracle):
+        # labels (0, 0), A = 1, B = 0 on [-2, 2]^n: the amended potential is
+        # the constant U = 2 (n = 2) or 8 (n = 3), and the levels are
+        # (1/2)[(pi/4)^2 sum_a k_a^2 + U] over strictly increasing k, the
+        # determinants of sines that vanish on the walls.  h halves from
+        # one grid to the next, and the error falls at second order
+        model = ModelSpec(kind="AffAff", A=1.0, B=0.0)
+        U = {2: 2.0, 3: 8.0}[n]
+        ks = sorted(sum(k * k for k in c)
+                    for c in itertools.combinations(range(1, 8), n))
+        exact = np.array([0.5 * ((np.pi / 4) ** 2 * k2 + U)
+                          for k2 in ks[:len(oracle)]])
+        assert np.allclose(exact, oracle, atol=1e-4)
+        errors = []
+        for points in grids:
+            pb = SpectralProblem(n=n, model=model, coordinate="full",
+                                 q_min=-2.0, q_max=2.0, points=points)
+            vals = quantum.eigensolve(quantum.build_reduced_hamiltonian(pb),
+                                      len(oracle)).eigenvalues
+            errors.append(np.abs(vals - exact))
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all(ratios >= 3.5)
+
+    @pytest.mark.parametrize("n, labels, grids", [
+        (2, (1.0, 0.0), (31, 63, 127)), (2, (1.0, 1.0), (31, 63, 127)),
+        (3, (1.0, 0.0), (16, 33))])
+    def test_amended_and_raw_converge_together(self, n, labels, grids):
+        # on the chamber the raw weighted form approaches the amended one
+        # at first order in h: the largest gap between their four lowest
+        # levels falls more than twofold each time h halves
+        gaps = []
+        for points in grids:
+            levels = [quantum.eigensolve(quantum.build_reduced_hamiltonian(
+                SpectralProblem(n=n, model=AFFAFF, alpha_label=labels[0],
+                                beta_label=labels[1], coordinate="full",
+                                q_min=-2.0, q_max=2.0, points=points,
+                                use_amended_transform=amended)),
+                4).eigenvalues for amended in (True, False)]
+            gaps.append(np.max(np.abs(levels[0] - levels[1])))
+        assert np.all(np.array(gaps[:-1]) / np.array(gaps[1:]) > 2.0)
 
     @pytest.mark.parametrize("labels, doublets", [
-        ((0.0, 0.0), {2: 4.331847664061}),
-        ((1.0, 0.0), {0: 4.624797665461, 2: 4.666478290754})])
+        ((0.0, 0.0), {}),
+        ((1.0, 0.0), {0: 6.266513499551, 3: 7.453916339875})])
     def test_weyl_group_doublets(self, labels, doublets):
-        # the n = 3 levels of S_3's two-dimensional irrep come in exact
-        # pairs: doublets maps the index of a pair's first member among
-        # the six lowest levels to its value
+        # on one Weyl chamber the n = 3 levels at labels (1, 0) still come
+        # in exact pairs, while those at labels (0, 0) are simple: the
+        # chamber keeps only S_3's sign representation of a scalar
+        # amplitude.  doublets maps the index of a pair's first member
+        # among the six lowest levels to its value; every other level is
+        # simple
         pb = SpectralProblem(n=3, model=ModelSpec(kind="AffAff", A=1.3,
                                                   B=0.4),
                              alpha_label=labels[0], beta_label=labels[1],
@@ -345,6 +463,8 @@ class TestFullGrid:
         for i, value in doublets.items():
             assert abs(vals[i + 1] - vals[i]) <= 1e-10 * abs(vals[i])
             assert vals[i] == pytest.approx(value, rel=1e-9)
+        for i in set(range(5)) - set(doublets):
+            assert vals[i + 1] - vals[i] > 1e-3 * vals[i]
 
     def test_dalembert_full(self):
         md = ModelSpec(kind="DAlembert", I=1.3)
@@ -361,17 +481,11 @@ class TestFullGrid:
 def _unweighted_problems():
     """Every family of unweighted operator that reaches the sparse path:
     full grids of each kind, and the periodic TrigUn grids."""
-    for model in [m for m in ALL_KINDS if m.kind != "TrigUn"]:
-        q_min, q_max = (0.2, 3.0) if model.kind == "DAlembert" \
-            else (-2.0, 2.0)
+    for model in FULL_KINDS:
         for n in (2, 3):
             for labels in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)):
                 yield f"{model.kind}-n{n}-{labels[0]:g}{labels[1]:g}", \
-                    SpectralProblem(
-                        n=n, model=model, alpha_label=labels[0],
-                        beta_label=labels[1], coordinate="full",
-                        q_min=q_min, q_max=q_max, points=16,
-                        potential=PotentialSpec.harmonic_well(1.0))
+                    _full_grid(model, n, labels)
     trig = ModelSpec(kind="TrigUn", A=1.0, B=0.3)
     for coordinate in ("shear", "dilatation"):
         yield f"TrigUn-{coordinate}", SpectralProblem(
@@ -541,7 +655,7 @@ class TestSolverPaths:
                              q_min=-2.0, q_max=2.0, points=64)
         spec = quantum.eigensolve(quantum.build_reduced_hamiltonian(pb), 6)
         assert spec.solver["path"] == "sparse"
-        assert spec.solver["dim"] == 4096
+        assert spec.solver["dim"] == 64 * 63 // 2
         assert np.max(spec.residuals) < 1e-10
 
     def test_dense_input_stays_dense(self):
@@ -553,12 +667,12 @@ class TestInnerProduct:
     def test_zero(self):
         x = np.linspace(0.1, 2.0, 40)
         f = np.sin(x)
-        assert quantum.inner_product(f, np.zeros_like(f), "haar", x) == 0.0
+        assert reference.inner_product(f, np.zeros_like(f), "haar", x) == 0.0
 
     def test_positivity(self, rng):
         x = np.linspace(0.1, 2.0, 60)
         f = rng.standard_normal(60) + 1j * rng.standard_normal(60)
-        val = quantum.inner_product(f, f, "haar", x)
+        val = reference.inner_product(f, f, "haar", x)
         assert abs(val.imag) < 1e-14
         assert val.real >= 0.0
 
@@ -569,14 +683,14 @@ class TestInnerProduct:
         P = np.sinh(x) ** 2
         f = np.exp(-x) * np.sin(2 * x)
         g = np.exp(-0.5 * x)
-        weighted = quantum.inner_product(f, g, "haar", x)
-        plain = quantum.inner_product(np.sqrt(P) * f, np.sqrt(P) * g,
+        weighted = reference.inner_product(f, g, "haar", x)
+        plain = reference.inner_product(np.sqrt(P) * f, np.sqrt(P) * g,
                                       "none", x)
         assert weighted == pytest.approx(plain, rel=1e-10)
 
     def test_matrix_amplitudes_normalized(self):
         x = np.linspace(0.0, 1.0, 50)
         f = np.ones((50, 2, 3))
-        val = quantum.inner_product(f, f, "none", x)
+        val = reference.inner_product(f, f, "none", x)
         # (1/(2*3)) * integral of Tr(f^+ f) = (1/6) * 6 * 1
         assert val == pytest.approx(1.0, rel=1e-12)
