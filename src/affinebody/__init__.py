@@ -6,17 +6,14 @@ from .errors import (AffineBodyError, ConfigError, ConvergenceFailure,
                      InvalidLabel, NumericFailure, ShapeMismatch,
                      SingularConfiguration, SingularWeight, StepFailure,
                      UnknownObservable)
-from .kinematics import (AffineVelocity, Configuration, Deformation,
-                         PolarDecomposition, TwoPolar, affine_velocity,
-                         align_two_polar, deformation, degeneracy_margin,
-                         polar_decompose, two_polar)
+from .kinematics import (Configuration, PolarDecomposition, TwoPolar,
+                         align_two_polar, degeneracy_margin, polar_decompose,
+                         two_polar)
 from .phase import (ModelSpec, PotentialSpec, ReducedState, casimir_csl2,
-                    hamiltonian, inverse_legendre_dalembert, kinetic_energy,
-                    legendre_dalembert)
+                    hamiltonian, kinetic_energy)
 from .poisson import (LinearObservable, ProductObservable,
                       bracket_observable, coordinate_observable,
-                      hamiltonian_observable, poisson_bracket,
-                      squared_norm_observable)
+                      hamiltonian_observable, poisson_bracket)
 from .dynamics import (PlanarClassification, StepControl, Trajectory,
                        classify_planar, eom_rhs, geodesic_exponential,
                        integrate, planar_effective_potential, planar_state,

@@ -408,7 +408,12 @@ def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
     samples shaped (records, batch, dim).  The state is held
     component-major, (dim, B); each RHS call writes its stage into one
     (4, dim, B) buffer, and a step ends with one product of the RK4
-    weights with that buffer."""
+    weights with that buffer.
+
+    A state that blows up (a step across a singular wall of the lattice)
+    stays non-finite from then on.  numpy's floating-point warnings are
+    off during the steps, and the records are checked once, at the end:
+    StepFailure names the time of the first non-finite record."""
     rhs = EomKernel(model, potential, n).rhs
     nsteps = max(1, int(round(t_end / step)))
     h = t_end / nsteps
@@ -421,20 +426,26 @@ def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
     half = 0.5 * h
     times = [0.0]
     samples = [y0]
-    for k in range(nsteps):
-        rhs(z.T, k1)
-        rhs((z + half * k1).T, k2)
-        rhs((z + half * k2).T, k3)
-        rhs((z + h * k3).T, k4)
-        z = z + (weights @ flat).reshape(z.shape)
-        if record_every is not None and ((k + 1) % record_every == 0
-                                         or k == nsteps - 1):
-            times.append((k + 1) * h)
-            samples.append(z.T.reshape(y0.shape))
+    with np.errstate(all="ignore"):
+        for k in range(nsteps):
+            rhs(z.T, k1)
+            rhs((z + half * k1).T, k2)
+            rhs((z + half * k2).T, k3)
+            rhs((z + h * k3).T, k4)
+            z = z + (weights @ flat).reshape(z.shape)
+            if record_every is not None and ((k + 1) % record_every == 0
+                                             or k == nsteps - 1):
+                times.append((k + 1) * h)
+                samples.append(z.T.reshape(y0.shape))
     if record_every is None:
         times.append(t_end)
         samples.append(z.T.reshape(y0.shape))
-    return np.array(times), np.array(samples)
+    times, samples = np.array(times), np.array(samples)
+    finite = np.isfinite(samples.reshape(len(times), -1)).all(axis=1)
+    if not finite.all():
+        raise StepFailure("RK4 state turned non-finite at "
+                          f"t = {times[np.argmin(finite)]:g}")
+    return times, samples
 
 
 def _polar_factors(mats):

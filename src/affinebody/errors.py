@@ -53,7 +53,8 @@ class NumericFailure(AffineBodyError):
 
 
 class StepFailure(NumericFailure):
-    """Adaptive step size underflowed before meeting the error tolerance."""
+    """An integration step failed: the adaptive step underflowed, the state
+    turned non-finite, or an attitude left the rotation group."""
 
 
 class ConvergenceFailure(NumericFailure):

@@ -20,19 +20,18 @@ CONDITION_FLOOR = 1e-12
 FULL_DEGENERACY_TOL = 1e-14
 
 
-def _check_square(phi, name="phi"):
+def _check_configuration(phi):
+    """phi as a float array, checked to be square, finite and of positive
+    determinant."""
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
-        raise ShapeMismatch(f"{name} must be square, got shape {phi.shape}")
+        raise ShapeMismatch(f"phi must be square, got shape {phi.shape}")
     if not np.all(np.isfinite(phi)):
-        raise SingularConfiguration(f"{name} contains non-finite entries")
-    return phi
-
-
-def _check_orientation(phi):
+        raise SingularConfiguration("phi contains non-finite entries")
     if np.linalg.det(phi) <= 0.0:
         raise SingularConfiguration(
             "configuration must have positive determinant")
+    return phi
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,7 @@ class Configuration:
     phi: np.ndarray
 
     def __post_init__(self):
-        phi = _check_square(self.phi)
-        _check_orientation(phi)
+        phi = _check_configuration(self.phi)
         object.__setattr__(self, "phi", phi)
 
     @property
@@ -76,46 +74,12 @@ class TwoPolar:
     R: np.ndarray
     q: np.ndarray
 
-    @property
-    def Q(self):
-        return np.exp(self.q)
-
-    @property
-    def D(self):
-        return np.diag(np.exp(self.q))
-
     def reconstruct(self):
         return (self.L * np.exp(self.q)) @ self.R.T
 
 
-@dataclass(frozen=True)
-class Deformation:
-    """Green and Cauchy deformation tensors with their spectral invariants."""
-
-    G: np.ndarray
-    C: np.ndarray
-    invariants: np.ndarray
-
-    @property
-    def lagrange_strain(self):
-        return 0.5 * (self.G - np.eye(self.G.shape[0]))
-
-    @property
-    def euler_strain(self):
-        return 0.5 * (np.eye(self.C.shape[0]) - self.C)
-
-
-@dataclass(frozen=True)
-class AffineVelocity:
-    """Laboratory (Omega) and co-moving (Omega_hat) affine velocities."""
-
-    Omega: np.ndarray
-    Omega_hat: np.ndarray
-
-
 def _guarded_svd(phi):
-    phi = _check_square(phi)
-    _check_orientation(phi)
+    phi = _check_configuration(phi)
     u, s, vt = np.linalg.svd(phi)
     if s[0] == 0.0 or s[-1] < CONDITION_FLOOR * s[0]:
         raise SingularConfiguration(
@@ -181,34 +145,6 @@ def align_two_polar(tp, reference):
     L[:, flip] = -L[:, flip]
     R[:, flip] = -R[:, flip]
     return TwoPolar(L=L, R=R, q=tp.q)
-
-
-def deformation(phi):
-    """Green tensor G = phi^T phi, Cauchy tensor C = (phi phi^T)^-1 and
-    the trace invariants Tr(G^p), p = 1..n."""
-    phi = _check_square(phi)
-    _check_orientation(phi)
-    G = phi.T @ phi
-    C = np.linalg.inv(phi @ phi.T)
-    n = phi.shape[0]
-    Gp = np.eye(n)
-    invariants = np.empty(n)
-    for p in range(n):
-        Gp = Gp @ G
-        invariants[p] = np.trace(Gp)
-    return Deformation(G=G, C=C, invariants=invariants)
-
-
-def affine_velocity(phi, phi_dot):
-    """Omega = dphi/dt phi^-1 (laboratory), Omega_hat = phi^-1 dphi/dt
-    (co-moving)."""
-    phi = _check_square(phi)
-    phi_dot = _check_square(phi_dot, name="phi_dot")
-    if phi_dot.shape != phi.shape:
-        raise ShapeMismatch("phi and phi_dot must have matching shapes")
-    _check_orientation(phi)
-    phi_inv = np.linalg.inv(phi)
-    return AffineVelocity(Omega=phi_dot @ phi_inv, Omega_hat=phi_inv @ phi_dot)
 
 
 def degeneracy_margin(q):

@@ -194,13 +194,6 @@ class ModelSpec:
             raise ConfigError(f"mu undefined for kind {self.kind}")
         return (self.I ** 2 - self.A ** 2) / self.I
 
-    def beta(self, n):
-        """beta = -alpha(alpha + nB)/B; requires B != 0."""
-        if self.B == 0.0:
-            raise ConfigError("beta undefined at B = 0")
-        al = self.alpha
-        return -al * (al + n * self.B) / self.B
-
     def trace_coefficient(self, n):
         """Denominator constant of the pbar^2 term: 2n(alpha + nB), or 2b."""
         if self.kind == "MetrMetr":
@@ -330,76 +323,6 @@ def wrap_angle(q):
     q = np.asarray(q, dtype=float)
     inside = (q > -np.pi) & (q <= np.pi)
     return np.where(inside, q, np.pi - np.mod(-q + np.pi, 2.0 * np.pi))
-
-
-# ---------------------------------------------------------------------------
-# d'Alembert Legendre transformation
-
-
-def legendre_dalembert(D, Qdot, chi_hat, theta_hat, inertia):
-    """Momenta (P, rho, tau) from velocities (Qdot, chi, theta).
-
-    P_a = I Qdot_a; rho = I(D^2 chi + chi D^2 - 2 D theta D);
-    tau = I(D^2 theta + theta D^2 - 2 D chi D).
-    """
-    D = np.asarray(D, dtype=float)
-    if D.ndim == 2:
-        D = np.diag(D).copy()
-    if inertia <= 0.0:
-        raise ConfigError("inertia must be positive")
-    if np.any(D <= 0.0):
-        raise ConfigError("D must be positive diagonal")
-    chi_hat = np.asarray(chi_hat, dtype=float)
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    D2 = D ** 2
-    P = inertia * np.asarray(Qdot, dtype=float)
-    rho = inertia * (D2[:, None] * chi_hat + chi_hat * D2[None, :]
-                     - 2.0 * D[:, None] * theta_hat * D[None, :])
-    tau = inertia * (D2[:, None] * theta_hat + theta_hat * D2[None, :]
-                     - 2.0 * D[:, None] * chi_hat * D[None, :])
-    return P, rho, tau
-
-
-def inverse_legendre_dalembert(D, P, rho_hat, tau_hat, inertia):
-    """Velocities (Qdot, chi, theta) from momenta; exact pairwise inverse.
-
-    Near-coincident Q_a = Q_b the pair system is rank deficient: it is
-    solvable only when rho_ab = -tau_ab, in which case the symmetric
-    gauge chi_ab + theta_ab = 0 is returned; otherwise DegenerateInertia.
-    """
-    D = np.asarray(D, dtype=float)
-    if D.ndim == 2:
-        D = np.diag(D).copy()
-    if inertia <= 0.0:
-        raise ConfigError("inertia must be positive")
-    if np.any(D <= 0.0):
-        raise ConfigError("D must be positive diagonal")
-    rho_hat = np.asarray(rho_hat, dtype=float)
-    tau_hat = np.asarray(tau_hat, dtype=float)
-    n = D.size
-    Qdot = np.asarray(P, dtype=float) / inertia
-    chi = np.zeros((n, n))
-    theta = np.zeros((n, n))
-    scale = max(np.max(np.abs(rho_hat)), np.max(np.abs(tau_hat)), 1.0)
-    for a in range(n):
-        for b in range(a + 1, n):
-            s = inertia * (D[a] ** 2 + D[b] ** 2)
-            t = -2.0 * inertia * D[a] * D[b]
-            if abs(D[a] - D[b]) < DEGENERACY_TOL * max(D[a], D[b]):
-                if abs(rho_hat[a, b] + tau_hat[a, b]) > 1e-9 * scale:
-                    raise DegenerateInertia(
-                        f"Q_{a + 1} = Q_{b + 1}: pair momenta inconsistent "
-                        "with the degenerate inertia map")
-                # removable limit, symmetric gauge chi + theta = 0
-                chi[a, b] = rho_hat[a, b] / (s - t)
-                theta[a, b] = -chi[a, b]
-            else:
-                det = s ** 2 - t ** 2
-                chi[a, b] = (s * rho_hat[a, b] - t * tau_hat[a, b]) / det
-                theta[a, b] = (s * tau_hat[a, b] - t * rho_hat[a, b]) / det
-            chi[b, a] = -chi[a, b]
-            theta[b, a] = -theta[a, b]
-    return Qdot, chi, theta
 
 
 # ---------------------------------------------------------------------------

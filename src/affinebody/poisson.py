@@ -32,19 +32,9 @@ class PhaseGradient:
                    np.zeros((n, n)))
 
 
-class Observable:
-    """Scalar function on the reduced phase space with an exact gradient."""
+class FunctionObservable:
+    """Observable from a value function and its exact gradient."""
 
-    name = "observable"
-
-    def value(self, state):
-        raise NotImplementedError
-
-    def gradient(self, state):
-        raise NotImplementedError
-
-
-class FunctionObservable(Observable):
     def __init__(self, name, value_fn, grad_fn):
         self.name = name
         self._value = value_fn
@@ -57,7 +47,7 @@ class FunctionObservable(Observable):
         return self._grad(state)
 
 
-class LinearObservable(Observable):
+class LinearObservable:
     """c0 + cq.q + cp.p + sum_{a<b} (CM_ab M_ab + CN_ab N_ab)."""
 
     def __init__(self, n, c0=0.0, cq=None, cp=None, CM=None, CN=None,
@@ -81,7 +71,7 @@ class LinearObservable(Observable):
                              self.CM.copy(), self.CN.copy())
 
 
-class ProductObservable(Observable):
+class ProductObservable:
     def __init__(self, f, g):
         self.f = f
         self.g = g
@@ -145,26 +135,6 @@ def hamiltonian_observable(model, potential):
                              kernel.layout.skew(g[k:]))
 
     return FunctionObservable(f"H[{model.kind}]", value, grad)
-
-
-def squared_norm_observable(tag, n):
-    """||rho||^2 or ||tau||^2 = (1/2) sum of squared entries."""
-    if tag not in ("rho", "tau"):
-        raise UnknownObservable(f"no squared-norm observable for {tag!r}")
-
-    def value(state):
-        mat = state.rho if tag == "rho" else state.tau
-        return 0.5 * float(np.sum(mat ** 2))
-
-    def grad(state):
-        mat = state.rho if tag == "rho" else state.tau
-        # d rho_ab / dM_ab = -1/2, d rho_ab / dN_ab = +1/2 and the value
-        # counts each independent component once: sum_{a<b} rho_ab^2
-        if tag == "rho":
-            return PhaseGradient(np.zeros(n), np.zeros(n), -mat, mat)
-        return PhaseGradient(np.zeros(n), np.zeros(n), -mat, -mat)
-
-    return FunctionObservable(f"|{tag}|^2", value, grad)
 
 
 def poisson_bracket(F, G, state):

@@ -10,15 +10,19 @@ the step-by-step forms of `dynamics.integrate_batch` and
 here the way the library once did, on the whole points^n box with
 Kronecker products, keeping every off-wall node of all n! Weyl chambers;
 the weighted inner product is a trapezoid-rule coding of the norm that
-`quantum.eigensolve` takes by node sums.
+`quantum.eigensolve` takes by node sums.  The squared norms of rho and tau,
+with their gradients, are the conserved quantities of the metric-restricted
+kinds, and beta is the pbar coefficient of the free-streaming velocity.
 """
 
 import numpy as np
 
 from affinebody import quantum
 from affinebody.dynamics import ORTHOGONALITY_TOL, EomKernel, Trajectory
-from affinebody.errors import ConfigError, ShapeMismatch, StepFailure
+from affinebody.errors import (ConfigError, ShapeMismatch, StepFailure,
+                               UnknownObservable)
 from affinebody.phase import _pair_denominators
+from affinebody.poisson import FunctionObservable, PhaseGradient
 
 
 def potential_grad(potential, q):
@@ -46,6 +50,35 @@ def hamiltonian_affaff_lattice(model, potential, state):
         - B * ptot ** 2 / (2.0 * A * (A + n * B)) \
         + np.sum(M ** 2 * inv_m - N ** 2 * inv_n) / (32.0 * A)
     return float(value + potential.value(q))
+
+
+def beta(model, n):
+    """beta = -alpha(alpha + nB)/B, so that dq/dt = p/alpha + pbar/beta
+    with vanishing couplings; requires B != 0."""
+    if model.B == 0.0:
+        raise ConfigError("beta undefined at B = 0")
+    al = model.alpha
+    return -al * (al + n * model.B) / model.B
+
+
+def squared_norm_observable(tag, n):
+    """||rho||^2 or ||tau||^2 = (1/2) sum of squared entries."""
+    if tag not in ("rho", "tau"):
+        raise UnknownObservable(f"no squared-norm observable for {tag!r}")
+
+    def value(state):
+        mat = state.rho if tag == "rho" else state.tau
+        return 0.5 * float(np.sum(mat ** 2))
+
+    def grad(state):
+        mat = state.rho if tag == "rho" else state.tau
+        # d rho_ab / dM_ab = -1/2, d rho_ab / dN_ab = +1/2 and the value
+        # counts each independent component once: sum_{a<b} rho_ab^2
+        if tag == "rho":
+            return PhaseGradient(np.zeros(n), np.zeros(n), -mat, mat)
+        return PhaseGradient(np.zeros(n), np.zeros(n), -mat, -mat)
+
+    return FunctionObservable(f"|{tag}|^2", value, grad)
 
 
 def gradients(model, potential, q, p, M, N):

@@ -10,6 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from affinebody import cli, io, quantum, schema
 from affinebody.phase import MODEL_KINDS, ModelSpec
 
+from test_dynamics import WALL_CROSSING
+
 
 def run(tmp_path, command, config, seed=None):
     cfg = tmp_path / "config.json"
@@ -124,6 +126,27 @@ class TestSimulate:
         bad = json.loads(json.dumps(self.BASE))
         bad.setdefault(block, {})[key] = value
         assert run(tmp_path, "simulate", bad) == 2
+
+    def test_nonfinite_rk4_state(self, tmp_path, capsys):
+        # RK4 steps this state across a wall, where it turns NaN: exit 4
+        # with one error line naming the time, no warning and no CSV
+        s = WALL_CROSSING
+        config = {"model": {"kind": "TrigUn", "A": 1.3, "B": 0.4},
+                  "potential": {"kind": "harmonic_well", "params": [1.5]},
+                  "initial": {"q": s.q.tolist(), "p": s.p.tolist(),
+                              "M": s.M.tolist(), "N": s.N.tolist()},
+                  "numerics": {"t_end": 5.0, "step": 0.0025,
+                               "record_every": 10}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(tmp_path, "simulate", config)
+        assert caught == []
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: RK4 state turned non-finite at t = 3.9\n"
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_trig_angle_crosses_pi(self, tmp_path, capsys):
         # the TrigUn Hamiltonian is 2 pi-periodic in every angle: q1 runs

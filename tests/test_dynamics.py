@@ -27,6 +27,14 @@ def kind_state(rng, model, n):
     return st_
 
 
+# TrigUn (A = 1.3, B = 0.4) in WELL: q_1 - q_3 climbs to the N-type
+# antipodal wall at pi, and RK4 at step 0.0025 steps across it
+WALL_CROSSING = ReducedState([0.52026, 0.09401, -0.43017],
+                             [0.01544, 0.20154, -0.08683],
+                             m_upper=[-1.16971, 1.12425, -0.44865],
+                             n_upper=[0.00901, -0.11979, -0.04984])
+
+
 kinds = pytest.mark.parametrize("model", ALL_KINDS,
                                 ids=[m.kind for m in ALL_KINDS])
 sizes = pytest.mark.parametrize("n", [2, 3])
@@ -51,7 +59,7 @@ class TestEomRhs:
         p = np.array([0.7, -0.2, 0.4])
         st_ = ReducedState(np.array([1.0, 0.0, -1.0]), p)
         rhs = dynamics.eom_rhs(model, GEODETIC, st_)
-        expected = p / model.alpha + np.sum(p) / model.beta(3)
+        expected = p / model.alpha + np.sum(p) / reference.beta(model, 3)
         assert np.allclose(rhs.q, expected, atol=1e-14)
         assert np.allclose(rhs.p, 0.0, atol=1e-14)
         assert np.allclose(rhs.M, 0.0)
@@ -473,6 +481,22 @@ class TestIntegrate:
         assert np.all(ratios[:, 0] >= 16.0)
         if kind != "TrigUn":
             assert np.all(ratios[:, 1] >= 16.0)
+
+    def test_nonfinite_state_raises(self, rng):
+        # one state of ten turns NaN past the wall: the batch raises at its
+        # first non-finite record, and no RuntimeWarning escapes
+        model = MODELS["TrigUn"]
+        states = [random_state(rng, 3, scale=0.3, min_gap=0.8)
+                  for _ in range(9)]
+        y0 = np.array([dynamics.pack_state(
+            ReducedState(0.5 * s.q, s.p, M=s.M, N=s.N)) for s in states])
+        _, samples = dynamics.integrate_batch(model, WELL, y0, 5.0, 0.0025,
+                                              3, record_every=10)
+        assert np.all(np.isfinite(samples))
+        y0 = np.insert(y0, 4, dynamics.pack_state(WALL_CROSSING), axis=0)
+        with pytest.raises(StepFailure, match=r"at t = 3\.9$"):
+            dynamics.integrate_batch(model, WELL, y0, 5.0, 0.0025, 3,
+                                     record_every=10)
 
     def test_trig_with_potential_not_wrapped(self):
         # V(qbar) is not 2 pi-periodic: wrapping the recorded angles would

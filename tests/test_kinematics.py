@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affinebody import kinematics
-from affinebody.errors import ShapeMismatch, SingularConfiguration
+from affinebody.errors import SingularConfiguration
 
 from conftest import random_spd_configuration
 
@@ -92,62 +92,6 @@ class TestTwoPolar:
         tp = kinematics.two_polar(phi)
         assert np.linalg.norm(tp.reconstruct() - phi) \
             / max(np.linalg.norm(phi), 1.0) < 1e-10
-
-
-class TestDeformation:
-    def test_identity(self):
-        d = kinematics.deformation(np.eye(3))
-        assert np.allclose(d.G, np.eye(3))
-        assert np.allclose(d.C, np.eye(3))
-        assert np.allclose(d.invariants, [3.0, 3.0, 3.0])
-
-    def test_diagonal_first_invariant(self):
-        d = kinematics.deformation(np.diag([2.0, 1.0, 0.5]))
-        assert d.invariants[0] == pytest.approx(5.25, abs=1e-14)
-
-    def test_orthogonal_invariance(self, rng):
-        for _ in range(100):
-            phi = random_spd_configuration(rng, 3)
-            base = kinematics.deformation(phi).invariants
-            qa, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-            qb, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-            if np.linalg.det(qa) < 0:
-                qa[:, 0] *= -1
-            if np.linalg.det(qb) < 0:
-                qb[:, 0] *= -1
-            moved = kinematics.deformation(qa @ phi @ qb).invariants
-            assert np.allclose(base, moved, rtol=1e-10, atol=1e-10)
-
-    def test_strains(self):
-        d = kinematics.deformation(np.diag([2.0, 1.0]))
-        assert np.allclose(d.lagrange_strain,
-                           0.5 * (np.diag([4.0, 1.0]) - np.eye(2)))
-        assert np.allclose(d.euler_strain,
-                           0.5 * (np.eye(2) - np.diag([0.25, 1.0])))
-
-
-class TestAffineVelocity:
-    def test_zero(self):
-        v = kinematics.affine_velocity(np.eye(3), np.zeros((3, 3)))
-        assert np.allclose(v.Omega, 0.0)
-        assert np.allclose(v.Omega_hat, 0.0)
-
-    def test_identity_configuration(self, rng):
-        phid = rng.standard_normal((3, 3))
-        v = kinematics.affine_velocity(np.eye(3), phid)
-        assert np.allclose(v.Omega, phid)
-        assert np.allclose(v.Omega_hat, phid)
-
-    def test_rigid_rotation_skew(self):
-        W = np.array([[0.0, -0.7], [0.7, 0.0]])
-        phi = rotation2(0.3)
-        v = kinematics.affine_velocity(phi, W @ phi)
-        assert np.allclose(v.Omega, W)
-        assert np.allclose(v.Omega + v.Omega.T, 0.0, atol=1e-14)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            kinematics.affine_velocity(np.eye(3), np.eye(2))
 
 
 class TestDegeneracyMargin:

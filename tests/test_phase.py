@@ -29,61 +29,6 @@ ALL_KINDS = [
 ]
 
 
-class TestLegendreDAlembert:
-    def test_zero(self):
-        out = phase.legendre_dalembert(np.array([2.0, 1.0]), np.zeros(2),
-                                       np.zeros((2, 2)), np.zeros((2, 2)),
-                                       1.0)
-        P, rho, tau = out
-        assert np.allclose(P, 0.0)
-        assert np.allclose(rho, 0.0)
-        assert np.allclose(tau, 0.0)
-
-    def test_reference_values(self):
-        # D = diag(2, 1), chi^1_2 = 1, theta = 0, I = 1:
-        # rho^1_2 = D1^2 + D2^2 = 5, tau^1_2 = -2 D1 D2 = -4
-        chi = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        P, rho, tau = phase.legendre_dalembert(
-            np.array([2.0, 1.0]), np.zeros(2), chi, np.zeros((2, 2)), 1.0)
-        assert rho[0, 1] == pytest.approx(5.0, abs=1e-14)
-        assert tau[0, 1] == pytest.approx(-4.0, abs=1e-14)
-
-    def test_roundtrip(self, rng):
-        for _ in range(30):
-            D = np.sort(rng.uniform(0.5, 3.0, 3))[::-1]
-            if np.min(D[:-1] - D[1:]) < 0.1:
-                continue
-            Qdot = rng.standard_normal(3)
-            chi = rng.standard_normal((3, 3))
-            chi = chi - chi.T
-            theta = rng.standard_normal((3, 3))
-            theta = theta - theta.T
-            inertia = 1.4
-            P, rho, tau = phase.legendre_dalembert(D, Qdot, chi, theta,
-                                                   inertia)
-            Qdot2, chi2, theta2 = phase.inverse_legendre_dalembert(
-                D, P, rho, tau, inertia)
-            assert np.allclose(Qdot2, Qdot, atol=1e-12)
-            assert np.allclose(chi2, chi, atol=1e-12)
-            assert np.allclose(theta2, theta, atol=1e-12)
-
-    def test_inverse_reference(self):
-        D = np.array([2.0, 1.0])
-        rho = np.array([[0.0, 5.0], [-5.0, 0.0]])
-        tau = np.array([[0.0, -4.0], [4.0, 0.0]])
-        Qdot, chi, theta = phase.inverse_legendre_dalembert(
-            D, np.zeros(2), rho, tau, 1.0)
-        assert chi[0, 1] == pytest.approx(1.0, abs=1e-12)
-        assert theta[0, 1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_near_degenerate_mismatch(self):
-        D = np.array([1.0 + 1e-14, 1.0])
-        rho = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        tau = np.array([[0.0, 1.0], [-1.0, 0.0]])   # rho != -tau
-        with pytest.raises(DegenerateInertia):
-            phase.inverse_legendre_dalembert(D, np.zeros(2), rho, tau, 1.0)
-
-
 class TestEnergy:
     def test_potential_only(self):
         model = ModelSpec(kind="AffAff", A=1.0, B=0.0)

@@ -5,7 +5,7 @@ from affinebody import phase, poisson
 from affinebody.errors import UnknownObservable
 from affinebody.phase import ModelSpec, PotentialSpec
 
-from reference import gradients
+from reference import gradients, squared_norm_observable
 from test_dynamics import POTENTIALS, kind_state
 from test_phase import ALL_KINDS, random_state
 
@@ -163,7 +163,7 @@ class TestConservedObservables:
         for kind, extra in (("AffMetr", "tau"), ("MetrAff", "rho")):
             model = ModelSpec(kind=kind, I=0.8, A=1.1, B=0.2)
             H = poisson.hamiltonian_observable(model, PotentialSpec.none())
-            obs = poisson.squared_norm_observable(extra, 3)
+            obs = squared_norm_observable(extra, 3)
             for _ in range(10):
                 st_ = random_state(rng, 3)
                 val = poisson.poisson_bracket(obs, H, st_)

@@ -265,6 +265,38 @@ class TestShear:
         assert np.all(fine < coarse)
         assert np.max(fine) < 1e-3
 
+    @pytest.mark.parametrize("labels, A, levels", [
+        ((2.0, 4.0), 1.0, [0.78685745]),
+        ((2.0, 4.0), 1.7, [0.46285732]),
+        ((4.0, 4.0), 1.0, [-0.60165334, 0.92947553])])
+    def test_poschl_teller_levels(self, labels, A, levels):
+        # at B = 0 the shear operator is (hbar^2/A)[-d^2 + 1 +
+        # (kappa(kappa - 1)/sh^2(x/2) - lambda(lambda - 1)/ch^2(x/2))/4],
+        # kappa(kappa - 1) = (j - s)^2/4 and lambda(lambda - 1) =
+        # (j + s)^2/4, whose bound levels are (hbar^2/A)[1 - (lambda -
+        # kappa - 1 - 2k)^2/4] (Poschl & Teller, 1933).  The amended grid
+        # converges to them at second order (3.87-4.00x per doubling
+        # measured).  Labels (3, 4) fall only 2.7x: kappa = 1.21 there, and
+        # the amplitude goes as x^kappa at the wall
+        s, j = labels
+        kappa = 0.5 + math.sqrt(0.25 + 0.25 * (j - s) ** 2)
+        lam = 0.5 + math.sqrt(0.25 + 0.25 * (j + s) ** 2)
+        oracle = [(1.0 - 0.25 * (lam - kappa - 1.0 - 2.0 * k) ** 2) / A
+                  for k in range(len(levels))]
+        assert np.allclose(oracle, levels, rtol=0.0, atol=1e-8)
+        model = ModelSpec(kind="AffAff", A=A, B=0.0)
+        errors = []
+        for points in (1000, 2000, 4000):
+            pb = SpectralProblem(n=2, model=model, alpha_label=s,
+                                 beta_label=j, coordinate="shear",
+                                 q_min=0.0, q_max=40.0, points=points)
+            spec = quantum.eigensolve(quantum.build_reduced_hamiltonian(pb),
+                                      len(levels))
+            errors.append(np.max(np.abs(spec.eigenvalues - oracle)))
+        assert errors[-1] < 3e-5
+        assert errors[0] / errors[1] >= 3.5
+        assert errors[1] / errors[2] >= 3.5
+
     def test_singular_weight_guard(self):
         # a grid crossing x = 0 with a nonvanishing M-type coupling
         with pytest.raises(SingularWeight):
