@@ -312,10 +312,6 @@ class Trajectory:
         return float(np.max(np.abs(self.casimir - self.casimir[0])) / scale)
 
 
-def _energies(model, potential, ys, n):
-    return EomKernel(model, potential, n).energies(ys)
-
-
 # RK4 weights of the four stages, in units of the step
 _RK4_B = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
 
@@ -396,7 +392,7 @@ def integrate(model, potential, state0, t_end, control=StepControl()):
         # record the (-pi, pi] representative.  V(qbar) is not periodic,
         # so with one the angles are recorded as integrated
         samples[:, :n] = phase.wrap_angle(samples[:, :n])
-    energy, casimir = _energies(model, potential, samples, n)
+    energy, casimir = EomKernel(model, potential, n).energies(samples)
     return Trajectory(n=n, model=model, potential=potential,
                       times=times, samples=samples,
                       energy=energy, casimir=casimir, control=control)

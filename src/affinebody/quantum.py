@@ -206,7 +206,7 @@ class ReducedOperator:
     of every grid unknown of a dilatational problem.
     """
 
-    matrix: object               # csr_array (1-d) or csr_matrix (full)
+    matrix: object               # csr_array, for every coordinate
     weight: np.ndarray | None
     nodes: np.ndarray            # (npts,) or (npts, n) coordinate values
     block_shape: tuple
@@ -270,127 +270,6 @@ def _grid_nodes(q_min, q_max, points, boundary):
     return q_min + h * np.arange(points), h
 
 
-def _stencil(diag, lower, upper, periodic=False, stride=1):
-    """Three-band operator as a csr_array; zero entries are not stored.
-
-    Row i couples to i - stride with lower[i] and to i + stride with
-    upper[i].  A periodic 1-d grid wraps lower[0] and upper[-1] round to
-    the far corners; otherwise they fall off the grid.
-    """
-    import scipy.sparse as sp
-    pts = np.size(lower)
-    bands = [lower[stride:], np.broadcast_to(diag, pts), upper[:-stride]]
-    offsets = [-stride, 0, stride]
-    if periodic:
-        bands += [upper[-1:], lower[:1]]
-        offsets += [1 - pts, pts - 1]
-    return sp.diags_array(bands, offsets=offsets, format="csr")
-
-
-def _laplacian_1d(points, h, boundary):
-    """-d^2/dx^2 as a symmetric 3-point stencil."""
-    off = np.full(points, -1.0 / h ** 2)
-    return _stencil(2.0 / h ** 2, off, off, boundary == "periodic")
-
-
-def _flux_operator_1d(weight_at, nodes, h, boundary):
-    """-(1/P) d/dx (P d/dx) with midpoint weights.
-
-    Returned as a stencil T; diag(P) @ T is exactly symmetric.
-    """
-    w = weight_at(nodes)
-    if np.any(w <= 0.0):
-        raise SingularWeight("weight vanishes on a grid node")
-    wp = weight_at(nodes + 0.5 * h)
-    wm = weight_at(nodes - 0.5 * h)
-    scale = w * h ** 2
-    T = _stencil((wp + wm) / scale, -wm / scale, -wp / scale,
-                    boundary == "periodic")
-    return T, w
-
-
-def _build_dilatation(problem):
-    import scipy.sparse as sp
-    model = problem.model
-    cL, cQ = _kinetic_coefficients(model, problem.n)
-    mass_inv = cL / problem.n + cQ          # coefficient of pbar^2
-    nodes, h = _grid_nodes(problem.q_min, problem.q_max, problem.points,
-                           problem.boundary)
-    hb2 = model.hbar ** 2
-    K = _laplacian_1d(problem.points, h, problem.boundary)
-    pot = problem.potential
-    if pot.kind == "box":
-        half = 0.5 * pot.params[0]
-        if problem.q_min < -half - 1e-12 or problem.q_max > half + 1e-12:
-            raise ConfigError("box potential narrower than the grid; "
-                              "set the grid to the box width")
-        v = np.zeros_like(nodes)
-    else:
-        v = pot.dilatational_value(nodes)
-    shift = angular_shift(model.kind, problem.alpha_label,
-                          problem.beta_label, model)
-    H = hb2 * mass_inv * K + sp.diags_array(v + shift)
-    ds, dj = problem.block_shape
-    return ReducedOperator(
-        matrix=H, weight=None, nodes=nodes, block_shape=(1, 1),
-        block_dim=ds * dj, problem=problem, meta={"step": h})
-
-
-def _shear_weight_functions(kind):
-    if kind == "TrigUn":
-        return (lambda x: np.sin(x) ** 2), -1.0, np.sin, np.cos
-    return (lambda x: np.sinh(x) ** 2), 1.0, np.sinh, np.cosh
-
-
-def _build_shear(problem):
-    import scipy.sparse as sp
-    model = problem.model
-    cL, cQ = _kinetic_coefficients(model, 2)
-    hb2 = model.hbar ** 2
-    nodes, h = _grid_nodes(problem.q_min, problem.q_max, problem.points,
-                           problem.boundary)
-    weight_fn, amended_u, sm_fn, cm_fn = _shear_weight_functions(model.kind)
-    cpl, sign_n = _coupling_constants(model)
-    hbar = model.hbar
-    bm = hbar * (problem.beta_label - problem.alpha_label)
-    bp = hbar * (problem.beta_label + problem.alpha_label)
-
-    coincident = np.abs(sm_fn(nodes)) < COINCIDENCE_TOL
-    if np.any(coincident) and bm != 0.0:
-        raise SingularWeight(
-            "grid node on a coincidence with a nonvanishing coupling")
-    # TrigUn only: cos(x/2) vanishes on the antipodal set x = +-pi
-    antipodal = np.abs(cm_fn(0.5 * nodes)) < COINCIDENCE_TOL
-    if np.any(antipodal) and bp != 0.0:
-        raise SingularWeight(
-            "grid node on an antipodal pair with a nonvanishing coupling")
-
-    # pair couplings: ordered pairs (1,2) and (2,1) double the single term
-    sm2 = sm_fn(0.5 * nodes) ** 2
-    cm2 = cm_fn(0.5 * nodes) ** 2
-    vm = np.where(coincident, 0.0,
-                  2.0 * cpl * bm ** 2 / np.where(coincident, 1.0, sm2))
-    vn = sign_n * 2.0 * cpl * bp ** 2 / cm2
-    q_nodes = np.stack([0.5 * nodes, -0.5 * nodes], axis=-1)
-    v = problem.potential.value(q_nodes)
-    shift = angular_shift(model.kind, problem.alpha_label,
-                          problem.beta_label, model)
-    diag_part = vm + vn + v + shift
-
-    if problem.use_amended_transform:
-        K = _laplacian_1d(problem.points, h, problem.boundary)
-        H = 2.0 * hb2 * cL * (K + amended_u * sp.eye_array(problem.points)) \
-            + sp.diags_array(diag_part)
-        weight = None
-    else:
-        T, w = _flux_operator_1d(weight_fn, nodes, h, problem.boundary)
-        H = 2.0 * hb2 * cL * T + sp.diags_array(diag_part)
-        weight = w
-    return ReducedOperator(
-        matrix=H, weight=weight, nodes=nodes, block_shape=(1, 1),
-        block_dim=1, problem=problem, meta={"step": h})
-
-
 def _amended_potential_nodes(kind, coords):
     """U = (sum_a d_a^2 sqrt(P)) / sqrt(P) evaluated per grid node."""
     npts, n = coords.shape
@@ -451,92 +330,135 @@ def _chamber(points, n):
     return idx, idx @ points ** np.arange(n - 1, -1, -1)
 
 
-def _build_full(problem):
-    """Operator on the Weyl chamber q_1 < ... < q_n of one lattice.
+def _node_blocks(problem, q):
+    """One (bdim, bdim) block per node q (npts, n): the potential, the
+    angular shift and the ordered-pair couplings cpl Bm^2 / dm^2 and
+    +-cpl Bp^2 / dn^2.  The denominators are sh and ch of the half
+    differences (sin and cos for TrigUn) or Q_a -+ Q_b for d'Alembert.  A
+    pair whose block is zero is dropped, so a node on a coincidence is
+    singular only under a nonvanishing coupling.  A single column q, the
+    dilatation, has no pairs and scalar blocks."""
+    model = problem.model
+    kind = model.kind
+    pot = problem.potential
+    npts, n = q.shape
+    shift = angular_shift(kind, problem.alpha_label, problem.beta_label,
+                          model)
+    if n == 1:
+        # a box acts through the Dirichlet walls of a dilatation grid
+        v = np.zeros(npts) if pot.kind == "box" else pot.value(q)
+        return (v + shift)[:, None, None]
+    if kind == "DAlembert":
+        dm = q[:, :, None] - q[:, None, :]
+        dn = q[:, :, None] + q[:, None, :]
+        v = pot.value(np.log(q))
+    else:
+        sm, cm = (np.sin, np.cos) if kind == "TrigUn" else (np.sinh, np.cosh)
+        x = 0.5 * (q[:, :, None] - q[:, None, :])
+        dm, dn = sm(x), cm(x)
+        v = pot.value(q)
+    blocks = (v + shift)[:, None, None] * np.eye(np.prod(problem.block_shape))
+    cpl, sign_n = _coupling_constants(model)
+    for (a, b), (Bm2, Bp2) in _block_couplings(problem).items():
+        for d, B2, c, where in ((dm, Bm2, cpl, "a coincidence"),
+                                (dn, Bp2, sign_n * cpl, "an antipodal pair")):
+            if not np.any(B2):
+                continue
+            if np.any(np.abs(d[:, a, b]) < COINCIDENCE_TOL):
+                raise SingularWeight(
+                    f"grid node on {where} with a nonvanishing coupling")
+            blocks += (c / d[:, a, b] ** 2)[:, None, None] * B2
+    return blocks
 
-    The Weyl group permutes q together with the spin labels, so a regular
-    amplitude is fixed by its values on one chamber and vanishes on the
-    walls q_a = q_b.  The unknowns are the strictly ordered lattice nodes;
-    wall and out-of-box nodes are Dirichlet zeros.  An axis step from a
-    chamber node lands in the chamber or on a dropped node, and so does
-    the step along (1, ..., 1) that carries the cQ (sum_a d_a)^2 term.
+
+def build_reduced_hamiltonian(problem):
+    """Assemble the grid operator for one reduced spectral problem.
+
+    Every coordinate is a chamber lattice: the points nodes of a 1-d grid,
+    or the nodes q_1 < ... < q_n of a full grid.  The Weyl group permutes q
+    together with the spin labels, so a regular full-grid amplitude is
+    fixed by its values on one chamber and vanishes on the walls
+    q_a = q_b; wall and out-of-box nodes are Dirichlet zeros, and a
+    periodic axis wraps its last edge round to node 0.  The kinetic part
+    is the flux stencil -c sum_u (1/P) d_u (P d_u) over the axis steps u
+    and, on full grids, the step (1, ..., 1) that carries the cQ
+    (sum_a d_a)^2 term, with P taken at edge midpoints.  In amended
+    variables P = 1 and the amended potential U is added instead.
     """
     import scipy.sparse as sp
     model = problem.model
-    kind = model.kind
-    n, pts = problem.n, problem.points
+    kind, n, pts = model.kind, problem.n, problem.points
     cL, cQ = _kinetic_coefficients(model, n)
     hb2 = model.hbar ** 2
-    axis, h = _grid_nodes(problem.q_min, problem.q_max, pts, "dirichlet")
-    idx, lattice = _chamber(pts, n)
+    axis, h = _grid_nodes(problem.q_min, problem.q_max, pts, problem.boundary)
+    coordinate = problem.coordinate
+    full = coordinate == "full"
+    dims = n if full else 1
+    idx, lattice = _chamber(pts, dims)
     coords = axis[idx]
     npts = len(idx)
-    weight_at = lebesgue_weight if kind == "DAlembert" else haar_weight
     amended = problem.use_amended_transform
-    weight = None if amended else weight_at(coords)
 
-    def midpoint_weight(a, offset):
+    # per coordinate: the coefficients of the axis steps and of the step
+    # (1, ..., 1), the weight P of the lattice coordinates, and U
+    c_diag, weight_at, U = 0.0, None, 0.0
+    if coordinate == "dilatation":
+        c_axis = hb2 * (cL / n + cQ)
+        pot = problem.potential
+        half = 0.5 * pot.params[0] if pot.kind == "box" else np.inf
+        if problem.q_min < -half - 1e-12 or problem.q_max > half + 1e-12:
+            raise ConfigError("box potential narrower than the grid; "
+                              "set the grid to the box width")
+    elif coordinate == "shear":
+        trig = kind == "TrigUn"
+        c_axis, U = 2.0 * hb2 * cL, -1.0 if trig else 1.0
+        weight_at = lambda x: (np.sin if trig else np.sinh)(x[..., 0]) ** 2
+    else:
+        c_axis, c_diag = hb2 * cL, hb2 * cQ
+        weight_at = lebesgue_weight if kind == "DAlembert" else haar_weight
         if amended:
-            return 1.0
-        mid = coords.copy()
-        mid[:, a] = problem.q_min + h * (idx[:, a] + 1.0 + offset)
-        return weight_at(mid)
+            U = _amended_potential_nodes(kind, coords)
+    blocks = _node_blocks(problem, coords * [0.5, -0.5]
+                          if coordinate == "shear" else coords)
+    raw = weight_at is not None and not amended
+    weight = weight_at(coords) if raw else None
+    if raw and np.any(weight <= 0.0):
+        raise SingularWeight("weight vanishes on a grid node")
 
-    # symmetric form: diag(P) H for the raw weighted form, H itself for the
-    # amended one; each edge is stored from its lower node, at both ends
-    diag = np.zeros(npts)
+    # symmetric form: diag(P) H for the raw weighted form, H itself
+    # otherwise; each edge is stored from its lower node, at both ends
+    diag = np.zeros(npts) + (0.0 if raw else c_axis * U)
+    steps = [(c_axis, u) for u in np.eye(dims, dtype=int)]
+    if c_diag != 0.0:
+        steps.append((c_diag, np.ones(dims, dtype=int)))
+    strides = pts ** np.arange(dims - 1, -1, -1)
     edges = []
-
-    def link(stride, valid, value):
-        r = np.flatnonzero(valid)
-        c = np.searchsorted(lattice, lattice[r] + stride)
-        edges.append((r, c, np.broadcast_to(value, npts)[r]))
-
-    strides = pts ** np.arange(n - 1, -1, -1)
-    bound = np.column_stack([idx[:, 1:], np.full(npts, pts)])
-    for a in range(n):
-        wp, wm = midpoint_weight(a, 0.5), midpoint_weight(a, -0.5)
-        diag = diag + hb2 * cL * (wp + wm) / h ** 2
-        link(strides[a], idx[:, a] + 1 < bound[:, a], -hb2 * cL * wp / h ** 2)
-    if cQ != 0.0:
-        # the Haar weight is constant along (1, ..., 1), so in both forms
-        # cQ (sum_a d_a)^2 is the second difference along that diagonal
-        w = 1.0 if amended else weight
-        diag = diag + 2.0 * hb2 * cQ * w / h ** 2
-        link(strides.sum(), idx[:, -1] + 1 < pts, -hb2 * cQ * w / h ** 2)
-    if amended:
-        diag = diag + hb2 * cL * _amended_potential_nodes(kind, coords)
+    for coef, u in steps:
+        wp = weight_at(coords + 0.5 * h * u) if raw else 1.0
+        wm = weight_at(coords - 0.5 * h * u) if raw else 1.0
+        diag = diag + coef * (wp + wm) / h ** 2
+        nxt = idx + u
+        if problem.boundary == "periodic":
+            nxt %= pts
+        r = np.flatnonzero(np.all(np.diff(nxt, axis=1) > 0, axis=1)
+                           & (nxt[:, -1] < pts))
+        edges.append((r, np.searchsorted(lattice, nxt[r] @ strides),
+                      np.broadcast_to(-coef * wp / h ** 2, npts)[r]))
     r, c, e = (np.concatenate(part) for part in zip(*edges))
     rows = np.concatenate([r, c, np.arange(npts)])
     cols = np.concatenate([c, r, np.arange(npts)])
     vals = np.concatenate([e, e, diag])
-    if not amended:
+    if raw:
         vals = vals / weight[rows]
 
-    # pair couplings and the potential: one (ds dj)^2 block per node
-    if kind == "DAlembert":
-        dm = coords[:, :, None] - coords[:, None, :]
-        dn = coords[:, :, None] + coords[:, None, :]
-        v_nodes = problem.potential.value(np.log(coords))
-    else:
-        x = coords[:, :, None] - coords[:, None, :]
-        dm = np.sinh(0.5 * x)
-        dn = np.cosh(0.5 * x)
-        v_nodes = problem.potential.value(coords)
-    cpl, sign_n = _coupling_constants(model)
-    ds, dj = problem.block_shape
-    bdim = ds * dj
-    shift_c = angular_shift(kind, problem.alpha_label, problem.beta_label,
-                            model)
-    blocks = (v_nodes + shift_c)[:, None, None] * np.eye(bdim)
-    for (a, b), (Bm2, Bp2) in _block_couplings(problem).items():
-        blocks += (cpl / dm[:, a, b] ** 2)[:, None, None] * Bm2 \
-            + (sign_n * cpl / dn[:, a, b] ** 2)[:, None, None] * Bp2
+    # the kinetic part acts alike on every block entry; every node stores
+    # one block pattern, the diagonal and the entries nonzero at any node
+    bdim = blocks.shape[1]
     bi, bj = np.nonzero(np.any(blocks != 0.0, axis=0)
                         | np.eye(bdim, dtype=bool))
     k = np.arange(bdim)
     node = np.arange(npts)[:, None]
-    H = sp.csr_matrix((
+    H = sp.csr_array((
         np.concatenate([np.repeat(vals, bdim), blocks[:, bi, bj].ravel()]),
         (np.concatenate([(rows[:, None] * bdim + k).ravel(),
                          (node * bdim + bi).ravel()]),
@@ -544,20 +466,13 @@ def _build_full(problem):
                          (node * bdim + bj).ravel()]))),
         shape=(npts * bdim,) * 2)
 
-    weight_out = None if weight is None else np.repeat(weight, bdim)
+    ds, dj = problem.block_shape
     return ReducedOperator(
-        matrix=H, weight=weight_out, nodes=coords,
-        block_shape=(ds, dj), block_dim=1, problem=problem,
-        meta={"step": h}, lattice=lattice)
-
-
-def build_reduced_hamiltonian(problem):
-    """Assemble the grid operator for one reduced spectral problem."""
-    if problem.coordinate == "dilatation":
-        return _build_dilatation(problem)
-    if problem.coordinate == "shear":
-        return _build_shear(problem)
-    return _build_full(problem)
+        matrix=H, weight=None if weight is None else np.repeat(weight, bdim),
+        nodes=coords if full else axis,
+        block_shape=(ds, dj) if full else (1, 1),
+        block_dim=ds * dj if coordinate == "dilatation" else 1,
+        problem=problem, meta={"step": h}, lattice=lattice if full else None)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +559,7 @@ def eigensolve(operator, count):
             raise SingularWeight("weight must be positive for eigensolution")
         rw = np.sqrt(weight)
         if sp.issparse(mat):
-            mat = sp.diags(rw) @ mat @ sp.diags(1.0 / rw)
+            mat = sp.diags_array(rw) @ mat @ sp.diags_array(1.0 / rw)
         else:
             mat = rw[:, None] * mat / rw[None, :]
 

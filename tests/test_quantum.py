@@ -341,7 +341,7 @@ class TestFullGrid:
                              beta_label=1.0, coordinate="full",
                              q_min=-2.0, q_max=2.0, points=16)
         H = quantum.build_reduced_hamiltonian(pb).matrix
-        assert abs(H - H.getH()).max() == 0.0
+        assert abs(H - H.conj().T).max() == 0.0
 
     def test_raw_weighted_hermitian(self):
         pb = SpectralProblem(n=2, model=AFFAFF, alpha_label=1.0,
@@ -505,37 +505,9 @@ class TestFullGrid:
                              q_min=0.1, q_max=3.0, points=32,
                              potential=PotentialSpec.harmonic_well(1.0))
         op = quantum.build_reduced_hamiltonian(pb)
-        assert abs(op.matrix - op.matrix.getH()).max() == 0.0
+        assert abs(op.matrix - op.matrix.conj().T).max() == 0.0
         spec = quantum.eigensolve(op, 3)
         assert np.all(np.diff(spec.eigenvalues) >= -1e-12)
-
-
-def _unweighted_problems():
-    """Every family of unweighted operator that reaches the sparse path:
-    full grids of each kind, and the periodic TrigUn grids."""
-    for model in FULL_KINDS:
-        for n in (2, 3):
-            for labels in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)):
-                yield f"{model.kind}-n{n}-{labels[0]:g}{labels[1]:g}", \
-                    _full_grid(model, n, labels)
-    trig = ModelSpec(kind="TrigUn", A=1.0, B=0.3)
-    for coordinate in ("shear", "dilatation"):
-        yield f"TrigUn-{coordinate}", SpectralProblem(
-            n=2, model=trig, alpha_label=1.0, beta_label=1.0,
-            coordinate=coordinate, q_min=0.3, q_max=0.3 + 2.0 * np.pi,
-            points=64, boundary="periodic")
-
-
-UNWEIGHTED = dict(_unweighted_problems())
-
-
-@pytest.mark.parametrize("name", UNWEIGHTED)
-def test_unweighted_operator_exactly_symmetric(name):
-    # eigensolve hands these to ARPACK without averaging them with their
-    # adjoints
-    op = quantum.build_reduced_hamiltonian(UNWEIGHTED[name])
-    assert op.weight is None
-    assert abs(op.matrix - op.matrix.T.conj()).max() == 0.0
 
 
 class TestEigensolve:
@@ -670,8 +642,12 @@ class TestSolverPaths:
         assert np.max(np.abs(spec.eigenvalues - ref) / np.abs(ref)) < 1e-10
 
     def test_count_equal_to_dim(self):
-        periodic = quantum._laplacian_1d(20, 0.1, "periodic")
-        dirichlet = quantum._laplacian_1d(20, 0.1, "dirichlet")
+        # second differences with h = 0.1; the periodic one wraps its
+        # corners round
+        second = ([-100.0] * 19, [200.0] * 20, [-100.0] * 19)
+        dirichlet = sp.diags_array(second, offsets=[-1, 0, 1], format="csr")
+        periodic = sp.diags_array(second + ([-100.0], [-100.0]),
+                                  offsets=[-1, 0, 1, -19, 19], format="csr")
         for mat, path in ((periodic, "dense"), (dirichlet, "tridiagonal")):
             for count in (19, 20):
                 spec = quantum.eigensolve(mat, count)
@@ -693,6 +669,39 @@ class TestSolverPaths:
     def test_dense_input_stays_dense(self):
         spec = quantum.eigensolve(np.diag([3.0, 1.0, 2.0]), 2)
         assert spec.solver == {"path": "dense", "dim": 3, "nnz": 3}
+
+
+def _unweighted_problems():
+    """Every family of unweighted operator: full grids of each kind, the
+    periodic TrigUn grids and the amended Dirichlet 1-d grids."""
+    for model in FULL_KINDS:
+        for n in (2, 3):
+            for labels in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)):
+                yield f"{model.kind}-n{n}-{labels[0]:g}{labels[1]:g}", \
+                    _full_grid(model, n, labels)
+    trig = ModelSpec(kind="TrigUn", A=1.0, B=0.3)
+    for coordinate in ("shear", "dilatation"):
+        yield f"TrigUn-{coordinate}", SpectralProblem(
+            n=2, model=trig, alpha_label=1.0, beta_label=1.0,
+            coordinate=coordinate, q_min=0.3, q_max=0.3 + 2.0 * np.pi,
+            points=64, boundary="periodic")
+    # the amended Dirichlet 1-d grids, which reach the tridiagonal path
+    for name in ("dilatation", "shear_amended"):
+        problem = TestSolverPaths.ONE_D[name]
+        yield f"{problem['model'].kind}-{name}", SpectralProblem(**problem)
+
+
+UNWEIGHTED = dict(_unweighted_problems())
+
+
+@pytest.mark.parametrize("name", UNWEIGHTED)
+def test_unweighted_operator_exactly_symmetric(name):
+    # eigensolve hands the sparse-path ones to ARPACK without averaging
+    # them with their adjoints
+    op = quantum.build_reduced_hamiltonian(UNWEIGHTED[name])
+    assert isinstance(op.matrix, sp.csr_array)
+    assert op.weight is None
+    assert abs(op.matrix - op.matrix.T.conj()).max() == 0.0
 
 
 class TestInnerProduct:
