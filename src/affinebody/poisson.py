@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import UnknownObservable
 from . import dynamics, phase
-from .phase import ReducedState
 
 
 @dataclass
@@ -154,27 +153,18 @@ def poisson_bracket(F, G, state):
 def bracket_observable(F, G):
     """The bracket {F, G} of two linear observables as a linear observable.
 
-    The result is affine in (M, N) with a constant canonical part, so it is
-    fully determined by probing basis states.
+    The canonical part is a constant, and Tr(A [X, B]) = Tr(X [B, A])
+    turns the Lie-Poisson part into -(1/2) Tr(M CM + N CN), the M and N
+    terms of a linear observable, with the skew commutators below.
     """
     if not isinstance(F, LinearObservable) or not isinstance(G, LinearObservable):
         raise UnknownObservable(
             "symbolic brackets are available for linear observables only")
-    n = F.n
-    nupper = n * (n - 1) // 2
-    zero = ReducedState(np.zeros(n), np.zeros(n))
-    c0 = poisson_bracket(F, G, zero)
-    cm = np.zeros(nupper)
-    cn = np.zeros(nupper)
-    for k in range(nupper):
-        unit = np.zeros(nupper)
-        unit[k] = 1.0
-        sm = ReducedState(np.zeros(n), np.zeros(n), m_upper=unit,
-                          n_upper=np.zeros(nupper))
-        cm[k] = poisson_bracket(F, G, sm) - c0
-        sn = ReducedState(np.zeros(n), np.zeros(n),
-                          m_upper=np.zeros(nupper), n_upper=unit)
-        cn[k] = poisson_bracket(F, G, sn) - c0
-    skew = phase.pair_layout(n).skew
-    return LinearObservable(n, c0=c0, CM=skew(cm), CN=skew(cn),
-                            name=f"{{{F.name},{G.name}}}")
+
+    def com(X, Y):
+        return X @ Y - Y @ X
+
+    return LinearObservable(
+        F.n, c0=F.cq @ G.cp - F.cp @ G.cq,
+        CM=com(G.CM, F.CM) + com(G.CN, F.CN),
+        CN=com(G.CN, F.CM) + com(G.CM, F.CN), name=f"{{{F.name},{G.name}}}")

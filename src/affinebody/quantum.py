@@ -161,6 +161,12 @@ class SpectralProblem:
         if kind == "TrigUn":
             if self.boundary != "periodic":
                 raise ConfigError("TrigUn requires periodic boundary")
+            # the wrapped edge joins q_max to q_min: whole turns apart
+            turns = (self.q_max - self.q_min) / (2.0 * np.pi)
+            if abs(round(turns) - turns) > 1e-9 * turns:
+                raise ConfigError(f"q_max - q_min must be a whole number of "
+                                  f"periods 2 pi: q_min = {self.q_min:g}, "
+                                  f"q_max = {self.q_max:g}")
             if self.coordinate == "full":
                 raise ConfigError("full angle grids are not supported")
         elif self.boundary != "dirichlet":
@@ -401,14 +407,12 @@ def build_reduced_hamiltonian(problem):
 
     # per coordinate: the coefficients of the axis steps and of the step
     # (1, ..., 1), the weight P of the lattice coordinates, and U
-    c_diag, weight_at, U = 0.0, None, 0.0
+    c_diag, weight_at, U, narrow = 0.0, None, 0.0, False
     if coordinate == "dilatation":
         c_axis = hb2 * (cL / n + cQ)
         pot = problem.potential
         half = 0.5 * pot.params[0] if pot.kind == "box" else np.inf
-        if problem.q_min < -half - 1e-12 or problem.q_max > half + 1e-12:
-            raise ConfigError("box potential narrower than the grid; "
-                              "set the grid to the box width")
+        narrow = problem.q_min < -half - 1e-12 or problem.q_max > half + 1e-12
     elif coordinate == "shear":
         trig = kind == "TrigUn"
         c_axis, U = 2.0 * hb2 * cL, -1.0 if trig else 1.0
@@ -420,6 +424,11 @@ def build_reduced_hamiltonian(problem):
             U = _amended_potential_nodes(kind, coords)
     blocks = _node_blocks(problem, coords * [0.5, -0.5]
                           if coordinate == "shear" else coords)
+    # a box acts through the walls of a dilatation grid, and through
+    # V(qbar) at the nodes of the others: infinite at a node outside it
+    if narrow or np.isinf(blocks).any():
+        raise ConfigError("box potential narrower than the grid; "
+                          "set the grid to the box width")
     raw = weight_at is not None and not amended
     weight = weight_at(coords) if raw else None
     if raw and np.any(weight <= 0.0):
@@ -535,21 +544,17 @@ def eigensolve(operator, count):
     The solver follows the operator's structure.  A real sparse operator
     whose nonzeros all lie on the three central diagonals goes to LAPACK
     bisection and inverse iteration (path "tridiagonal"), any other sparse
-    operator to ARPACK (path "sparse").  A dense array, or a count that
-    ARPACK cannot reach (count >= dim - 1), goes to dense eigh (path
-    "dense").  Spectrum.solver records the path, dimension and nnz.
+    operator to ARPACK, the one path that imports it (path "sparse").  A
+    dense array, or a count ARPACK cannot reach (count >= dim - 1), goes to
+    dense eigh (path "dense").  A failure raises ConvergenceFailure, and
+    Spectrum.solver records the path, dimension and nnz.
     """
     import scipy.linalg
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-    if isinstance(operator, ReducedOperator):
-        mat = operator.matrix
-        weight = operator.weight
-        symmetric = weight is None
-    else:
-        mat = operator
-        weight = None
-        symmetric = False
+    reduced = isinstance(operator, ReducedOperator)
+    mat = operator.matrix if reduced else operator
+    weight = operator.weight if reduced else None
+    symmetric = reduced and weight is None
     dim = mat.shape[0]
     if count < 1 or count > dim:
         raise ConfigError("count must lie in [1, dim]")
@@ -576,6 +581,7 @@ def eigensolve(operator, count):
             raise ConvergenceFailure(
                 f"tridiagonal eigensolver failed: {exc}")
     elif sparse and count < dim - 1:
+        import scipy.sparse.linalg as spla
         path = "sparse"
         # a fixed start vector: ARPACK's random one makes the run time, and
         # the basis of a degenerate level, differ between identical calls
@@ -584,7 +590,7 @@ def eigensolve(operator, count):
             vals, vecs = spla.eigsh(
                 mat if symmetric else 0.5 * (mat + mat.conj().T), k=count,
                 which="SA", v0=start.astype(mat.dtype))
-        except spla.ArpackNoConvergence as exc:
+        except spla.ArpackError as exc:
             raise ConvergenceFailure(f"sparse eigensolver failed: {exc}")
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from affinebody import cli, io, quantum, schema
-from affinebody.phase import MODEL_KINDS, ModelSpec
+from affinebody import cli, dynamics, io, quantum, schema
+from affinebody.phase import MODEL_KINDS, ModelSpec, PotentialSpec
 
 from test_dynamics import WALL_CROSSING
+
+SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def run(tmp_path, command, config, seed=None):
@@ -265,6 +267,29 @@ class TestSpectrum:
             quantum.SpectralProblem(**problem)), 3)
         assert np.allclose(vectors, spec.eigenvectors, rtol=0.0, atol=1e-8)
 
+    @pytest.mark.parametrize("problem, named", [
+        # V(qbar) is infinite at the full-grid nodes outside the box, and
+        # ARPACK used to fail on them with a traceback
+        ({"model": {"kind": "AffAff", "A": 1.0, "B": 0.3},
+          "alpha_label": 1.0, "coordinate": "full", "q_min": -2.0,
+          "q_max": 2.0, "points": 20,
+          "potential": {"kind": "box", "params": [1.0]}}, "box potential"),
+        # the wrapped edge of a grid short of 2 pi joined points whose
+        # weight and couplings differ, and the run exited 0
+        ({"model": {"kind": "TrigUn", "A": 1.0, "B": 0.3},
+          "beta_label": 2.0, "coordinate": "shear", "q_min": 0.3,
+          "q_max": np.pi - 0.3, "points": 100, "boundary": "periodic",
+          "use_amended_transform": False}, "q_min = 0.3, q_max = 2.84159"),
+    ], ids=["box-narrower-than-full-grid", "periodic-grid-short-of-2pi"])
+    def test_grid_rejected(self, tmp_path, capsys, problem, named):
+        config = {"problem": dict(problem, n=2), "count": 5}
+        assert run(tmp_path, "spectrum", config) == 2
+        captured = capsys.readouterr()
+        line, = captured.err.splitlines()
+        assert line.startswith("error: ") and named in line
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "spectrum.json").exists()
+
 
 class TestChecks:
     def test_brackets_single_trial(self, tmp_path):
@@ -307,6 +332,38 @@ class TestGeodesicCommand:
         assert "verdict=PASS" in capsys.readouterr().out
         report = io.load_json(tmp_path / "geodesic.json")
         assert report["max_error"] < 1e-6
+
+    @pytest.mark.parametrize("samples", [11, 7])
+    def test_max_error_of_every_step_run(self, tmp_path, samples):
+        # the check records only the states it compares when they fall on
+        # whole steps (every 100th of 1000 at 11 samples); 6 does not
+        # divide 1000, so 7 samples record every step.  Either way
+        # max_error is that of an every-step run at the same times.  The
+        # times of 7 samples miss the steps by up to half a step, so that
+        # max_error is far above the shipped tolerance
+        config = io.load_json(SHIPPED / "geodesic_n3.json")
+        config["numerics"].update(samples=samples, tolerance=1.0)
+        assert run(tmp_path, "geodesic", config) == 0
+        report = io.load_json(tmp_path / "geodesic.json")
+
+        model = ModelSpec(**config["model"])
+        phi0, Omega = (np.array(config["initial"][k])
+                       for k in ("phi0", "Omega"))
+        state0, ref = dynamics.reduced_state_from_velocity(phi0, Omega,
+                                                           model)
+        traj = dynamics.integrate(model, PotentialSpec.none(), state0, 1.0,
+                                  dynamics.StepControl(step=1e-3))
+        assert len(traj.times) == 1001
+        expected = 0.0
+        for t in np.linspace(0.0, 1.0, samples):
+            phi = dynamics.geodesic_exponential(phi0, Omega, t).phi
+            extracted, ref = dynamics.reduced_state_from_velocity(
+                phi, Omega, model, reference=ref)
+            integ = traj.state(int(np.argmin(np.abs(traj.times - t))))
+            for a, b in ((extracted.q, integ.q), (extracted.p, integ.p),
+                         (extracted.M, integ.M), (extracted.N, integ.N)):
+                expected = max(expected, float(np.max(np.abs(a - b))))
+        assert report["max_error"] == expected
 
     @pytest.mark.parametrize("kind", [k for k in MODEL_KINDS
                                       if k != "AffAff"])

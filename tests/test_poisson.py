@@ -94,12 +94,13 @@ class TestAlgebra:
                    + G.value(st_) * poisson.poisson_bracket(F, H, st_))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
-    def test_bracket_observable_matches_pointwise(self, rng):
-        F = random_linear(rng, 3)
-        G = random_linear(rng, 3)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bracket_observable_matches_pointwise(self, rng, n):
+        F = random_linear(rng, n)
+        G = random_linear(rng, n)
         closed = poisson.bracket_observable(F, G)
         for _ in range(10):
-            st_ = random_state(rng, 3)
+            st_ = random_state(rng, n)
             assert closed.value(st_) == pytest.approx(
                 poisson.poisson_bracket(F, G, st_), rel=1e-12, abs=1e-12)
 

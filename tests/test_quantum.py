@@ -136,6 +136,41 @@ class TestProblemValidation:
         with pytest.raises(ConfigError):
             SpectralProblem(n=3, model=AFFAFF, coordinate="shear")
 
+    @pytest.mark.parametrize("turns, ok", [(1.0, True), (2.0, True),
+                                           (0.5, False), (1.0 + 1e-6, False)])
+    def test_periodic_grid_spans_whole_periods(self, turns, ok):
+        # the wrapped edge joins q_max to q_min
+        mt = ModelSpec(kind="TrigUn", A=1.0, B=0.3)
+        make = lambda: SpectralProblem(
+            n=2, model=mt, coordinate="shear", q_min=0.3,
+            q_max=0.3 + turns * 2.0 * np.pi, boundary="periodic")
+        if ok:
+            make()
+        else:
+            with pytest.raises(ConfigError, match="q_min = 0.3, q_max = "):
+                make()
+
+    @pytest.mark.parametrize("model, coordinate, grid, width, ok", [
+        (AFFAFF, "full", (-2.0, 2.0), 1.0, False),
+        (AFFAFF, "full", (-2.0, 2.0), 3.8, True),
+        # d'Alembert nodes have qbar = mean log Q in (-log 2, log 2)
+        (ModelSpec(kind="DAlembert", I=1.0), "full", (0.5, 2.0), 1.0, False),
+        (ModelSpec(kind="DAlembert", I=1.0), "full", (0.5, 2.0), 1.4, True),
+        # shear nodes have qbar = 0
+        (AFFAFF, "shear", (0.1, 4.0), 0.1, True),
+        # a dilatation grid meets the box at its walls: its nodes lie inside
+        (AFFAFF, "dilatation", (-1.0, 1.0), 1.9, False),
+    ])
+    def test_box_meets_node_qbar(self, model, coordinate, grid, width, ok):
+        pb = SpectralProblem(n=2, model=model, coordinate=coordinate,
+                             q_min=grid[0], q_max=grid[1], points=16,
+                             potential=PotentialSpec.box(width))
+        if ok:
+            quantum.build_reduced_hamiltonian(pb)
+        else:
+            with pytest.raises(ConfigError, match="box potential narrower"):
+                quantum.build_reduced_hamiltonian(pb)
+
 
 class TestDilatation:
     def test_box_oracle(self):

@@ -42,9 +42,9 @@ def scipy_modules(body, cwd):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def command_modules(tmp_path, command):
+def command_modules(tmp_path, command, config=None):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(BASES[command]))
+    cfg.write_text(json.dumps(config or BASES[command]))
     argv = [command, "--config", str(cfg), "--output-dir", str(tmp_path),
             "--quiet"]
     body = f"from affinebody import cli\nassert cli.main({argv!r}) == 0"
@@ -62,9 +62,24 @@ def test_command_without_scipy(tmp_path, command):
     assert command_modules(tmp_path, command) == []
 
 
-@pytest.mark.parametrize("command, module", [("spectrum", "scipy.sparse")])
-def test_command_loads_its_scipy_module(tmp_path, command, module):
-    assert module in command_modules(tmp_path, command)
+# the BASES spectrum, a 1-d Dirichlet grid, takes the tridiagonal path; the
+# same problem on a full grid takes ARPACK, which alone needs
+# scipy.sparse.linalg
+SPECTRA = {"spectrum": BASES["spectrum"],
+           "spectrum-full": dict(BASES["spectrum"], problem=dict(
+               BASES["spectrum"]["problem"], coordinate="full"))}
+LOADS = [("spectrum", "scipy.sparse", True),
+         ("spectrum", "scipy.linalg", True),
+         ("spectrum", "scipy.sparse.linalg", False),
+         ("spectrum-full", "scipy.sparse.linalg", True)]
+
+
+@pytest.mark.parametrize("config, module, loaded", LOADS, ids=[
+    f"{config}-{module}" if loaded else f"{config}-not-{module}"
+    for config, module, loaded in LOADS])
+def test_command_loads_its_scipy_module(tmp_path, config, module, loaded):
+    modules = command_modules(tmp_path, "spectrum", SPECTRA[config])
+    assert (module in modules) == loaded
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
