@@ -264,10 +264,12 @@ def geodesic_cross_check(model, phi0, Omega, t_end, step=1e-3, samples=11):
     max_err = 0.0
     ref = tp0
     for t in times:
-        cfg = dynamics.geodesic_exponential(phi0, Omega, t)
+        # compare at the integrated time nearest t, which misses t by up
+        # to half a step when the samples do not fall on whole steps
+        k = int(np.argmin(np.abs(traj.times - t)))
+        cfg = dynamics.geodesic_exponential(phi0, Omega, traj.times[k])
         extracted, ref = dynamics.reduced_state_from_velocity(
             cfg.phi, Omega, model, reference=ref)
-        k = int(np.argmin(np.abs(traj.times - t)))
         max_err = max(max_err, float(np.max(np.abs(
             dynamics.pack_state(extracted) - traj.samples[k]))))
     return {"max_error": max_err, "t_end": t_end, "samples": samples,

@@ -221,6 +221,7 @@ class ReducedOperator:
     meta: dict
     lattice: np.ndarray | None = None   # full grids: row-major index of
                                         # each node in the points^n lattice
+    floor: float | None = None   # no level lies below it
 
     @property
     def dim(self):
@@ -390,6 +391,12 @@ def build_reduced_hamiltonian(problem):
     and, on full grids, the step (1, ..., 1) that carries the cQ
     (sum_a d_a)^2 term, with P taken at edge midpoints.  In amended
     variables P = 1 and the amended potential U is added instead.
+
+    The operator's floor is the lowest Gershgorin bound of the node blocks
+    (exact for the 1 x 1 blocks of n = 2), plus the lowest c_axis U in
+    amended variables.  The kinetic stencil is positive semidefinite, so
+    by Weyl's inequality no level lies below it; eigensolve uses it only
+    once a Cholesky factor has certified it.
     """
     import scipy.sparse as sp
     model = problem.model
@@ -433,6 +440,10 @@ def build_reduced_hamiltonian(problem):
     weight = weight_at(coords) if raw else None
     if raw and np.any(weight <= 0.0):
         raise SingularWeight("weight vanishes on a grid node")
+    centre = np.diagonal(blocks, axis1=1, axis2=2)
+    radius = np.sum(np.abs(blocks), axis=2) - np.abs(centre)
+    floor = float(np.min(centre - radius)
+                  + (0.0 if raw else np.min(c_axis * U)))
 
     # symmetric form: diag(P) H for the raw weighted form, H itself
     # otherwise; each edge is stored from its lower node, at both ends
@@ -481,7 +492,8 @@ def build_reduced_hamiltonian(problem):
         nodes=coords if full else axis,
         block_shape=(ds, dj) if full else (1, 1),
         block_dim=ds * dj if coordinate == "dilatation" else 1,
-        problem=problem, meta={"step": h}, lattice=lattice if full else None)
+        problem=problem, meta={"step": h}, lattice=lattice if full else None,
+        floor=floor)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +543,35 @@ def _canonical_order(vals, vecs, tol=1e-10):
     return vals[order], vecs[:, order]
 
 
+def _shift_invert_banded(mat, band, shift):
+    """The solve (H - shift I)^-1 x through a banded Cholesky factor of the
+    symmetric part of `mat`, whose nonzeros lie within `band` of the
+    diagonal; None when the factor fails, which it does unless every level
+    of H lies above `shift`."""
+    import scipy.linalg
+    import scipy.sparse.linalg as spla
+    dim = mat.shape[0]
+    rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
+    offset = np.abs(rows - mat.indices)
+    # LAPACK lower band storage: H[i, j] at [i - j, j] for i >= j; an
+    # off-diagonal entry and its transpose land on one slot, half each, and
+    # stored zeros farther out than `band` are cut off
+    size = (band + 1) * dim
+    ab = np.bincount(offset * dim + np.minimum(rows, mat.indices),
+                     np.where(offset == 0, 1.0, 0.5) * mat.data,
+                     minlength=size)[:size].reshape(band + 1, dim)
+    ab[0] -= shift
+    try:
+        factor = scipy.linalg.cholesky_banded(ab, overwrite_ab=True,
+                                              lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return None
+    return spla.LinearOperator(
+        (dim, dim), dtype=float,
+        matvec=lambda x: scipy.linalg.cho_solve_banded(
+            (factor, True), x, check_finite=False))
+
+
 def eigensolve(operator, count):
     """Lowest eigenpairs of an assembled operator.
 
@@ -541,13 +582,19 @@ def eigensolve(operator, count):
     sparse path takes it as it is and averages only other operators with
     their adjoints.
 
-    The solver follows the operator's structure.  A real sparse operator
-    whose nonzeros all lie on the three central diagonals goes to LAPACK
-    bisection and inverse iteration (path "tridiagonal"), any other sparse
-    operator to ARPACK, the one path that imports it (path "sparse").  A
-    dense array, or a count ARPACK cannot reach (count >= dim - 1), goes to
-    dense eigh (path "dense").  A failure raises ConvergenceFailure, and
-    Spectrum.solver records the path, dimension and nnz.
+    The solver follows the operator's structure, through the bandwidth b,
+    the largest |i - j| of a nonzero.  A real sparse operator with b <= 1
+    goes to LAPACK bisection and inverse iteration (path "tridiagonal").
+    A sparse ReducedOperator with b^2 <= 2 dim, as every n = 2 full grid
+    has, goes to ARPACK in shift-invert mode about a shift just below its
+    floor, with a banded Cholesky factor of H - shift I as the inverse
+    (path "banded"); the factor exists only if the shift lies below every
+    level, so its success certifies the shift.  When it fails, and for
+    every other sparse operator, ARPACK runs on the lowest algebraic
+    levels (path "sparse").  A dense array, or a count ARPACK cannot reach
+    (count >= dim - 1), goes to dense eigh (path "dense").  A failure
+    raises ConvergenceFailure.  Spectrum.solver records the path,
+    dimension and nnz, and on the banded path the bandwidth and shift.
     """
     import scipy.linalg
     import scipy.sparse as sp
@@ -569,8 +616,10 @@ def eigensolve(operator, count):
             mat = rw[:, None] * mat / rw[None, :]
 
     sparse = sp.issparse(mat)
-    if sparse and not np.iscomplexobj(mat) and np.all(
-            np.abs(np.subtract(*mat.nonzero())) <= 1):
+    if sparse:
+        rows, cols = mat.nonzero()
+        band = int(np.max(np.abs(rows - cols), initial=0))
+    if sparse and band <= 1 and not np.iscomplexobj(mat):
         path = "tridiagonal"
         offdiag = 0.5 * (mat.diagonal(1) + mat.diagonal(-1))
         try:
@@ -582,14 +631,26 @@ def eigensolve(operator, count):
                 f"tridiagonal eigensolver failed: {exc}")
     elif sparse and count < dim - 1:
         import scipy.sparse.linalg as spla
-        path = "sparse"
         # a fixed start vector: ARPACK's random one makes the run time, and
         # the basis of a degenerate level, differ between identical calls
         start = np.random.default_rng(0).standard_normal(dim)
+        inverse = None
+        floor = operator.floor if reduced else None
+        if floor is not None and band * band <= 2 * dim:
+            # just below the floor: a level on it leaves H - shift definite
+            shift = floor - 1e-6 * max(abs(floor), 1.0)
+            inverse = _shift_invert_banded(mat, band, shift)
         try:
-            vals, vecs = spla.eigsh(
-                mat if symmetric else 0.5 * (mat + mat.conj().T), k=count,
-                which="SA", v0=start.astype(mat.dtype))
+            if inverse is None:
+                path = "sparse"
+                vals, vecs = spla.eigsh(
+                    mat if symmetric else 0.5 * (mat + mat.conj().T),
+                    k=count, which="SA", v0=start.astype(mat.dtype))
+            else:
+                path = "banded"
+                vals, vecs = spla.eigsh(
+                    mat, k=count, sigma=shift, which="LM", OPinv=inverse,
+                    v0=start)
         except spla.ArpackError as exc:
             raise ConvergenceFailure(f"sparse eigensolver failed: {exc}")
         order = np.argsort(vals)
@@ -616,5 +677,7 @@ def eigensolve(operator, count):
         vecs = vecs / norms[None, :]
     solver = {"path": path, "dim": dim,
               "nnz": int(mat.nnz if sparse else np.count_nonzero(mat))}
+    if path == "banded":
+        solver.update(bandwidth=band, shift=float(shift))
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, residuals=res,
                     weight=weight, solver=solver)

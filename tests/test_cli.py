@@ -212,6 +212,21 @@ class TestSpectrum:
                             r"max_residual=\S+ artifact=\S+\n",
                             capsys.readouterr().out)
 
+    def test_banded_solver_recorded(self, tmp_path, capsys):
+        config = self.config(points=16)
+        config["problem"]["coordinate"] = "full"
+        assert run(tmp_path, "spectrum", config) == 0
+        report = io.load_json(tmp_path / "spectrum.json")
+        solver = report["solver"]
+        assert solver["path"] == "banded"
+        assert solver["dim"] == 16 * 15 // 2
+        assert solver["bandwidth"] == 15
+        assert solver["shift"] < report["eigenvalues"][0]
+        # the summary line does not show the new keys
+        assert re.fullmatch(r"spectrum: count=5 eigenvalues=\[[^]]*\] "
+                            r"max_residual=\S+ artifact=\S+\n",
+                            capsys.readouterr().out)
+
     @pytest.mark.parametrize("points", ["many", 64.5, None, True])
     def test_non_integer_points_exit_code(self, tmp_path, points):
         assert run(tmp_path, "spectrum", self.config(points=points)) == 2
@@ -338,13 +353,14 @@ class TestGeodesicCommand:
         # the check records only the states it compares when they fall on
         # whole steps (every 100th of 1000 at 11 samples); 6 does not
         # divide 1000, so 7 samples record every step.  Either way
-        # max_error is that of an every-step run at the same times.  The
-        # times of 7 samples miss the steps by up to half a step, so that
-        # max_error is far above the shipped tolerance
+        # max_error is that of an every-step run, with the exponential
+        # taken at the integrated time nearest each sample, so it stays at
+        # rounding level even where the samples miss the steps
         config = io.load_json(SHIPPED / "geodesic_n3.json")
-        config["numerics"].update(samples=samples, tolerance=1.0)
+        config["numerics"].update(samples=samples)
         assert run(tmp_path, "geodesic", config) == 0
         report = io.load_json(tmp_path / "geodesic.json")
+        assert report["max_error"] < 1e-12
 
         model = ModelSpec(**config["model"])
         phi0, Omega = (np.array(config["initial"][k])
@@ -356,10 +372,12 @@ class TestGeodesicCommand:
         assert len(traj.times) == 1001
         expected = 0.0
         for t in np.linspace(0.0, 1.0, samples):
-            phi = dynamics.geodesic_exponential(phi0, Omega, t).phi
+            k = int(np.argmin(np.abs(traj.times - t)))
+            phi = dynamics.geodesic_exponential(phi0, Omega,
+                                                traj.times[k]).phi
             extracted, ref = dynamics.reduced_state_from_velocity(
                 phi, Omega, model, reference=ref)
-            integ = traj.state(int(np.argmin(np.abs(traj.times - t))))
+            integ = traj.state(k)
             for a, b in ((extracted.q, integ.q), (extracted.p, integ.p),
                          (extracted.M, integ.M), (extracted.N, integ.N)):
                 expected = max(expected, float(np.max(np.abs(a - b))))

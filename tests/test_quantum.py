@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -636,10 +637,91 @@ class TestSolverPaths:
                              use_amended_transform=amended)
         op = quantum.build_reduced_hamiltonian(pb)
         spec = quantum.eigensolve(op, 5)
-        assert spec.solver["path"] == "sparse"
+        assert spec.solver["path"] == "banded"
         ref = _dense_reference(op, 5)
         assert np.max(np.abs(spec.eigenvalues - ref) / np.abs(ref)) < 1e-10
         assert spec.gram_residual() < 1e-10
+
+    @pytest.mark.parametrize("model", FULL_KINDS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("amended", [True, False],
+                             ids=["amended", "raw"])
+    @pytest.mark.parametrize("labels", [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)],
+                             ids=["00", "10", "11"])
+    def test_banded_matches_dense(self, model, amended, labels):
+        # an n = 2 chamber of p points per axis has bandwidth at most
+        # p - 1 and p (p - 1) / 2 unknowns, so b^2 <= 2 dim holds on every
+        # one; the step (1, 1) of the cQ term sets the bandwidth p - 1
+        op = quantum.build_reduced_hamiltonian(
+            _full_grid(model, 2, labels, amended))
+        spec = quantum.eigensolve(op, 5)
+        ref = _dense_reference(op, 5)
+        band = 14 if model.kind == "DAlembert" else 15
+        assert spec.solver == {"path": "banded", "dim": 120,
+                               "nnz": op.matrix.nnz, "bandwidth": band,
+                               "shift": spec.solver["shift"]}
+        assert spec.solver["shift"] < op.floor <= ref[0]
+        assert np.max(np.abs(spec.eigenvalues - ref) / np.abs(ref)) < 1e-10
+        assert np.max(spec.residuals) < 1e-10
+        assert spec.gram_residual() < 1e-10
+
+    @pytest.mark.parametrize("model", FULL_KINDS, ids=lambda m: m.kind)
+    def test_n3_full_grid_is_sparse(self, model):
+        # grid3-like chambers are far wider than sqrt(2 dim)
+        op = quantum.build_reduced_hamiltonian(
+            _full_grid(model, 3, (1.0, 0.0)))
+        spec = quantum.eigensolve(op, 5)
+        assert spec.solver == {"path": "sparse", "dim": op.dim,
+                               "nnz": op.matrix.nnz}
+        assert np.max(spec.residuals) < 1e-10
+        assert op.floor <= spec.eigenvalues[0]
+
+    def test_plain_matrix_is_sparse(self):
+        # a bare matrix carries no floor to certify
+        op = quantum.build_reduced_hamiltonian(_full_grid(AFFAFF, 2,
+                                                          (1.0, 0.0)))
+        spec = quantum.eigensolve(op.matrix, 5)
+        assert spec.solver["path"] == "sparse"
+        ref = _dense_reference(op, 5)
+        assert np.max(np.abs(spec.eigenvalues - ref) / np.abs(ref)) < 1e-10
+
+    @pytest.mark.parametrize("amended", [True, False],
+                             ids=["amended", "raw"])
+    def test_floor_above_a_level_is_not_used(self, amended):
+        # the banded Cholesky factor of H - shift I fails when the shift
+        # lies above a level, and the solve falls through to ARPACK "SA"
+        op = quantum.build_reduced_hamiltonian(
+            _full_grid(AFFAFF, 2, (1.0, 1.0), amended))
+        ref = _dense_reference(op, 5)
+        raised = dataclasses.replace(op, floor=0.5 * (ref[1] + ref[2]))
+        spec = quantum.eigensolve(raised, 5)
+        assert spec.solver["path"] == "sparse"
+        assert np.max(np.abs(spec.eigenvalues - ref) / np.abs(ref)) < 1e-10
+        assert np.max(spec.residuals) < 1e-10
+
+    def test_banded_is_deterministic(self):
+        op = quantum.build_reduced_hamiltonian(_full_grid(AFFAFF, 2,
+                                                          (1.0, 1.0)))
+        first, second = (quantum.eigensolve(op, 5) for _ in range(2))
+        assert first.solver["path"] == "banded"
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+    def test_solver_keys_of_each_path(self):
+        tri = quantum.build_reduced_hamiltonian(
+            SpectralProblem(**self.ONE_D["shear_raw"]))
+        full2 = quantum.build_reduced_hamiltonian(
+            _full_grid(AFFAFF, 2, (1.0, 0.0)))
+        full3 = quantum.build_reduced_hamiltonian(
+            _full_grid(AFFAFF, 3, (1.0, 0.0)))
+        base = {"path", "dim", "nnz"}
+        for operator, path, keys in (
+                (tri, "tridiagonal", base),
+                (full2, "banded", base | {"bandwidth", "shift"}),
+                (full3, "sparse", base),
+                (np.diag([3.0, 1.0, 2.0]), "dense", base)):
+            solver = quantum.eigensolve(operator, 2).solver
+            assert solver["path"] == path
+            assert set(solver) == keys
 
     def test_sparse_matches_dense_complex_blocks(self):
         # the assembled n = 3 couplings are real for every label, so the
@@ -697,8 +779,9 @@ class TestSolverPaths:
                              beta_label=0.0, coordinate="full",
                              q_min=-2.0, q_max=2.0, points=64)
         spec = quantum.eigensolve(quantum.build_reduced_hamiltonian(pb), 6)
-        assert spec.solver["path"] == "sparse"
+        assert spec.solver["path"] == "banded"
         assert spec.solver["dim"] == 64 * 63 // 2
+        assert spec.solver["bandwidth"] == 63
         assert np.max(spec.residuals) < 1e-10
 
     def test_dense_input_stays_dense(self):

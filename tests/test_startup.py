@@ -63,8 +63,11 @@ def test_command_without_scipy(tmp_path, command):
 
 
 # the BASES spectrum, a 1-d Dirichlet grid, takes the tridiagonal path; the
-# same problem on a full grid takes ARPACK, which alone needs
-# scipy.sparse.linalg
+# same problem on an n = 2 full grid takes the banded path: its bandwidth b
+# meets b^2 <= 2 dim, and a banded Cholesky factor certifies a shift below
+# the operator's floor.  That path still runs ARPACK in shift-invert mode,
+# as does the "sparse" path it falls through to when the factor fails, and
+# only ARPACK needs scipy.sparse.linalg
 SPECTRA = {"spectrum": BASES["spectrum"],
            "spectrum-full": dict(BASES["spectrum"], problem=dict(
                BASES["spectrum"]["problem"], coordinate="full"))}
