@@ -120,40 +120,33 @@ class EomKernel:
         partners, self.spin_signs = _commutator_terms(n)
         self.partners = partners.ravel()
         self.coupling = None
+        cL, cQ, cM, cN, c_rho, c_tau = model.kinetic_constants(n)
+        # dH/du = coef u / d^2 for u = (M, N) upper components
+        self.coef = 2.0 * np.repeat([cM, cN], k)[:, None]
         if self.kind == "DAlembert":
             # pair denominators (Q_a - Q_b, Q_a + Q_b) with Q = exp(q)
             self.pair_map = np.concatenate([inc, np.abs(inc)])
-            self.coef = np.full((2 * k, 1), 0.5 / model.I)
-            self.q_weights = 2.0 * model.I * self.pair_map.T
-            self.inv_inertia = 1.0 / model.I
+            self.q_weights = self.pair_map.T / (2.0 * cM)
+            self.inv_inertia = 2.0 * cL
             return
-        alpha = model.alpha
         trig = self.kind == "TrigUn"
         # half the pair differences, whose sm and cm are the pair
         # denominators, and qbar in the last row
         self.pair_map = np.vstack([0.5 * inc, np.full((1, n), 1.0 / n)])
         self.sm, self.cm = (np.sin, np.cos) if trig else (np.sinh, np.cosh)
-        self.coef = np.repeat([1.0, 1.0 if trig else -1.0], k)[:, None] \
-            / (8.0 * alpha)
-        self.q_weights = 4.0 * alpha * inc.T
+        # -dH/dq from the M and N terms alike, as cN = -cM (cN = cM for
+        # the trigonometric sm, cm) makes both pull with weight 1/(4 cM)
+        self.q_weights = inc.T / (4.0 * cM)
         if self.slope is not None:
             # V(qbar) pulls every q_a with -V'(qbar)/n: one more column
             self.q_weights = np.hstack([self.q_weights,
                                         np.full((n, 1), -1.0 / n)])
-        self.momentum = np.eye(n) / alpha + (
-            2.0 / model.trace_coefficient(n) - 1.0 / (n * alpha))
-        # metric parts of the kinetic energy, |tau|^2 and |rho|^2 terms,
-        # as the Hessian in u of a quadratic form
-        plus = minus = 0.0
-        if self.kind == "AffMetr":
-            plus = 0.25 / model.mu
-        elif self.kind == "MetrAff":
-            minus = 0.25 / model.mu
-        elif self.kind == "MetrMetr":
-            plus, minus = 0.25 / model.d, 0.25 / model.c
-        if plus or minus:
-            diag = (plus + minus) * np.eye(k)
-            off = (plus - minus) * np.eye(k)
+        self.momentum = 2.0 * (cL * np.eye(n) + cQ)
+        # c_rho |rho|^2 + c_tau |tau|^2, with rho = (N - M)/2 and
+        # tau = -(M + N)/2, as the Hessian in u of a quadratic form
+        if c_rho or c_tau:
+            diag = 0.5 * (c_tau + c_rho) * np.eye(k)
+            off = 0.5 * (c_tau - c_rho) * np.eye(k)
             self.coupling = np.block([[diag, off], [off, diag]])
 
     def _pairs(self, x, u):

@@ -204,6 +204,32 @@ class ModelSpec:
             raise ConfigError("alpha + nB must be nonzero")
         return val
 
+    def kinetic_constants(self, n):
+        """(cL, cQ, cM, cN, c_rho, c_tau) of the kinetic energy at size n,
+            T = cL sum_a p_a^2 + cQ (sum_a p_a)^2
+                + sum_{a<b} (cM M_ab^2 / dm_ab^2 + cN N_ab^2 / dn_ab^2)
+                + c_rho |rho|^2 + c_tau |tau|^2,
+        with |rho|^2 the sum of rho_ab^2 over a < b, likewise |tau|^2.
+        dm and dn are sinh and cosh of (q_a - q_b)/2 (sin and cos for
+        TrigUn, where cN = cM; cN = -cM for the hyperbolic kinds); for
+        DAlembert they are Q_a -+ Q_b and p is conjugate to Q = exp(q).
+        The one place that picks the kinetic constants by kind."""
+        if self.kind == "DAlembert":
+            c = 0.25 / self.I
+            return 0.5 / self.I, 0.0, c, c, 0.0, 0.0
+        alpha = self.alpha
+        cM = 1.0 / (16.0 * alpha)
+        c_rho = c_tau = 0.0
+        if self.kind == "AffMetr":
+            c_tau = 0.5 / self.mu
+        elif self.kind == "MetrAff":
+            c_rho = 0.5 / self.mu
+        elif self.kind == "MetrMetr":
+            c_rho, c_tau = 0.5 / self.c, 0.5 / self.d
+        cQ = 1.0 / self.trace_coefficient(n) - 0.5 / (n * alpha)
+        return (0.5 / alpha, cQ, cM, cM if self.kind == "TrigUn" else -cM,
+                c_rho, c_tau)
+
     def to_json(self):
         """The kind and the constants it reads."""
         return {name: getattr(self, name) for name, key in MODEL_KEYS.items()

@@ -13,7 +13,7 @@ operator for an amended potential U = (d^2 sqrt(P)) / sqrt(P); the raw
 weighted form is kept for cross-validation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 # scipy is imported in the functions that call it, so that importing the
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (ConfigError, ConvergenceFailure, GridTooCoarse,
                      InvalidLabel, SingularWeight)
-from .phase import ModelSpec, PotentialSpec
+from .phase import ModelSpec, PotentialSpec, pair_layout
 
 COINCIDENCE_TOL = 1e-12
 MIN_POINTS = 16
@@ -228,45 +228,19 @@ class ReducedOperator:
         return self.matrix.shape[0]
 
 
-def _kinetic_coefficients(model, n):
-    """(cL, cQ) with momentum part cL sum p_a^2 + cQ (sum p_a)^2."""
-    kind = model.kind
-    if kind == "DAlembert":
-        return 1.0 / (2.0 * model.I), 0.0
-    if kind == "MetrMetr":
-        return 1.0 / (2.0 * model.a), \
-            1.0 / (2.0 * model.b) - 1.0 / (2.0 * n * model.a)
-    al = model.alpha
-    denom = al + n * model.B
-    if denom == 0.0:
-        raise ConfigError("alpha + nB must be nonzero")
-    return 1.0 / (2.0 * al), -model.B / (2.0 * al * denom)
-
-
-def _coupling_constants(model):
-    """(coefficient, sign of the N-type term)."""
-    kind = model.kind
-    if kind == "DAlembert":
-        return 1.0 / (8.0 * model.I), 1.0
-    sign = 1.0 if kind == "TrigUn" else -1.0
-    return 1.0 / (32.0 * model.alpha), sign
-
-
 def angular_shift(model_kind, s, j, model):
-    """Constant block shift added by the metric-restricted kinetic terms."""
+    """Constant block shift of the metric-restricted kinetic terms
+    c_rho |rho|^2 + c_tau |tau|^2 of a model of kind model_kind, with the
+    spin Casimirs hbar^2 s(s+1) and hbar^2 j(j+1) for |rho|^2 and |tau|^2."""
+    if model_kind != model.kind:
+        raise ConfigError(f"model kind {model_kind!r} differs from the "
+                          f"model's {model.kind!r}")
     s = _check_half_integer(s, "s")
     j = _check_half_integer(j, "j")
-    hb2 = model.hbar ** 2
-    if model_kind in ("AffAff", "DAlembert", "TrigUn"):
-        return 0.0
-    if model_kind == "MetrAff":
-        return hb2 * s * (s + 1) / (2.0 * model.mu)
-    if model_kind == "AffMetr":
-        return hb2 * j * (j + 1) / (2.0 * model.mu)
-    if model_kind == "MetrMetr":
-        return hb2 * s * (s + 1) / (2.0 * model.c) \
-            + hb2 * j * (j + 1) / (2.0 * model.d)
-    raise ConfigError(f"unknown model kind {model_kind!r}")
+    # c_rho and c_tau depend on neither n nor B, and at B = 0 every size
+    # has its constants
+    c_rho, c_tau = replace(model, B=0.0).kinetic_constants(1)[4:]
+    return model.hbar ** 2 * (c_rho * s * (s + 1) + c_tau * j * (j + 1))
 
 
 def _grid_nodes(q_min, q_max, points, boundary):
@@ -301,30 +275,26 @@ def _amended_potential_nodes(kind, coords):
 
 
 def _block_couplings(problem):
-    """Ordered-pair block operators (a, b) -> (Bm^2, Bp^2) as real dense
-    blocks: the squares of the spin actions are real for every label."""
+    """Block operators (Bm^2, Bp^2) of the pairs a < b, in the order of
+    phase.pair_layout(n), as real dense blocks: the squares of the spin
+    actions are real for every label."""
     ds, dj = problem.block_shape
     hbar = problem.model.hbar
     if problem.n == 2:
-        s_gen = planar_generator(problem.alpha_label, hbar)
-        j_gen = planar_generator(problem.beta_label, hbar)
-        gens = {(0, 1): (s_gen, j_gen), (1, 0): (-s_gen, -j_gen)}
+        gens = [(planar_generator(problem.alpha_label, hbar),
+                 planar_generator(problem.beta_label, hbar))]
     else:
         sblk = spin_matrices(problem.alpha_label, hbar)
         jblk = spin_matrices(problem.beta_label, hbar)
-        gens = {}
-        for a in range(3):
-            for b in range(3):
-                if a != b:
-                    gens[(a, b)] = (skew_generator(sblk, a, b),
-                                    skew_generator(jblk, a, b))
-    out = {}
-    for (a, b), (Ss, Sj) in gens.items():
+        gens = [(skew_generator(sblk, a, b), skew_generator(jblk, a, b))
+                for a, b in zip(*pair_layout(3).iu)]
+    out = []
+    for Ss, Sj in gens:
         left = np.kron(np.eye(ds), Sj.T)     # f S^j on row-major flattening
         right = np.kron(Ss, np.eye(dj))      # S^s f
         Bm = left - right
         Bp = left + right
-        out[(a, b)] = ((Bm @ Bm).real, (Bp @ Bp).real)
+        out.append(((Bm @ Bm).real, (Bp @ Bp).real))
     return out
 
 
@@ -339,8 +309,8 @@ def _chamber(points, n):
 
 def _node_blocks(problem, q):
     """One (bdim, bdim) block per node q (npts, n): the potential, the
-    angular shift and the ordered-pair couplings cpl Bm^2 / dm^2 and
-    +-cpl Bp^2 / dn^2.  The denominators are sh and ch of the half
+    angular shift and the couplings cM Bm^2 / dm^2 and cN Bp^2 / dn^2 of
+    the pairs a < b.  The denominators are sh and ch of the half
     differences (sin and cos for TrigUn) or Q_a -+ Q_b for d'Alembert.  A
     pair whose block is zero is dropped, so a node on a coincidence is
     singular only under a nonvanishing coupling.  A single column q, the
@@ -355,26 +325,26 @@ def _node_blocks(problem, q):
         # a box acts through the Dirichlet walls of a dilatation grid
         v = np.zeros(npts) if pot.kind == "box" else pot.value(q)
         return (v + shift)[:, None, None]
+    ia, ib = pair_layout(n).iu
     if kind == "DAlembert":
-        dm = q[:, :, None] - q[:, None, :]
-        dn = q[:, :, None] + q[:, None, :]
+        dm, dn = q[:, ia] - q[:, ib], q[:, ia] + q[:, ib]
         v = pot.value(np.log(q))
     else:
         sm, cm = (np.sin, np.cos) if kind == "TrigUn" else (np.sinh, np.cosh)
-        x = 0.5 * (q[:, :, None] - q[:, None, :])
+        x = 0.5 * (q[:, ia] - q[:, ib])
         dm, dn = sm(x), cm(x)
         v = pot.value(q)
     blocks = (v + shift)[:, None, None] * np.eye(np.prod(problem.block_shape))
-    cpl, sign_n = _coupling_constants(model)
-    for (a, b), (Bm2, Bp2) in _block_couplings(problem).items():
-        for d, B2, c, where in ((dm, Bm2, cpl, "a coincidence"),
-                                (dn, Bp2, sign_n * cpl, "an antipodal pair")):
+    cM, cN = model.kinetic_constants(n)[2:4]
+    for pair, (Bm2, Bp2) in enumerate(_block_couplings(problem)):
+        for d, B2, c, where in ((dm, Bm2, cM, "a coincidence"),
+                                (dn, Bp2, cN, "an antipodal pair")):
             if not np.any(B2):
                 continue
-            if np.any(np.abs(d[:, a, b]) < COINCIDENCE_TOL):
+            if np.any(np.abs(d[:, pair]) < COINCIDENCE_TOL):
                 raise SingularWeight(
                     f"grid node on {where} with a nonvanishing coupling")
-            blocks += (c / d[:, a, b] ** 2)[:, None, None] * B2
+            blocks += (c / d[:, pair] ** 2)[:, None, None] * B2
     return blocks
 
 
@@ -401,7 +371,7 @@ def build_reduced_hamiltonian(problem):
     import scipy.sparse as sp
     model = problem.model
     kind, n, pts = model.kind, problem.n, problem.points
-    cL, cQ = _kinetic_coefficients(model, n)
+    cL, cQ = model.kinetic_constants(n)[:2]
     hb2 = model.hbar ** 2
     axis, h = _grid_nodes(problem.q_min, problem.q_max, pts, problem.boundary)
     coordinate = problem.coordinate

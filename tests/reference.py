@@ -17,7 +17,7 @@ kinds, and beta is the pbar coefficient of the free-streaming velocity.
 
 import numpy as np
 
-from affinebody import quantum
+from affinebody import phase, quantum
 from affinebody.dynamics import ORTHOGONALITY_TOL, EomKernel, Trajectory
 from affinebody.errors import (ConfigError, ShapeMismatch, StepFailure,
                                UnknownObservable)
@@ -223,7 +223,13 @@ def full_grid_all_chambers(problem):
     model = problem.model
     kind = model.kind
     n, pts = problem.n, problem.points
-    cL, cQ = quantum._kinetic_coefficients(model, n)
+    # the constants of phase.kinetic_energy: cL sum p^2 + cQ (sum p)^2 and
+    # cpl over ordered pairs, so 2 cpl over the pairs a < b
+    if kind == "DAlembert":
+        cL, cQ, cpl = 0.5 / model.I, 0.0, 1.0 / (8.0 * model.I)
+    else:
+        cL, cpl = 0.5 / model.alpha, 1.0 / (32.0 * model.alpha)
+        cQ = 1.0 / model.trace_coefficient(n) - 0.5 / (n * model.alpha)
     hb2 = model.hbar ** 2
     axis, h = quantum._grid_nodes(problem.q_min, problem.q_max, pts,
                                   "dirichlet")
@@ -277,7 +283,6 @@ def full_grid_all_chambers(problem):
     q = np.log(coords) if kind == "DAlembert" else coords
     zero = np.zeros((len(q), n, n))
     inv_m, inv_n, sign_n = _pair_denominators(kind, q, zero, zero)
-    cpl = quantum._coupling_constants(model)[0]
     v_nodes = problem.potential.value(q)
     ds, dj = problem.block_shape
     eye_block = sp.identity(ds * dj, format="csr")
@@ -285,9 +290,11 @@ def full_grid_all_chambers(problem):
                                     problem.beta_label, model)
     H = sp.kron(node_op, eye_block, format="csr") + sp.kron(
         sp.diags(v_nodes + shift_c), eye_block, format="csr")
-    for (a, b), (Bm2, Bp2) in quantum._block_couplings(problem).items():
-        H = H + sp.kron(sp.diags(cpl * inv_m[:, a, b]), sp.csr_matrix(Bm2))
-        H = H + sp.kron(sp.diags(sign_n * cpl * inv_n[:, a, b]),
+    for a, b, (Bm2, Bp2) in zip(*phase.pair_layout(n).iu,
+                                quantum._block_couplings(problem)):
+        H = H + sp.kron(sp.diags(2.0 * cpl * inv_m[:, a, b]),
+                        sp.csr_matrix(Bm2))
+        H = H + sp.kron(sp.diags(2.0 * sign_n * cpl * inv_n[:, a, b]),
                         sp.csr_matrix(Bp2))
     weight_out = None if weight is None else np.repeat(weight, ds * dj)
     return quantum.ReducedOperator(

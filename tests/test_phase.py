@@ -119,6 +119,36 @@ class TestCasimir:
         assert phase.casimir_csl2(shifted) == pytest.approx(base, rel=1e-12)
 
 
+class TestKineticConstants:
+    @pytest.mark.parametrize("model", ALL_KINDS,
+                             ids=[m.kind for m in ALL_KINDS])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_table_rebuilds_oracle(self, model, n, rng):
+        # cL sum p^2 + cQ (sum p)^2 + sum_{a<b} (cM M^2/dm^2 + cN N^2/dn^2)
+        # + c_rho |rho|^2 + c_tau |tau|^2 is the matrix-form kinetic energy
+        cL, cQ, cM, cN, c_rho, c_tau = model.kinetic_constants(n)
+        ia, ib = np.triu_indices(n, k=1)
+        for _ in range(20):
+            st_ = random_state(rng, n)
+            q, p = st_.q, st_.p
+            if model.kind == "DAlembert":
+                Q = np.exp(q)
+                p = p / Q
+                dm, dn = Q[ia] - Q[ib], Q[ia] + Q[ib]
+            else:
+                trig = model.kind == "TrigUn"
+                x = 0.5 * (q[ia] - q[ib])
+                dm, dn = (np.sin(x), np.cos(x)) if trig \
+                    else (np.sinh(x), np.cosh(x))
+            table = (cL * np.sum(p ** 2) + cQ * np.sum(p) ** 2
+                     + np.sum(cM * st_.M[ia, ib] ** 2 / dm ** 2
+                              + cN * st_.N[ia, ib] ** 2 / dn ** 2)
+                     + c_rho * np.sum(st_.rho[ia, ib] ** 2)
+                     + c_tau * np.sum(st_.tau[ia, ib] ** 2))
+            oracle = phase.kinetic_energy(model, st_.q, st_.p, st_.M, st_.N)
+            assert table == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
 class TestGradients:
     @pytest.mark.parametrize("model", ALL_KINDS,
                              ids=[m.kind for m in ALL_KINDS])

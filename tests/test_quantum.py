@@ -219,6 +219,12 @@ class TestAngularShift:
     def test_affaff_zero(self):
         assert quantum.angular_shift("AffAff", 2.0, 2.0, AFFAFF) == 0.0
 
+    def test_kind_mismatch_rejected(self):
+        # the shift of a MetrAff model is 2/3 here, never the AffAff 0
+        model = ModelSpec(kind="MetrAff", I=2.0, A=1.0)
+        with pytest.raises(ConfigError):
+            quantum.angular_shift("AffAff", 1.0, 0.0, model)
+
     def test_metraff_reference(self):
         # s = 1, mu = 1, hbar = 1 -> s(s+1)/(2 mu) * 2 = 2... the shift is
         # hbar^2 s(s+1) / (2 mu) = 1, and the s=1 vs s=0 gap is 1/mu * 1
