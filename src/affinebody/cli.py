@@ -328,9 +328,8 @@ COMMANDS = {
                             hbar=Key(float)), build=phase.ModelSpec),
             alpha_label=Key(float), beta_label=Key(float),
             coordinate=Key(quantum.COORDINATES), q_min=Key(float),
-            q_max=Key(float), points=Key(int),
-            boundary=Key(quantum.BOUNDARIES), potential=_POTENTIAL,
-            use_amended_transform=Key(bool), half_integer_labels=Key(bool)),
+            q_max=Key(float), points=Key(int), potential=_POTENTIAL,
+            use_amended_transform=Key(bool)),
             build=quantum.SpectralProblem),
         count=Key(int), eigenvectors=Key(bool)),
     "check-brackets": _command(

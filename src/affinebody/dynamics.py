@@ -37,6 +37,7 @@ ORTHOGONALITY_TOL = 1e-9
 STATIONARY_TOL = 1e-10
 THRESHOLD_TOL = 1e-12
 METHODS = ("rk4", "rk45")
+MIN_STEP, MAX_STEP = 1e-12, 0.1    # the RK45 controller's step range
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,6 @@ class StepControl:
     record_every: int = 1
     rtol: float = 1e-8
     atol: float = 1e-10
-    min_step: float = 1e-12
-    max_step: float = 0.1
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -371,12 +370,12 @@ def integrate(model, potential, state0, t_end, control=StepControl()):
                 scale = max(1.0, float(np.max(np.abs(y))))
                 factor = 2.0 if err == 0.0 else min(
                     2.0, max(0.2, 0.9 * (tol / err) ** 0.2))
-                h = min(control.max_step, h * factor)
+                h = min(MAX_STEP, h * factor)
             else:
                 h *= max(0.2, 0.9 * (tol / err) ** 0.2)
-            if h < control.min_step:
+            if h < MIN_STEP:
                 raise StepFailure(
-                    f"adaptive step underflowed below {control.min_step:g} "
+                    f"adaptive step underflowed below {MIN_STEP:g} "
                     f"at t = {t:g}")
         times = np.array(times)
         samples = np.array(samples)

@@ -28,7 +28,6 @@ MIN_POINTS = 16
 MAX_LABEL = 4
 MAX_AXIS_POINTS_3D = 64
 COORDINATES = ("dilatation", "shear", "full")
-BOUNDARIES = ("dirichlet", "periodic")
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +130,14 @@ class SpectralProblem:
     q_min: float = -1.0
     q_max: float = 1.0
     points: int = 64
-    boundary: str = "dirichlet"
     potential: PotentialSpec = field(default_factory=PotentialSpec.none)
     use_amended_transform: bool = True
-    half_integer_labels: bool = False
 
     def __post_init__(self):
         if self.n not in (2, 3):
             raise ConfigError("n must be 2 or 3")
         if self.coordinate not in COORDINATES:
             raise ConfigError(f"unknown coordinate {self.coordinate!r}")
-        if self.boundary not in BOUNDARIES:
-            raise ConfigError(f"unknown boundary {self.boundary!r}")
         if self.q_max <= self.q_min:
             raise ConfigError("q_max must exceed q_min")
         if self.points < MIN_POINTS:
@@ -151,26 +146,18 @@ class SpectralProblem:
         j = _check_half_integer(self.beta_label, "j")
         if abs((j - s) - round(j - s)) > 1e-12:
             raise InvalidLabel("j - s must be an integer")
-        if not self.half_integer_labels:
-            if abs(s - round(s)) > 1e-12 or abs(j - round(j)) > 1e-12:
-                raise InvalidLabel(
-                    "half-integer labels need half_integer_labels=True")
         if self.n == 3 and (s > MAX_LABEL or j > MAX_LABEL):
             raise ConfigError(f"angular labels limited to {MAX_LABEL}")
         kind = self.model.kind
-        if kind == "TrigUn":
-            if self.boundary != "periodic":
-                raise ConfigError("TrigUn requires periodic boundary")
+        if self.boundary == "periodic":
             # the wrapped edge joins q_max to q_min: whole turns apart
             turns = (self.q_max - self.q_min) / (2.0 * np.pi)
             if abs(round(turns) - turns) > 1e-9 * turns:
                 raise ConfigError(f"q_max - q_min must be a whole number of "
                                   f"periods 2 pi: q_min = {self.q_min:g}, "
                                   f"q_max = {self.q_max:g}")
-            if self.coordinate == "full":
-                raise ConfigError("full angle grids are not supported")
-        elif self.boundary != "dirichlet":
-            raise ConfigError(f"{kind} requires Dirichlet boundary")
+        if kind == "TrigUn" and self.coordinate == "full":
+            raise ConfigError("full angle grids are not supported")
         if self.coordinate == "shear":
             if self.n != 2:
                 raise ConfigError("shear coordinate exists for n = 2 only")
@@ -188,6 +175,11 @@ class SpectralProblem:
             if self.n == 3 and self.points > MAX_AXIS_POINTS_3D:
                 raise ConfigError(
                     f"n = 3 grids limited to {MAX_AXIS_POINTS_3D}^3 nodes")
+
+    @property
+    def boundary(self):
+        # TrigUn angles wrap round; every other grid ends in Dirichlet walls
+        return "periodic" if self.model.kind == "TrigUn" else "dirichlet"
 
     @property
     def block_shape(self):
@@ -228,18 +220,21 @@ class ReducedOperator:
         return self.matrix.shape[0]
 
 
-def angular_shift(model_kind, s, j, model):
+def angular_shift(model, n, s, j):
     """Constant block shift of the metric-restricted kinetic terms
-    c_rho |rho|^2 + c_tau |tau|^2 of a model of kind model_kind, with the
-    spin Casimirs hbar^2 s(s+1) and hbar^2 j(j+1) for |rho|^2 and |tau|^2."""
-    if model_kind != model.kind:
-        raise ConfigError(f"model kind {model_kind!r} differs from the "
-                          f"model's {model.kind!r}")
+    c_rho |rho|^2 + c_tau |tau|^2 of `model` at size n.  For n = 3,
+    |rho|^2 and |tau|^2 act as the spin Casimirs hbar^2 s(s+1) and
+    hbar^2 j(j+1); for n = 2 as the squares hbar^2 s^2 and hbar^2 j^2 of
+    the SO(2) generators hbar s and hbar j."""
+    if n not in (2, 3):
+        raise ConfigError("n must be 2 or 3")
     s = _check_half_integer(s, "s")
     j = _check_half_integer(j, "j")
     # c_rho and c_tau depend on neither n nor B, and at B = 0 every size
     # has its constants
     c_rho, c_tau = replace(model, B=0.0).kinetic_constants(1)[4:]
+    if n == 2:
+        return model.hbar ** 2 * (c_rho * s * s + c_tau * j * j)
     return model.hbar ** 2 * (c_rho * s * (s + 1) + c_tau * j * (j + 1))
 
 
@@ -319,8 +314,8 @@ def _node_blocks(problem, q):
     kind = model.kind
     pot = problem.potential
     npts, n = q.shape
-    shift = angular_shift(kind, problem.alpha_label, problem.beta_label,
-                          model)
+    shift = angular_shift(model, problem.n, problem.alpha_label,
+                          problem.beta_label)
     if n == 1:
         # a box acts through the Dirichlet walls of a dilatation grid
         v = np.zeros(npts) if pot.kind == "box" else pot.value(q)
@@ -360,7 +355,10 @@ def build_reduced_hamiltonian(problem):
     is the flux stencil -c sum_u (1/P) d_u (P d_u) over the axis steps u
     and, on full grids, the step (1, ..., 1) that carries the cQ
     (sum_a d_a)^2 term, with P taken at edge midpoints.  In amended
-    variables P = 1 and the amended potential U is added instead.
+    variables P = 1 and the amended potential U is added instead.  The raw
+    form takes P = 0 on an edge to a node where P vanishes, a full-grid
+    wall or a shear end on x = 0: the flux P d Psi vanishes there with no
+    boundary value on Psi.
 
     The operator's floor is the lowest Gershgorin bound of the node blocks
     (exact for the 1 x 1 blocks of n = 2), plus the lowest c_axis U in
@@ -422,14 +420,20 @@ def build_reduced_hamiltonian(problem):
     if c_diag != 0.0:
         steps.append((c_diag, np.ones(dims, dtype=int)))
     strides = pts ** np.arange(dims - 1, -1, -1)
+    ends = np.r_[problem.q_min, axis, problem.q_max]
     edges = []
     for coef, u in steps:
-        wp = weight_at(coords + 0.5 * h * u) if raw else 1.0
-        wm = weight_at(coords - 0.5 * h * u) if raw else 1.0
-        diag = diag + coef * (wp + wm) / h ** 2
-        nxt = idx + u
+        nxt, prv = idx + u, idx - u
         if problem.boundary == "periodic":
-            nxt %= pts
+            nxt, prv = nxt % pts, prv % pts
+        wp = wm = 1.0
+        if raw:
+            # P vanishes on a wall, so no flux crosses an edge that ends
+            # on a node of zero weight; other ends outside are Dirichlet
+            wp, wm = (weight_at(coords + 0.5 * h * d)
+                      * (weight_at(ends[far + 1]) > 0.0)
+                      for d, far in ((u, nxt), (-u, prv)))
+        diag = diag + coef * (wp + wm) / h ** 2
         r = np.flatnonzero(np.all(np.diff(nxt, axis=1) > 0, axis=1)
                            & (nxt[:, -1] < pts))
         edges.append((r, np.searchsorted(lattice, nxt[r] @ strides),

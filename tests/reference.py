@@ -217,7 +217,9 @@ def full_grid_all_chambers(problem):
     The ReducedOperator's `lattice` holds the row-major box index of each
     node.  Axis stencils are Kronecker products on the box; the cQ
     term is the flux form -(1/P) d_u (P d_u) along u = (1, ..., 1), with the
-    weight taken at the midpoints x +- h u / 2.
+    weight taken at the midpoints x +- h u / 2.  The raw form takes that
+    weight as 0 on every edge to a wall node, two of whose lattice indices
+    are equal: the weight vanishes on the wall, and so does the flux.
     """
     import scipy.sparse as sp
     model = problem.model
@@ -252,25 +254,28 @@ def full_grid_all_chambers(problem):
             out = sp.kron(out, part, format="csr")
         return out
 
-    def flux(step, shift):
-        """-(1/P) d (P d) along `step`, a box vector of length h; `shift`
-        moves a node by one step on the box (zero rows past its edge)."""
+    def on_wall(ix):
+        return np.any(np.diff(np.sort(ix, axis=1), axis=1) == 0, axis=1)
+
+    def flux(u, shift):
+        """-(1/P) d (P d) along the lattice step `u`; `shift` moves a node
+        by one step on the box (zero rows past its edge)."""
         if amended:
             wp = wm = np.ones(len(box))
         else:
-            wp = weight_at(box + 0.5 * step)
-            wm = weight_at(box - 0.5 * step)
+            wp = weight_at(box + 0.5 * h * u) * ~on_wall(index + u)
+            wm = weight_at(box - 0.5 * h * u) * ~on_wall(index - u)
         S = sp.diags(wp + wm) - sp.diags(wp) @ shift - shift.T @ sp.diags(wp)
         return S.tocsr()[keep][:, keep] / h ** 2
 
     up = sp.diags(np.ones(pts - 1), 1)
     node_op = hb2 * cL * sum(
-        flux(h * np.eye(n)[a], axis_op(up, a)) for a in range(n))
+        flux(np.eye(n, dtype=int)[a], axis_op(up, a)) for a in range(n))
     if cQ != 0.0:
         diagonal = up
         for _ in range(n - 1):
             diagonal = sp.kron(diagonal, up, format="csr")
-        node_op = node_op + hb2 * cQ * flux(np.full(n, h), diagonal)
+        node_op = node_op + hb2 * cQ * flux(np.ones(n, dtype=int), diagonal)
     if amended:
         node_op = node_op + sp.diags(
             hb2 * cL * quantum._amended_potential_nodes(kind, coords))
@@ -286,8 +291,8 @@ def full_grid_all_chambers(problem):
     v_nodes = problem.potential.value(q)
     ds, dj = problem.block_shape
     eye_block = sp.identity(ds * dj, format="csr")
-    shift_c = quantum.angular_shift(kind, problem.alpha_label,
-                                    problem.beta_label, model)
+    shift_c = quantum.angular_shift(model, n, problem.alpha_label,
+                                    problem.beta_label)
     H = sp.kron(node_op, eye_block, format="csr") + sp.kron(
         sp.diags(v_nodes + shift_c), eye_block, format="csr")
     for a, b, (Bm2, Bp2) in zip(*phase.pair_layout(n).iu,

@@ -1,8 +1,11 @@
-"""The public surface: the names that `import affinebody` exports.
+"""The public surface: the names that `import affinebody` exports, and
+the fields of its option objects.
 
-Adding or removing a name means changing PUBLIC here too.
+Adding or removing a name means changing PUBLIC here too, and adding or
+removing an option field means changing OPTIONS.
 """
 
+import dataclasses
 import types
 
 import affinebody
@@ -34,6 +37,16 @@ PUBLIC = {
     "haar_weight", "lebesgue_weight", "spin_matrices",
 }
 
+# every independently settable field of the option objects, in order
+OPTIONS = {
+    "SpectralProblem": ("n", "model", "alpha_label", "beta_label",
+                        "coordinate", "q_min", "q_max", "points",
+                        "potential", "use_amended_transform"),
+    "StepControl": ("method", "step", "record_every", "rtol", "atol"),
+    "ModelSpec": ("kind", "I", "A", "B", "a", "b", "c", "d", "hbar"),
+    "PotentialSpec": ("kind", "params"),
+}
+
 # deleted, or moved to tests/reference.py (squared_norm_observable, beta)
 REMOVED = [
     (phase, "legendre_dalembert"), (phase, "inverse_legendre_dalembert"),
@@ -50,6 +63,12 @@ def test_public_names():
                 if not name.startswith("_")
                 and not isinstance(value, types.ModuleType)}
     assert sorted(exported) == sorted(PUBLIC)
+
+
+def test_option_fields():
+    fields = {name: tuple(f.name for f in dataclasses.fields(
+        getattr(affinebody, name))) for name in OPTIONS}
+    assert fields == OPTIONS
 
 
 def test_removed_names_are_gone():

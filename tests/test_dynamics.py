@@ -521,17 +521,18 @@ class TestIntegrate:
                                              atol=1e-12))
         assert np.allclose(t4.samples[-1], t45.samples[-1], atol=1e-7)
 
-    def test_rk45_min_step_failure(self, rng):
+    def test_rk45_min_step_failure(self, rng, monkeypatch):
         # a state headed into the repulsive coincidence wall forces the
         # adaptive controller below its minimum step
         model = ModelSpec(kind="AffAff", A=1.0, B=0.0)
         M = np.array([[0.0, 2.0], [-2.0, 0.0]])
         st_ = ReducedState(np.array([0.05, -0.05]),
                            np.array([-3.0, 3.0]), M=M)
+        monkeypatch.setattr(dynamics, "MIN_STEP", 1e-2)
         with pytest.raises(StepFailure):
             dynamics.integrate(model, GEODETIC, st_, 5.0,
                                StepControl(method="rk45", rtol=1e-10,
-                                           atol=1e-14, min_step=1e-2))
+                                           atol=1e-14))
 
     def test_rk45_error_estimate_without_cancellation(self):
         # y' = lam y: the embedded estimate is |P(z) y|, z = h lam, with P
@@ -675,9 +676,10 @@ class TestParallelAttitudes:
         Omega = rng.standard_normal((3, 3)) * 0.3
         state0, tp0 = dynamics.reduced_state_from_velocity(phi0, Omega,
                                                            model)
-        traj = dynamics.integrate(model, GEODETIC, state0, 1.0,
-                                  StepControl(method="rk45", step=1e-3,
-                                              max_step=max_step))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "MAX_STEP", max_step)
+            traj = dynamics.integrate(model, GEODETIC, state0, 1.0,
+                                      StepControl(method="rk45", step=1e-3))
         # the grid starts at 1e-3 and doubles: the intervals differ
         assert len(np.unique(np.round(np.diff(traj.times), 12))) > 3
         return model, phi0, Omega, tp0, traj

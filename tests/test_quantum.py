@@ -102,17 +102,18 @@ class TestProblemValidation:
             SpectralProblem(n=2, model=AFFAFF, points=8)
 
     def test_half_integer_gate(self):
+        # half-integer labels are accepted as they are; other fractions not
+        pb = SpectralProblem(n=3, model=AFFAFF, alpha_label=0.5,
+                             beta_label=1.5)
+        assert pb.block_shape == (2, 4)
         with pytest.raises(InvalidLabel):
-            SpectralProblem(n=3, model=AFFAFF, alpha_label=0.5,
-                            beta_label=1.5)
-        # explicit covering-mode flag allows them
-        SpectralProblem(n=3, model=AFFAFF, alpha_label=0.5,
-                        beta_label=1.5, half_integer_labels=True)
+            SpectralProblem(n=3, model=AFFAFF, alpha_label=0.3,
+                            beta_label=1.3)
 
     def test_label_difference_must_be_integer(self):
         with pytest.raises(InvalidLabel):
             SpectralProblem(n=3, model=AFFAFF, alpha_label=0.5,
-                            beta_label=1.0, half_integer_labels=True)
+                            beta_label=1.0)
 
     def test_dalembert_separable_coordinates_rejected(self):
         md = ModelSpec(kind="DAlembert", I=1.0)
@@ -128,10 +129,17 @@ class TestProblemValidation:
                             q_min=-1.0, q_max=1.0)
 
     def test_trig_boundary(self):
+        # the kind decides the boundary: TrigUn angles wrap round
         mt = ModelSpec(kind="TrigUn", A=1.0, B=0.0)
-        with pytest.raises(ConfigError):
-            SpectralProblem(n=2, model=mt, coordinate="shear",
-                            q_min=-3.0, q_max=3.0, boundary="dirichlet")
+        pb = SpectralProblem(n=2, model=mt, coordinate="shear",
+                             q_min=-np.pi, q_max=np.pi)
+        assert pb.boundary == "periodic"
+        assert "boundary" not in pb.to_json()
+        for model in FULL_KINDS:
+            q_min = 0.5 if model.kind == "DAlembert" else -1.0
+            pb = SpectralProblem(n=2, model=model, coordinate="full",
+                                 q_min=q_min, q_max=2.0, points=16)
+            assert pb.boundary == "dirichlet"
 
     def test_shear_n3_rejected(self):
         with pytest.raises(ConfigError):
@@ -144,7 +152,7 @@ class TestProblemValidation:
         mt = ModelSpec(kind="TrigUn", A=1.0, B=0.3)
         make = lambda: SpectralProblem(
             n=2, model=mt, coordinate="shear", q_min=0.3,
-            q_max=0.3 + turns * 2.0 * np.pi, boundary="periodic")
+            q_max=0.3 + turns * 2.0 * np.pi)
         if ok:
             make()
         else:
@@ -217,20 +225,15 @@ class TestDilatation:
 
 class TestAngularShift:
     def test_affaff_zero(self):
-        assert quantum.angular_shift("AffAff", 2.0, 2.0, AFFAFF) == 0.0
-
-    def test_kind_mismatch_rejected(self):
-        # the shift of a MetrAff model is 2/3 here, never the AffAff 0
-        model = ModelSpec(kind="MetrAff", I=2.0, A=1.0)
-        with pytest.raises(ConfigError):
-            quantum.angular_shift("AffAff", 1.0, 0.0, model)
+        for n in (2, 3):
+            assert quantum.angular_shift(AFFAFF, n, 2.0, 2.0) == 0.0
 
     def test_metraff_reference(self):
         # s = 1, mu = 1, hbar = 1 -> s(s+1)/(2 mu) * 2 = 2... the shift is
         # hbar^2 s(s+1) / (2 mu) = 1, and the s=1 vs s=0 gap is 1/mu * 1
         model = ModelSpec(kind="MetrAff", I=2.0, A=1.0, B=0.0)
         mu = model.mu
-        val = quantum.angular_shift("MetrAff", 1.0, 0.0, model)
+        val = quantum.angular_shift(model, 3, 1.0, 0.0)
         assert val == pytest.approx(1.0 / mu, rel=1e-14)
 
     def test_metraff_unit_mu(self):
@@ -238,14 +241,56 @@ class TestAngularShift:
         # therefore hbar^2 / mu
         model = ModelSpec(kind="MetrAff", I=2.0, A=1.0, B=0.0)
         assert model.mu == pytest.approx((4.0 - 1.0) / 2.0)
-        val = quantum.angular_shift("MetrAff", 1.0, 0.0, model)
+        val = quantum.angular_shift(model, 3, 1.0, 0.0)
         assert val == pytest.approx(2.0 / (2.0 * model.mu), rel=1e-14)
 
     def test_metrmetr_reference(self):
         # hbar^2 s(s+1)/(2c) + hbar^2 j(j+1)/(2d) = 3/8 + 3/8
         model = ModelSpec(kind="MetrMetr", a=1.0, b=1.0, c=1.0, d=1.0)
-        val = quantum.angular_shift("MetrMetr", 0.5, 0.5, model)
+        val = quantum.angular_shift(model, 3, 0.5, 0.5)
         assert val == pytest.approx(0.75, rel=1e-14)
+
+    @pytest.mark.parametrize("model, labels, value", [
+        # hbar^2 s^2 / (2 mu) with mu = 3/2, and hbar = 0.5 quarters it
+        (ModelSpec(kind="MetrAff", I=2.0, A=1.0), (1.0, 0.0), 1.0 / 3.0),
+        (ModelSpec(kind="MetrAff", I=2.0, A=1.0), (2.0, 1.0), 4.0 / 3.0),
+        (ModelSpec(kind="MetrAff", I=2.0, A=1.0, hbar=0.5), (2.0, 1.0),
+         1.0 / 3.0),
+        # hbar^2 j^2 / (2 mu)
+        (ModelSpec(kind="AffMetr", I=2.0, A=1.0), (2.0, 1.0), 1.0 / 3.0),
+        # hbar^2 s^2/(2c) + hbar^2 j^2/(2d) = 1/8 + 1/8
+        (ModelSpec(kind="MetrMetr", a=1.0, b=1.0, c=1.0, d=1.0), (0.5, 0.5),
+         0.25)],
+        ids=["MetrAff-10", "MetrAff-21", "MetrAff-21-hbar", "AffMetr-21",
+             "MetrMetr-halves"])
+    def test_planar_reference(self, model, labels, value):
+        # for n = 2, |rho|^2 and |tau|^2 act as the squares of the SO(2)
+        # generators hbar s and hbar j, not as SO(3) Casimirs
+        val = quantum.angular_shift(model, 2, *labels)
+        assert val == pytest.approx(value, rel=1e-14)
+
+    @pytest.mark.parametrize("kind, labels", [
+        ("MetrAff", (1.0, 0.0)), ("MetrAff", (2.0, 1.0)),
+        ("MetrAff", (1.0, 2.0)), ("AffMetr", (0.0, 2.0)),
+        ("AffMetr", (2.0, 1.0)), ("AffMetr", (1.0, 1.0))],
+        ids=lambda v: v if isinstance(v, str) else f"{v[0]:g}{v[1]:g}")
+    def test_planar_shift_of_full_grid(self, kind, labels):
+        # MetrAff and AffMetr share the kinetic constants of AffAff with
+        # A = alpha = I + A, save c_rho |rho|^2 or c_tau |tau|^2, and the
+        # n = 2 couplings act on the labels through hbar s and hbar j.  So
+        # the n = 2 operators differ by the constant hbar^2 s^2 / (2 mu)
+        # (MetrAff) or hbar^2 j^2 / (2 mu) (AffMetr) on the diagonal
+        model = ModelSpec(kind=kind, I=2.0, A=1.0, B=0.3)
+        affaff = ModelSpec(kind="AffAff", A=model.alpha, B=model.B)
+        s, j = labels
+        label = s if kind == "MetrAff" else j
+        expected = label ** 2 / (2.0 * model.mu)
+        ops = [quantum.build_reduced_hamiltonian(SpectralProblem(
+            n=2, model=m, alpha_label=s, beta_label=j, coordinate="full",
+            q_min=-2.0, q_max=2.0, points=24)).matrix for m in (model, affaff)]
+        diff = (ops[0] - ops[1]).toarray()
+        assert np.max(np.abs(diff - np.diag(np.diag(diff)))) == 0.0
+        assert np.allclose(np.diag(diff), expected, rtol=1e-12, atol=0.0)
 
     def test_uniform_split_across_levels(self):
         model = ModelSpec(kind="MetrAff", I=0.8, A=1.1, B=0.3)
@@ -307,19 +352,23 @@ class TestShear:
         assert np.all(fine < coarse)
         assert np.max(fine) < 1e-3
 
-    @pytest.mark.parametrize("labels, A, levels", [
-        ((2.0, 4.0), 1.0, [0.78685745]),
-        ((2.0, 4.0), 1.7, [0.46285732]),
-        ((4.0, 4.0), 1.0, [-0.60165334, 0.92947553])])
-    def test_poschl_teller_levels(self, labels, A, levels):
+    @pytest.mark.parametrize("labels, A, levels, amended", [
+        ((2.0, 4.0), 1.0, [0.78685745], True),
+        ((2.0, 4.0), 1.7, [0.46285732], True),
+        ((4.0, 4.0), 1.0, [-0.60165334, 0.92947553], True),
+        ((4.0, 4.0), 1.0, [-0.60165334, 0.92947553], False)],
+        ids=["labels0-1.0-levels0", "labels1-1.7-levels1",
+             "labels2-1.0-levels2", "labels2-1.0-levels2-raw"])
+    def test_poschl_teller_levels(self, labels, A, levels, amended):
         # at B = 0 the shear operator is (hbar^2/A)[-d^2 + 1 +
         # (kappa(kappa - 1)/sh^2(x/2) - lambda(lambda - 1)/ch^2(x/2))/4],
         # kappa(kappa - 1) = (j - s)^2/4 and lambda(lambda - 1) =
         # (j + s)^2/4, whose bound levels are (hbar^2/A)[1 - (lambda -
         # kappa - 1 - 2k)^2/4] (Poschl & Teller, 1933).  The amended grid
         # converges to them at second order (3.87-4.00x per doubling
-        # measured).  Labels (3, 4) fall only 2.7x: kappa = 1.21 there, and
-        # the amplitude goes as x^kappa at the wall
+        # measured), and so does the raw one, whose flux closes on the wall
+        # x = 0, where sh^2 x vanishes.  Labels (3, 4) fall only 2.7x:
+        # kappa = 1.21 there, and the amplitude goes as x^kappa at the wall
         s, j = labels
         kappa = 0.5 + math.sqrt(0.25 + 0.25 * (j - s) ** 2)
         lam = 0.5 + math.sqrt(0.25 + 0.25 * (j + s) ** 2)
@@ -331,7 +380,8 @@ class TestShear:
         for points in (1000, 2000, 4000):
             pb = SpectralProblem(n=2, model=model, alpha_label=s,
                                  beta_label=j, coordinate="shear",
-                                 q_min=0.0, q_max=40.0, points=points)
+                                 q_min=0.0, q_max=40.0, points=points,
+                                 use_amended_transform=amended)
             spec = quantum.eigensolve(quantum.build_reduced_hamiltonian(pb),
                                       len(levels))
             errors.append(np.max(np.abs(spec.eigenvalues - oracle)))
@@ -353,8 +403,7 @@ class TestShear:
         mt = ModelSpec(kind="TrigUn", A=1.0, B=0.0)
         pb = SpectralProblem(n=2, model=mt, alpha_label=1.0,
                              beta_label=1.0, coordinate="shear",
-                             q_min=-np.pi, q_max=np.pi, points=128,
-                             boundary="periodic")
+                             q_min=-np.pi, q_max=np.pi, points=128)
         with pytest.raises(SingularWeight):
             quantum.build_reduced_hamiltonian(pb)
 
@@ -363,7 +412,7 @@ class TestShear:
         pb = SpectralProblem(n=2, model=mt, alpha_label=1.0,
                              beta_label=1.0, coordinate="shear",
                              q_min=-np.pi + 0.01, q_max=np.pi + 0.01,
-                             points=128, boundary="periodic")
+                             points=128)
         op = quantum.build_reduced_hamiltonian(pb)
         assert np.max(np.abs(op.matrix - op.matrix.T)) == 0.0
         spec = quantum.eigensolve(op, 4)
@@ -504,8 +553,9 @@ class TestFullGrid:
         (3, (1.0, 0.0), (16, 33))])
     def test_amended_and_raw_converge_together(self, n, labels, grids):
         # on the chamber the raw weighted form approaches the amended one
-        # at first order in h: the largest gap between their four lowest
-        # levels falls more than twofold each time h halves
+        # at second order in h, since its flux closes on the walls where
+        # the weight vanishes: the largest gap between their four lowest
+        # levels falls more than 3.5-fold each time h halves
         gaps = []
         for points in grids:
             levels = [quantum.eigensolve(quantum.build_reduced_hamiltonian(
@@ -515,7 +565,7 @@ class TestFullGrid:
                                 use_amended_transform=amended)),
                 4).eigenvalues for amended in (True, False)]
             gaps.append(np.max(np.abs(levels[0] - levels[1])))
-        assert np.all(np.array(gaps[:-1]) / np.array(gaps[1:]) > 2.0)
+        assert np.all(np.array(gaps[:-1]) / np.array(gaps[1:]) > 3.5)
 
     @pytest.mark.parametrize("labels, doublets", [
         ((0.0, 0.0), {}),
@@ -754,8 +804,7 @@ class TestSolverPaths:
         pb = SpectralProblem(n=2, model=mt, alpha_label=1.0,
                              beta_label=1.0, coordinate="shear",
                              q_min=0.3, q_max=0.3 + 2.0 * np.pi,
-                             points=128, boundary="periodic",
-                             use_amended_transform=False)
+                             points=128, use_amended_transform=False)
         op = quantum.build_reduced_hamiltonian(pb)
         WH = op.weight[:, None] * op.matrix
         assert np.max(np.abs(WH - WH.T)) / np.max(np.abs(WH)) < 1e-10
@@ -808,7 +857,7 @@ def _unweighted_problems():
         yield f"TrigUn-{coordinate}", SpectralProblem(
             n=2, model=trig, alpha_label=1.0, beta_label=1.0,
             coordinate=coordinate, q_min=0.3, q_max=0.3 + 2.0 * np.pi,
-            points=64, boundary="periodic")
+            points=64)
     # the amended Dirichlet 1-d grids, which reach the tridiagonal path
     for name in ("dilatation", "shear_amended"):
         problem = TestSolverPaths.ONE_D[name]
