@@ -16,12 +16,14 @@ to (B, dim).  A Fortran-ordered (B, dim) batch is the fast path: its
 transpose is a free view in which each component is one contiguous row.
 integrate_batch and reconstruct_attitudes hold their states component-major
 and pass such views.  Any other input gives the same numbers and is read
-through strides or a copy.
+through strides or a copy.  The one exception is a single state in
+integrate_batch, which steps as a list of Python floats (float_rhs).
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 # scipy is imported in the functions that call it, so that importing the
@@ -95,6 +97,18 @@ def _commutator_terms(n):
         signs.reshape(2 * k, 4 * k * T)
 
 
+def _check_coupling(antipodal, coincident):
+    """Raise DegenerateInertia for a nonzero coupling on a vanishing pair
+    denominator; an antipodal N coupling is named before a coincident M
+    one."""
+    if antipodal:
+        raise DegenerateInertia(
+            "antipodal invariants q_a - q_b = pi with N coupling")
+    if coincident:
+        raise DegenerateInertia(
+            "coincident deformation invariants with nonzero M coupling")
+
+
 class EomKernel:
     """Reduced equations of motion of one model and potential at size n.
 
@@ -103,7 +117,8 @@ class EomKernel:
     module docstring).  Each pair's sinh/cosh (sin/cos for TrigUn, exp for
     DAlembert) is evaluated once per call, the commutators are summed over
     the nonzero so(n) structure constants, and every constant of the model
-    is computed once, at construction.
+    is computed once, at construction.  float_rhs evaluates the same
+    equations for one state on Python floats.
     """
 
     def __init__(self, model, potential, n):
@@ -173,12 +188,8 @@ class EomKernel:
             near = np.abs(d[:k]) < tol * np.maximum(x[ia], x[ib])
         if len(near) == k:
             near = np.concatenate([near, np.zeros_like(near)])
-        if np.any(near[k:] & (u[k:] != 0.0)):
-            raise DegenerateInertia(
-                "antipodal invariants q_a - q_b = pi with N coupling")
-        if np.any(near[:k] & (u[:k] != 0.0)):
-            raise DegenerateInertia(
-                "coincident deformation invariants with nonzero M coupling")
+        _check_coupling(np.any(near[k:] & (u[k:] != 0.0)),
+                        np.any(near[:k] & (u[:k] != 0.0)))
         return d, np.where(near, 0.0,
                            self.coef / np.where(near, 1.0, d) ** 2)
 
@@ -242,6 +253,104 @@ class EomKernel:
         y = np.asarray(y, dtype=float)
         dz = self._flow(y.reshape(-1, y.shape[-1]).T, out)[0]
         return dz.T.reshape(y.shape)
+
+    def float_rhs(self):
+        """The time derivative of one packed state as a function from a
+        list of dim Python floats to another, which calls no numpy: the
+        equations of _flow, from the same coef, q_weights, momentum,
+        coupling and nonzero so(n) structure constants, with the same
+        DegenerateInertia checks and the removable terms set to zero.
+        Where numpy returns inf or nan, math raises OverflowError,
+        ZeroDivisionError or ValueError."""
+        n, k = self.n, self.layout.count
+        lim = phase.DEGENERACY_TOL
+        pairs = tuple(zip(*(i.tolist() for i in self.layout.iu)))
+        coef = self.coef.ravel().tolist()
+        q_rows = self.q_weights.tolist()
+        slope = self.slope
+        # _flow's commutator sum as (sign, i, j) of each nonzero term
+        # s u_i g_j, row by row of (dM, dN); every row has as many terms
+        partners, signs = _commutator_terms(n)
+        rows, cols = np.nonzero(signs)
+        spin = list(zip(signs[rows, cols].tolist(),
+                        (cols // partners.shape[1]).tolist(),
+                        np.tile(partners.ravel(), 2)[cols].tolist()))
+        per_row = len(spin) // (2 * k)
+        at_rest = [0.0] * (2 * k)
+
+        def weights(d, u, near):
+            _check_coupling(
+                any(a and b != 0.0 for a, b in zip(near[k:], u[k:])),
+                any(a and b != 0.0 for a, b in zip(near[:k], u)))
+            return [0.0 if a else c / (x * x)
+                    for a, c, x in zip(near, coef, d)]
+
+        def spin_rhs(u, g):
+            if not spin:
+                return at_rest
+            terms = [s * (u[i] * g[j]) for s, i, j in spin]
+            return [sum(terms[r:r + per_row])
+                    for r in range(0, len(terms), per_row)]
+
+        if self.kind == "DAlembert":
+            exp, inv_inertia = math.exp, self.inv_inertia
+
+            def rhs(y):
+                q, p, u = y[:n], y[n:2 * n], y[2 * n:]
+                Q = list(map(exp, q))
+                d = [Q[a] - Q[b] for a, b in pairs] \
+                    + [Q[a] + Q[b] for a, b in pairs]
+                # the screen of _pairs, then its exact test
+                if any(abs(d[i]) < lim * d[k + i] for i in range(k)):
+                    w = weights(d, u, [abs(Q[a] - Q[b])
+                                       < lim * max(Q[a], Q[b])
+                                       for a, b in pairs] + [False] * k)
+                else:
+                    w = [c / (x * x) for c, x in zip(coef, d)]
+                g = list(map(mul, u, w))
+                dq = [b / (a * a) * inv_inertia for a, b in zip(Q, p)]
+                gd = [a * a * b for a, b in zip(g, d)]
+                dp = [sum(map(mul, row, gd)) * a + b * c
+                      for row, a, b, c in zip(q_rows, Q, p, dq)]
+                if slope is not None:
+                    pull = slope(sum(q) / n) / n
+                    dp = [a - pull for a in dp]
+                return dq + dp + spin_rhs(u, g)
+            return rhs
+
+        sm, cm = (math.sin, math.cos) if self.kind == "TrigUn" \
+            else (math.sinh, math.cosh)
+        screened = 2 * k if self.kind == "TrigUn" else k
+        lim *= 0.5
+        momentum = self.momentum.tolist()
+        coupled = self.coupling is not None
+        if coupled:
+            # the coupling Hessian has nonzeros only at (i, i) and (i, i -+ k)
+            own = self.coupling.diagonal().tolist()
+            cross = self.coupling.diagonal(k).tolist() \
+                + self.coupling.diagonal(-k).tolist()
+
+        def rhs(y):
+            q, p, u = y[:n], y[n:2 * n], y[2 * n:]
+            h = [0.5 * q[a] - 0.5 * q[b] for a, b in pairs]
+            d = list(map(sm, h)) + list(map(cm, h))
+            if min(map(abs, d[:screened]), default=1.0) < lim:
+                w = weights(d, u, [abs(x) < lim for x in d[:screened]]
+                            + [False] * (2 * k - screened))
+            else:
+                w = [c / (x * x) for c, x in zip(coef, d)]
+            g = list(map(mul, u, w))
+            v = list(map(mul, g, g))
+            pulls = [(v[i] - v[k + i]) * (d[i] * d[k + i]) for i in range(k)]
+            if slope is not None:
+                pulls.append(slope(sum(q) / n))
+            dq = [sum(map(mul, row, p)) for row in momentum]
+            dp = [sum(map(mul, row, pulls)) for row in q_rows]
+            if coupled:
+                g = [a + b * c + e * f for a, b, c, e, f
+                     in zip(g, own, u, cross, u[k:] + u[:k])]
+            return dq + dp + spin_rhs(u, g)
+        return rhs
 
     def energies(self, ys):
         """Energy H and quadratic Casimir C2 of packed states (..., dim)."""
@@ -393,46 +502,97 @@ def integrate(model, potential, state0, t_end, control=StepControl()):
 def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
     """Fixed-step RK4 over a batch of packed states; records only the
     endpoints unless record_every is given.  Returns (times, samples) with
-    samples shaped (records, batch, dim).  The state is held
-    component-major, (dim, B); each RHS call writes its stage into one
-    (4, dim, B) buffer, and a step ends with one product of the RK4
-    weights with that buffer.
+    samples shaped (records,) + y0.shape.  A batch of more than one state
+    is held component-major, (dim, B); each RHS call writes its stage into
+    one (4, dim, B) buffer, and a step ends with one product of the RK4
+    weights with that buffer.  One state, (dim,) or (1, dim), steps on
+    Python floats through EomKernel.float_rhs instead, where numpy's
+    per-call cost would outweigh its arithmetic.
 
     A state that blows up (a step across a singular wall of the lattice)
     stays non-finite from then on.  numpy's floating-point warnings are
     off during the steps, and the records are checked once, at the end:
     StepFailure names the time of the first non-finite record."""
-    rhs = EomKernel(model, potential, n).rhs
+    kernel = EomKernel(model, potential, n)
     nsteps = max(1, int(round(t_end / step)))
     h = t_end / nsteps
     y0 = np.asarray(y0, dtype=float)
+    weights = h * _RK4_B
+    if y0.size == y0.shape[-1]:
+        times, samples = _rk4_one_state(kernel.float_rhs(),
+                                        y0.ravel().tolist(), nsteps, h,
+                                        weights.tolist(), record_every)
+    else:
+        times, samples = _rk4_batch(kernel.rhs, y0, nsteps, h, weights,
+                                    record_every)
+    if record_every is None:
+        times[-1] = t_end
+    times = np.array(times)
+    samples = np.array(samples).reshape(times.shape + y0.shape)
+    finite = np.isfinite(samples.reshape(len(times), -1)).all(axis=1)
+    if not finite.all():
+        raise StepFailure("RK4 state turned non-finite at "
+                          f"t = {times[np.argmin(finite)]:g}")
+    return times, samples
+
+
+def _records(nsteps, record_every):
+    """Whether each step k = 0, 1, ... ends with a record: the last one
+    always, and every record_every-th one if record_every is given."""
+    if record_every is None:
+        return [False] * (nsteps - 1) + [True]
+    return [(k + 1) % record_every == 0 or k == nsteps - 1
+            for k in range(nsteps)]
+
+
+def _rk4_batch(rhs, y0, nsteps, h, weights, record_every):
+    """The steps of integrate_batch on a component-major batch; returns
+    the record times and the records, t = 0 and y0 first."""
     z = y0.reshape(-1, y0.shape[-1]).T.copy()
     stages = np.empty((4,) + z.shape)
     k1, k2, k3, k4 = stages
     flat = stages.reshape(4, -1)
-    weights = h * _RK4_B
     half = 0.5 * h
     times = [0.0]
     samples = [y0]
     with np.errstate(all="ignore"):
-        for k in range(nsteps):
+        for k, record in enumerate(_records(nsteps, record_every)):
             rhs(z.T, k1)
             rhs((z + half * k1).T, k2)
             rhs((z + half * k2).T, k3)
             rhs((z + h * k3).T, k4)
             z = z + (weights @ flat).reshape(z.shape)
-            if record_every is not None and ((k + 1) % record_every == 0
-                                             or k == nsteps - 1):
+            if record:
                 times.append((k + 1) * h)
                 samples.append(z.T.reshape(y0.shape))
-    if record_every is None:
-        times.append(t_end)
-        samples.append(z.T.reshape(y0.shape))
-    times, samples = np.array(times), np.array(samples)
-    finite = np.isfinite(samples.reshape(len(times), -1)).all(axis=1)
-    if not finite.all():
-        raise StepFailure("RK4 state turned non-finite at "
-                          f"t = {times[np.argmin(finite)]:g}")
+    return times, samples
+
+
+def _rk4_one_state(rhs, y, nsteps, h, weights, record_every):
+    """The steps of integrate_batch on one state, a list of Python floats;
+    returns the record times and the records, t = 0 and y first.  A step
+    in which math raises, where numpy would return inf or nan, leaves the
+    state non-finite, as it would leave a batch."""
+    w1, w2, w3, w4 = weights
+    half = 0.5 * h
+    times = [0.0]
+    samples = [y]
+    failed = False
+    for k, record in enumerate(_records(nsteps, record_every)):
+        if not failed:
+            try:
+                k1 = rhs(y)
+                k2 = rhs([a + half * b for a, b in zip(y, k1)])
+                k3 = rhs([a + half * b for a, b in zip(y, k2)])
+                k4 = rhs([a + h * b for a, b in zip(y, k3)])
+                y = [a + (w1 * b + w2 * c + w3 * d + w4 * e)
+                     for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+            except (OverflowError, ZeroDivisionError, ValueError):
+                y = [math.nan] * len(y)
+                failed = True
+        if record:
+            times.append((k + 1) * h)
+            samples.append(y)
     return times, samples
 
 
@@ -541,8 +701,24 @@ def geodesic_exponential(phi0, Omega, t):
     Omega = np.asarray(Omega, dtype=float)
     if phi0.shape != Omega.shape:
         raise ShapeMismatch("phi0 and Omega must have matching shapes")
-    from scipy.linalg import expm
-    return Configuration(phi=expm(Omega * t) @ phi0)
+    return Configuration(phi=_expm(Omega * t) @ phi0)
+
+
+def _expm(X):
+    """Matrix exponential by scaling and squaring (Moler and Van Loan,
+    2003): exp(X) = exp(X / 2^s)^(2^s), with s the least that brings the
+    1-norm of X / 2^s to 0.5 or below, where the Taylor series to degree
+    18 is exact to round-off (its remainder is below 0.5^19 / 19!)."""
+    norm = np.linalg.norm(X, 1)
+    s = math.ceil(math.log2(norm / 0.5)) if 0.5 < norm < np.inf else 0
+    X = X / 2.0 ** s
+    term = result = np.eye(len(X))
+    for j in range(1, 19):
+        term = term @ X / j
+        result = result + term
+    for _ in range(s):
+        result = result @ result
+    return result
 
 
 def reduced_state_from_velocity(phi, Omega, model, reference=None):

@@ -311,7 +311,10 @@ class PotentialSpec:
         return k * qbar ** int(exponent)
 
     def dilatational_slope(self, qbar):
-        qbar = np.asarray(qbar, dtype=float)
+        """V'(qbar).  A float qbar is not converted to numpy, so that the
+        harmonic well and the steep oscillator return a float for it."""
+        if not isinstance(qbar, float):
+            qbar = np.asarray(qbar, dtype=float)
         if self.kind == "none":
             return np.zeros_like(qbar)
         if self.kind == "harmonic_well":

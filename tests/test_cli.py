@@ -150,6 +150,20 @@ class TestSimulate:
             "error: RK4 state turned non-finite at t = 3.9\n"
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_sinh_overflow(self, tmp_path, capsys):
+        # sinh of the half difference 711 overflows in math, as it turns
+        # inf in numpy: the one state ends as a non-finite step, exit 4
+        config = {"model": {"kind": "AffAff", "A": 1.0, "B": 0.0},
+                  "initial": {"q": [711.0, -711.0], "p": [0.0, 0.0],
+                              "M": [[0.0, 0.5], [-0.5, 0.0]]},
+                  "numerics": {"t_end": 0.1, "step": 0.01,
+                               "record_every": 5}}
+        assert run(tmp_path, "simulate", config) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: RK4 state turned non-finite at t = 0.05\n"
+
     def test_trig_angle_crosses_pi(self, tmp_path, capsys):
         # the TrigUn Hamiltonian is 2 pi-periodic in every angle: q1 runs
         # from 2.5 past pi and is recorded wrapped into (-pi, pi]

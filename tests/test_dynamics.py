@@ -351,8 +351,9 @@ class TestRk4Driver:
                        rk4_step(fun, rk4_step(fun, y0, 0.01), 0.01)) <= 1e-14
 
     def test_rhs_calls(self, monkeypatch, rng):
-        # four RHS calls per step from integrate_batch; the attitudes take
-        # the kernel's flow directly and call rhs not at all
+        # four RHS calls per step from integrate_batch on a batch; one
+        # state steps on floats, and the attitudes take the kernel's flow
+        # directly: neither calls rhs
         rhs = dynamics.EomKernel.rhs
         calls = []
 
@@ -366,9 +367,10 @@ class TestRk4Driver:
         dynamics.integrate_batch(model, WELL, ys, 0.1, 0.004, 3)
         assert calls == [ys.shape] * (4 * 25)
         st_ = dynamics.unpack_state(ys[0], 3)
+        calls.clear()
         traj = dynamics.integrate(model, WELL, st_, 0.1,
                                   StepControl(step=1e-3, record_every=10))
-        calls.clear()
+        assert calls == []
         dynamics.reconstruct_attitudes(model, traj, np.eye(3), np.eye(3))
         assert calls == []
 
@@ -436,6 +438,148 @@ class TestDegenerateBatch:
         assert np.all(np.isfinite(batched))
         assert rel_err(batched[417],
                        kernel.rhs(dynamics.pack_state(removable))) <= 1e-14
+
+
+STEEP = PotentialSpec.steep_oscillator(0.3, 4)
+# states on which math raises where numpy returns inf or nan: sinh or exp
+# overflow, an underflowed Q^2 divides by zero, or q runs to inf and
+# sin(inf) is a domain error; with the time of the first non-finite record
+# of RK4 at step 0.01, every 5th step recorded
+OVERFLOWS = {
+    "sinh": (MODELS["AffAff"], [711.0, -711.0], [0.0, 0.0], [0.5], [0.0],
+             "0.05"),
+    "exp": (MODELS["DAlembert"], [720.0, 0.0], [0.1, 0.0], [0.5], [0.2],
+            "0.05"),
+    "quotient": (MODELS["DAlembert"], [-400.0, -401.0], [0.1, 0.2], [0.5],
+                 [0.0], "0.05"),
+    "sin": (MODELS["TrigUn"], [0.3, -0.3], [1e308, -1e308], [0.5], [0.2],
+            "2.35"),
+}
+
+
+class TestSingleState:
+    """integrate_batch steps one state on Python floats through
+    EomKernel.float_rhs, and a batch through EomKernel.rhs; both give the
+    same records and raise the same errors.  AffMetr, MetrAff and MetrMetr
+    have a nonzero c_tau, c_rho or both, and so a coupling Hessian."""
+
+    @kinds
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("pot", [GEODETIC, WELL, STEEP],
+                             ids=["none", "harmonic_well", "steep"])
+    def test_matches_batch_row(self, model, n, pot, rng):
+        ys = packed_batch(rng, model, n, 3)
+        _, batch = dynamics.integrate_batch(model, pot, ys, 0.05, 0.001, n,
+                                            record_every=1)
+        _, alone = dynamics.integrate_batch(model, pot, ys[1], 0.05, 0.001,
+                                            n, record_every=1)
+        _, row = dynamics.integrate_batch(model, pot, ys[1:2], 0.05, 0.001,
+                                          n, record_every=1)
+        assert alone.shape == (51, ys.shape[1])
+        assert np.array_equal(row[:, 0], alone)
+        assert rel_err(alone[-1], batch[-1, 1]) <= 1e-13
+        if n == 2:
+            # so(2) is abelian: M_12 and N_12 stay exactly where they began
+            assert np.array_equal(alone[:, 4:], np.broadcast_to(
+                ys[1, 4:], alone[:, 4:].shape))
+
+    @kinds
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_float_rhs_matches_rhs(self, model, n, rng):
+        ys = packed_batch(rng, model, n, 4)
+        for pot in (GEODETIC, WELL, STEEP):
+            kernel = dynamics.EomKernel(model, pot, n)
+            rhs = kernel.float_rhs()
+            dys = kernel.rhs(ys)
+            for y, dy in zip(ys, dys):
+                assert rel_err(np.array(rhs(y.tolist())), dy) <= 1e-14
+
+    def degenerate_alone(self, rng, model, state, potential=GEODETIC):
+        """The batch kernel's error on the state among 1000 others, and
+        integrate_batch's on the state alone."""
+        ys = TestDegenerateBatch().fortran_batch(rng, model, state)
+        with pytest.raises(DegenerateInertia) as batched:
+            dynamics.EomKernel(model, potential, 3).rhs(ys)
+        with pytest.raises(DegenerateInertia) as alone:
+            dynamics.integrate_batch(model, potential,
+                                     dynamics.pack_state(state), 0.01,
+                                     0.001, 3)
+        return [(info.type, str(info.value)) for info in (batched, alone)]
+
+    def removable_alone(self, rng, model, state, potential=WELL):
+        ys = TestDegenerateBatch().fortran_batch(rng, model, state)
+        kernel = dynamics.EomKernel(model, potential, 3)
+        alone = kernel.float_rhs()(dynamics.pack_state(state).tolist())
+        assert np.all(np.isfinite(alone))
+        return rel_err(np.array(alone), kernel.rhs(ys)[417])
+
+    @kinds
+    def test_coincident(self, model, rng):
+        coupled = ReducedState(np.array([0.2, 0.2, -0.3]), np.ones(3),
+                               m_upper=np.array([0.5, 0.0, 0.0]),
+                               n_upper=np.array([0.4, 0.1, 0.0]))
+        batched, alone = self.degenerate_alone(rng, model, coupled)
+        assert alone == batched == (DegenerateInertia, "coincident "
+                                    "deformation invariants with nonzero M "
+                                    "coupling")
+        removable = ReducedState(np.array([0.2, 0.2, -0.3]), np.ones(3),
+                                 m_upper=np.array([0.0, 0.3, 0.0]),
+                                 n_upper=np.array([0.4, 0.1, 0.0]))
+        assert self.removable_alone(rng, model, removable) <= 1e-14
+
+    def test_dalembert_exact_test(self, rng):
+        model = MODELS["DAlembert"]
+        q = np.array([0.2, 0.2 - 0.5e-9, -0.3])
+        coupled = ReducedState(q, np.ones(3), m_upper=[0.5, 0.0, 0.0],
+                               n_upper=[0.4, 0.1, 0.0])
+        batched, alone = self.degenerate_alone(rng, model, coupled)
+        assert alone == batched
+        q = np.array([0.2, 0.2 - 1.5e-9, -0.3])
+        near = ReducedState(q, np.ones(3), m_upper=[0.5, 0.0, 0.0],
+                            n_upper=[0.4, 0.1, 0.0])
+        assert self.removable_alone(rng, model, near, GEODETIC) <= 1e-14
+
+    def test_trig_antipodal(self, rng):
+        model = MODELS["TrigUn"]
+        q = np.array([0.5 * np.pi, 0.1, -0.5 * np.pi])
+        coupled = ReducedState(q, np.zeros(3), m_upper=[0.2, 0.1, 0.3],
+                               n_upper=[0.1, 0.3, 0.2])
+        batched, alone = self.degenerate_alone(rng, model, coupled)
+        assert alone == batched == (DegenerateInertia, "antipodal "
+                                    "invariants q_a - q_b = pi with N "
+                                    "coupling")
+        removable = ReducedState(q, np.zeros(3), m_upper=[0.2, 0.1, 0.3],
+                                 n_upper=[0.1, 0.0, 0.2])
+        assert self.removable_alone(rng, model, removable,
+                                    GEODETIC) <= 1e-14
+        # pair (1, 2) coincident with M coupling, pair (1, 3) antipodal
+        # with N coupling: the antipodal pair is named, as in a batch
+        both = ReducedState([0.5 * np.pi, 0.5 * np.pi, -0.5 * np.pi],
+                            np.zeros(3), m_upper=[0.2, 0.0, 0.0],
+                            n_upper=[0.0, 0.3, 0.0])
+        batched, alone = self.degenerate_alone(rng, model, both)
+        assert alone == batched
+        assert alone[1].startswith("antipodal")
+
+    def test_wall_crossing(self):
+        model = MODELS["TrigUn"]
+        with pytest.raises(StepFailure, match=r"at t = 3\.9$"):
+            dynamics.integrate_batch(model, WELL,
+                                     dynamics.pack_state(WALL_CROSSING),
+                                     5.0, 0.0025, 3, record_every=10)
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWS))
+    def test_overflow_is_step_failure(self, case):
+        model, q, p, m, nn, t = OVERFLOWS[case]
+        y = dynamics.pack_state(ReducedState(q, p, m_upper=m, n_upper=nn))
+        messages = []
+        for y0 in (y, np.array([y, y])):
+            with pytest.raises(StepFailure) as info:
+                dynamics.integrate_batch(model, GEODETIC, y0, 5.0, 0.01, 2,
+                                         record_every=5)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == \
+            f"RK4 state turned non-finite at t = {t}"
 
 
 class TestIntegrate:
@@ -759,6 +903,19 @@ class TestGeodesics:
         cfg = dynamics.geodesic_exponential(np.eye(2), Omega, t)
         c, s = np.cos(w * t), np.sin(w * t)
         assert np.allclose(cfg.phi, [[c, -s], [s, c]], atol=1e-14)
+
+    def test_expm_matches_scipy(self, rng):
+        # scaling and squaring of a degree-18 Taylor series against
+        # scipy's Pade approximant, up to norms of about 60
+        import scipy.linalg
+        for _ in range(200):
+            n = int(rng.integers(2, 5))
+            X = rng.standard_normal((n, n)) * rng.uniform(0.0, 20.0)
+            want = scipy.linalg.expm(X)
+            got = dynamics._expm(X)
+            assert rel_err(got / np.max(np.abs(want)),
+                           want / np.max(np.abs(want))) <= 2e-11
+        assert np.array_equal(dynamics._expm(np.zeros((3, 3))), np.eye(3))
 
     def test_dual_route(self, rng):
         from affinebody import cli

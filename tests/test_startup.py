@@ -56,7 +56,7 @@ def test_import_loads_no_scipy(tmp_path, module):
     assert scipy_modules(f"import {module}", tmp_path) == []
 
 
-@pytest.mark.parametrize("command", ["simulate", "classify",
+@pytest.mark.parametrize("command", ["simulate", "classify", "geodesic",
                                      "check-brackets", "check-decomp"])
 def test_command_without_scipy(tmp_path, command):
     assert command_modules(tmp_path, command) == []
