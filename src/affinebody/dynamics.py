@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
-# scipy is imported in the functions that call it, so that importing the
-# package (and every command that does not use scipy) loads numpy only
 
 from .errors import (ConfigError, DegenerateInertia, DomainError,
                      ShapeMismatch, StepFailure)
@@ -271,11 +269,11 @@ class EomKernel:
         # _flow's commutator sum as (sign, i, j) of each nonzero term
         # s u_i g_j, row by row of (dM, dN); every row has as many terms
         partners, signs = _commutator_terms(n)
+        per_row = partners.shape[1]
         rows, cols = np.nonzero(signs)
         spin = list(zip(signs[rows, cols].tolist(),
-                        (cols // partners.shape[1]).tolist(),
+                        (cols // per_row).tolist(),
                         np.tile(partners.ravel(), 2)[cols].tolist()))
-        per_row = len(spin) // (2 * k)
         at_rest = [0.0] * (2 * k)
 
         def weights(d, u, near):
@@ -514,7 +512,7 @@ def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
     off during the steps, and the records are checked once, at the end:
     StepFailure names the time of the first non-finite record."""
     kernel = EomKernel(model, potential, n)
-    nsteps = max(1, int(round(t_end / step)))
+    nsteps = step_count(t_end, step)
     h = t_end / nsteps
     y0 = np.asarray(y0, dtype=float)
     weights = h * _RK4_B
@@ -536,13 +534,13 @@ def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
     return times, samples
 
 
-def _records(nsteps, record_every):
-    """Whether each step k = 0, 1, ... ends with a record: the last one
-    always, and every record_every-th one if record_every is given."""
-    if record_every is None:
-        return [False] * (nsteps - 1) + [True]
-    return [(k + 1) % record_every == 0 or k == nsteps - 1
-            for k in range(nsteps)]
+def step_count(t_end, step):
+    """The number of fixed steps, at least one, nearest t_end / step."""
+    ratio = t_end / step if step else math.inf
+    if not math.isfinite(ratio):
+        raise ConfigError(f"'t_end' / 'step' = {t_end:g} / {step:g} is "
+                          "not a finite step count")
+    return max(1, round(ratio))
 
 
 def _rk4_batch(rhs, y0, nsteps, h, weights, record_every):
@@ -553,16 +551,17 @@ def _rk4_batch(rhs, y0, nsteps, h, weights, record_every):
     k1, k2, k3, k4 = stages
     flat = stages.reshape(4, -1)
     half = 0.5 * h
+    every = record_every or nsteps
     times = [0.0]
     samples = [y0]
     with np.errstate(all="ignore"):
-        for k, record in enumerate(_records(nsteps, record_every)):
+        for k in range(nsteps):
             rhs(z.T, k1)
             rhs((z + half * k1).T, k2)
             rhs((z + half * k2).T, k3)
             rhs((z + h * k3).T, k4)
             z = z + (weights @ flat).reshape(z.shape)
-            if record:
+            if (k + 1) % every == 0 or k == nsteps - 1:
                 times.append((k + 1) * h)
                 samples.append(z.T.reshape(y0.shape))
     return times, samples
@@ -575,10 +574,11 @@ def _rk4_one_state(rhs, y, nsteps, h, weights, record_every):
     state non-finite, as it would leave a batch."""
     w1, w2, w3, w4 = weights
     half = 0.5 * h
+    every = record_every or nsteps
     times = [0.0]
     samples = [y]
     failed = False
-    for k, record in enumerate(_records(nsteps, record_every)):
+    for k in range(nsteps):
         if not failed:
             try:
                 k1 = rhs(y)
@@ -590,7 +590,7 @@ def _rk4_one_state(rhs, y, nsteps, h, weights, record_every):
             except (OverflowError, ZeroDivisionError, ValueError):
                 y = [math.nan] * len(y)
                 failed = True
-        if record:
+        if (k + 1) % every == 0 or k == nsteps - 1:
             times.append((k + 1) * h)
             samples.append(y)
     return times, samples

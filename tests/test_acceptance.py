@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from affinebody import cli, dynamics, phase, quantum
+from affinebody import checks, dynamics, phase, quantum
 from affinebody.dynamics import StepControl
 from affinebody.phase import ModelSpec, PotentialSpec, ReducedState
 
@@ -26,8 +26,8 @@ def test_acceptance_1_decomposition_suite():
     # against the phi^T phi eigen-oracle to 1e-9; under 5 s
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
-    rep = cli.check_decomposition(rng, trials=1000, dims=(2, 3),
-                                  cond_max=1e6)
+    rep = checks.check_decomposition(rng, trials=1000, dims=(2, 3),
+                                     cond_max=1e6)
     elapsed = time.perf_counter() - t0
     ok = (rep["verdict"] == "PASS" and elapsed < 5.0)
     report(1, ok,
@@ -42,7 +42,7 @@ def test_acceptance_2_poisson_algebra_suite():
     # observable triples; under 10 s
     t0 = time.perf_counter()
     rng = np.random.default_rng(102)
-    rep = cli.check_brackets(rng, trials=200, n=3)
+    rep = checks.check_brackets(rng, trials=200, n=3)
     elapsed = time.perf_counter() - t0
     ok = rep["max_residual"] < 1e-9 and elapsed < 10.0
     report(2, ok,
@@ -124,7 +124,7 @@ def test_acceptance_4_geodesic_dual_route():
         # keep the exact geodesic clear of singular-value coincidences,
         # where the reduced description itself breaks down
         while True:
-            phi0 = cli.random_configuration(rng, 3, cond_max=100.0)
+            phi0 = checks.random_configuration(rng, 3, cond_max=100.0)
             Omega = rng.standard_normal((3, 3)) * 0.5
             margin = min(kinematics.degeneracy_margin(
                 kinematics.two_polar(scipy.linalg.expm(Omega * t) @ phi0).q)
@@ -136,8 +136,8 @@ def test_acceptance_4_geodesic_dual_route():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         phi0, Omega = draw(rng)
-        rep = cli.geodesic_cross_check(model, phi0, Omega, 1.0,
-                                       step=1e-3, samples=11)
+        rep = checks.geodesic_cross_check(model, phi0, Omega, 1.0,
+                                          step=1e-3, samples=11)
         worst = max(worst, rep["max_error"])
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 30.0

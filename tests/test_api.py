@@ -9,7 +9,7 @@ import dataclasses
 import types
 
 import affinebody
-from affinebody import kinematics, phase, poisson
+from affinebody import cli, kinematics, phase, poisson
 
 PUBLIC = {
     # errors
@@ -48,6 +48,7 @@ OPTIONS = {
 }
 
 # deleted, or moved to tests/reference.py (squared_norm_observable, beta)
+# or to affinebody.checks (the random draws of cli)
 REMOVED = [
     (phase, "legendre_dalembert"), (phase, "inverse_legendre_dalembert"),
     (phase.ModelSpec, "beta"),
@@ -55,6 +56,8 @@ REMOVED = [
     (kinematics, "deformation"), (kinematics, "Deformation"),
     (kinematics.TwoPolar, "Q"), (kinematics.TwoPolar, "D"),
     (poisson, "Observable"), (poisson, "squared_norm_observable"),
+    (cli, "random_configuration"), (cli, "random_state"),
+    (cli, "random_linear_observable"),
 ]
 
 

@@ -603,6 +603,24 @@ class TestConfigParser:
         line, = capsys.readouterr().err.splitlines()
         assert repr(key) in line
 
+    # n = 1 has no M, N or so(1) commutator term; no integer step count
+    # spans 1e300 / 1e-300, nor a zero step
+    @pytest.mark.parametrize("command,block,content,code", [
+        ("simulate", "initial", {"q": [0.3], "p": [0.1], "M": None,
+                                 "N": None}, 0),
+        ("geodesic", "initial", {"phi0": [[1.2]], "Omega": [[0.3]]}, 0),
+        ("simulate", "numerics", {"t_end": 1e300, "step": 1e-300}, 2),
+        ("geodesic", "numerics", {"t_end": 1e300, "step": 1e-300}, 2),
+        ("geodesic", "numerics", {"step": 0.0}, 2)])
+    def test_fixed_step_runs(self, tmp_path, capsys, command, block,
+                             content, code):
+        config = json.loads(json.dumps(BASES[command]))
+        config[block].update(content)
+        assert run(tmp_path, command, config) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == (code == 2)
+        assert all("'t_end' / 'step' = " in line for line in err)
+
     @pytest.mark.parametrize("command", [
         c for c in sorted(BASES) if "seed" not in cli.COMMANDS[c][1]])
     def test_seed_flag_rejected(self, tmp_path, capsys, command):

@@ -3,7 +3,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-from affinebody import dynamics, kinematics, phase, poisson
+from affinebody import checks, dynamics, kinematics, phase, poisson
 from affinebody.dynamics import StepControl
 from affinebody.errors import (ConfigError, DegenerateInertia, DomainError,
                                StepFailure)
@@ -374,6 +374,22 @@ class TestRk4Driver:
         dynamics.reconstruct_attitudes(model, traj, np.eye(3), np.eye(3))
         assert calls == []
 
+    def test_endpoint_memory_flat_in_steps(self, rng):
+        # an endpoints-only run keeps two records however many steps it takes
+        import tracemalloc
+        model = MODELS["AffAff"]
+        y0 = packed_batch(rng, model, 2, 1)[0]
+        peaks = []
+        tracemalloc.start()
+        try:
+            for t_end in (0.01, 1.0, 4.0):    # the first fills the caches
+                tracemalloc.reset_peak()
+                dynamics.integrate_batch(model, WELL, y0, t_end, 1e-3, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert abs(peaks[2] - peaks[1]) < 8 * 1024
+
 
 class TestDegenerateBatch:
     """One degenerate state among 1000 Fortran-ordered states."""
@@ -464,7 +480,7 @@ class TestSingleState:
     have a nonzero c_tau, c_rho or both, and so a coupling Hessian."""
 
     @kinds
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("pot", [GEODETIC, WELL, STEEP],
                              ids=["none", "harmonic_well", "steep"])
     def test_matches_batch_row(self, model, n, pot, rng):
@@ -918,13 +934,12 @@ class TestGeodesics:
         assert np.array_equal(dynamics._expm(np.zeros((3, 3))), np.eye(3))
 
     def test_dual_route(self, rng):
-        from affinebody import cli
         model = ModelSpec(kind="AffAff", A=1.3, B=0.4)
         for _ in range(3):
-            phi0 = cli.random_configuration(rng, 3, cond_max=50.0)
+            phi0 = checks.random_configuration(rng, 3, cond_max=50.0)
             Omega = rng.standard_normal((3, 3)) * 0.5
-            report = cli.geodesic_cross_check(model, phi0, Omega, 1.0,
-                                              step=1e-3, samples=11)
+            report = checks.geodesic_cross_check(model, phi0, Omega, 1.0,
+                                                 step=1e-3, samples=11)
             assert report["max_error"] < 1e-6
 
 

@@ -1,22 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affinebody import phase, poisson
+from affinebody import checks, phase, poisson
 from affinebody.errors import ConfigError, DegenerateInertia, DomainError
 from affinebody.phase import ModelSpec, PotentialSpec, ReducedState
 from reference import gradients, hamiltonian_affaff_lattice
 
 
-def random_state(rng, n, scale=1.0, min_gap=0.1):
-    while True:
-        q = np.sort(rng.uniform(-1.5, 1.5, n))[::-1].copy()
-        if n == 1 or np.min(q[:-1] - q[1:]) > min_gap:
-            break
-    p = rng.standard_normal(n) * scale
-    M = rng.standard_normal((n, n)) * scale
-    N = rng.standard_normal((n, n)) * scale
-    return ReducedState(q, p, M=M - M.T, N=N - N.T)
+# the tests' data was drawn with the q_i at least 0.1 apart
+random_state = functools.partial(checks.random_state, min_gap=0.1)
 
 
 ALL_KINDS = [

@@ -2,21 +2,13 @@ import numpy as np
 import pytest
 
 from affinebody import phase, poisson
+from affinebody.checks import random_linear_observable as random_linear
 from affinebody.errors import UnknownObservable
 from affinebody.phase import ModelSpec, PotentialSpec
 
 from reference import gradients, squared_norm_observable
 from test_dynamics import POTENTIALS, kind_state
 from test_phase import ALL_KINDS, random_state
-
-
-def random_linear(rng, n):
-    CM = rng.standard_normal((n, n))
-    CN = rng.standard_normal((n, n))
-    return poisson.LinearObservable(
-        n=n, c0=rng.standard_normal(),
-        cq=rng.standard_normal(n), cp=rng.standard_normal(n),
-        CM=CM - CM.T, CN=CN - CN.T)
 
 
 class TestCanonicalPairs:

@@ -51,7 +51,8 @@ def command_modules(tmp_path, command, config=None):
     return scipy_modules(body, tmp_path)
 
 
-@pytest.mark.parametrize("module", ["affinebody", "affinebody.cli"])
+@pytest.mark.parametrize("module", ["affinebody", "affinebody.checks",
+                                    "affinebody.cli"])
 def test_import_loads_no_scipy(tmp_path, module):
     assert scipy_modules(f"import {module}", tmp_path) == []
 
