@@ -17,13 +17,13 @@ transpose is a free view in which each component is one contiguous row.
 integrate_batch and reconstruct_attitudes hold their states component-major
 and pass such views.  Any other input gives the same numbers and is read
 through strides or a copy.  The one exception is a single state in
-integrate_batch, which steps as a list of Python floats (float_rhs).
+integrate_batch, which steps as a list of Python floats through code
+written out for its kernel's structure (_emit).
 """
 
 import functools
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -95,16 +95,124 @@ def _commutator_terms(n):
         signs.reshape(2 * k, 4 * k * T)
 
 
-def _check_coupling(antipodal, coincident):
-    """Raise DegenerateInertia for a nonzero coupling on a vanishing pair
-    denominator; an antipodal N coupling is named before a coincident M
-    one."""
-    if antipodal:
-        raise DegenerateInertia(
-            "antipodal invariants q_a - q_b = pi with N coupling")
-    if coincident:
-        raise DegenerateInertia(
-            "coincident deformation invariants with nonzero M coupling")
+@functools.lru_cache(maxsize=None)
+def _emit(form, n, sloped, coupled):
+    """Compile the single-state RHS and RK4 step of one kernel structure
+    as straight-line Python, partial evaluation as in SymPy's lambdify.
+    form is the pair function: sinh for the four hyperbolic kinds, sin for
+    TrigUn, exp for DAlembert (Q_a -+ Q_b).  The state is unpacked into
+    locals, and every product of _flow and every nonzero commutator term
+    of _commutator_terms(n) is written out.  No constant is written into
+    the source: bind(coef, q_weights, momentum, own, cross, slope, lim,
+    fallback) returns the (rhs, stepper) of one kernel, and
+    stepper(h, w1, w2, w3, w4) its RK4 step with the stages in locals.
+    A pair denominator below lim (lim (Q_a + Q_b) for DAlembert; the
+    cosines too for TrigUn) sends the stage to fallback, the batch kernel
+    on that one state."""
+    k = n * (n - 1) // 2
+    pairs = list(zip(*(i.tolist() for i in phase.pair_layout(n).iu)))
+    exp = form == "exp"
+    # the nonzero columns of each row of q_weights: the pairs holding q_a
+    # (twice over for Q_a -+ Q_b), then the potential's pull
+    pull = sloped and not exp
+    columns = [[i for i, pair in enumerate(pairs * (1 + exp)) if a in pair]
+               + [k] * pull for a in range(n)]
+    # _flow's commutator sum as the terms s u_i g_j of each row of
+    # (dM, dN); the structure constants of so(n) are all -1 or 1
+    partners, signs = _commutator_terms(n)
+    spin = [[] for _ in range(2 * k)]
+    for r, c in zip(*np.nonzero(signs)):
+        spin[r].append(("-" if signs[r, c] < 0 else "+",
+                        c // partners.shape[1],
+                        partners.flat[c % partners.size]))
+
+    def body(x, out, screened):
+        """Lines that set the locals out to the time derivative at the
+        locals x, or run screened near a vanishing pair denominator."""
+        q, p, u = x[:n], x[n:2 * n], x[2 * n:]
+        qbar = f"({' + '.join(q)}) / {n}"
+        lines = [f"Q{a} = exp({q[a]})" for a in range(n) if exp]
+        for i, (a, b) in enumerate(pairs):
+            lines += [f"d{i} = Q{a} - Q{b}", f"d{k + i} = Q{a} + Q{b}"] \
+                if exp else [f"t = 0.5 * {q[a]} - 0.5 * {q[b]}",
+                             f"d{i} = {form}(t)",
+                             f"d{k + i} = {form.replace('sin', 'cos')}(t)"]
+        screen = [f"abs(d{i}) < lim * d{k + i}" if exp else f"abs(d{i}) < lim"
+                  for i in range(2 * k if form == "sin" else k)]
+        rest = [f"g{i} = {u[i]} * (C{i} / (d{i} * d{i}))"
+                for i in range(2 * k)]
+        if exp:
+            rest += [f"{out[a]} = {p[a]} / (Q{a} * Q{a}) * P0"
+                     for a in range(n)]
+            rest += [f"v{i} = g{i} * g{i} * d{i}" for i in range(2 * k)]
+            rest += [f"pull = slope({qbar}) / {n}"] * sloped
+            for a in range(n):
+                pulls = " + ".join(f"W{a}_{i} * v{i}" for i in columns[a])
+                rest.append(f"{out[n + a]} = " + f"({pulls}) * Q{a} + " * (
+                    n > 1) + f"{p[a]} * {out[a]}" + " - pull" * sloped)
+        else:
+            rest += [f"v{i} = g{i} * g{i}" for i in range(2 * k)]
+            rest += [f"f{i} = (v{i} - v{k + i}) * (d{i} * d{k + i})"
+                     for i in range(k)] + [f"f{k} = slope({qbar})"] * sloped
+            rest += [f"{out[a]} = " + " + ".join(
+                f"P{a}_{b} * {p[b]}" for b in range(n)) for a in range(n)]
+            rest += [f"{out[n + a]} = " + (" + ".join(
+                f"W{a}_{i} * f{i}" for i in columns[a]) or "0.0")
+                for a in range(n)]
+            if coupled and partners.size:
+                rest += [f"g{i} = g{i} + O{i} * {u[i]} + X{i} * "
+                         f"{u[(i + k) % (2 * k)]}" for i in range(2 * k)]
+        rest += [f"{out[2 * n + r]} = " + (" ".join(
+            f"{s} {u[i]} * g{j}" for s, i, j in terms).removeprefix("+ ")
+            or "0.0") for r, terms in enumerate(spin)]
+        if not screen:
+            return lines + rest
+        return lines + _block(f"if {' or '.join(screen)}:", [screened]) \
+            + _block("else:", rest)
+
+    def unpack(names, source):
+        return [f"{', '.join(names)}, = {source}"] if names else []
+
+    def listed(names):
+        return f"[{', '.join(names)}]"
+
+    names = [[f"{s}{j}" for j in range(2 * (n + k))]
+             for s in ("y", "z", "r", "k0_", "k1_", "k2_", "k3_")]
+    y, z, r, stages = names[0], names[1], names[2], names[3:]
+    step = unpack(y, "y")
+    for s, out in enumerate(stages):
+        x = z if s else y
+        step += [f"{a} = {b} + {'h' if s == 3 else 'half'} * {c}"
+                 for a, b, c in zip(z, y, stages[s - 1]) if s]
+        step += body(x, out, f"{', '.join(out)}, = fallback({listed(x)})")
+    step.append("return " + listed(
+        f"{a} + (w1 * {b} + w2 * {c} + w3 * {d} + w4 * {e})"
+        for a, b, c, d, e in zip(y, *stages)))
+    constants = [([f"C{i}" for i in range(2 * k)], "coef"),
+                 ([f"W{a}_{i}" for a in range(n)
+                   for i in range(2 * k if exp else k + pull)], "q_weights"),
+                 (["P0"] if exp else [f"P{a}_{b}" for a in range(n)
+                                      for b in range(n)], "momentum"),
+                 ([f"O{i}" for i in range(2 * k * coupled)], "own"),
+                 ([f"X{i}" for i in range(2 * k * coupled)], "cross")]
+    source = _block(
+        "def bind(coef, q_weights, momentum, own, cross, slope, lim, "
+        "fallback):",
+        [line for targets, into in constants
+         for line in unpack(targets, into)]
+        + _block("def rhs(y):", unpack(y, "y") + body(
+            y, r, "return fallback(y)") + [f"return {listed(r)}"])
+        + _block("def stepper(h, w1, w2, w3, w4):", ["half = 0.5 * h"]
+                 + _block("def step(y):", step) + ["return step"])
+        + ["return rhs, stepper"])
+    namespace = {f.__name__: f for f in (math.exp, math.sinh, math.cosh,
+                                         math.sin, math.cos)}
+    exec(compile("\n".join(source), f"<{form} n={n}>", "exec"), namespace)
+    return namespace["bind"]
+
+
+def _block(header, lines):
+    return [header] + ["    " + line for line in lines]
 
 
 class EomKernel:
@@ -139,7 +247,7 @@ class EomKernel:
             # pair denominators (Q_a - Q_b, Q_a + Q_b) with Q = exp(q)
             self.pair_map = np.concatenate([inc, np.abs(inc)])
             self.q_weights = self.pair_map.T / (2.0 * cM)
-            self.inv_inertia = 2.0 * cL
+            self.momentum = 2.0 * cL
             return
         trig = self.kind == "TrigUn"
         # half the pair differences, whose sm and cm are the pair
@@ -186,8 +294,13 @@ class EomKernel:
             near = np.abs(d[:k]) < tol * np.maximum(x[ia], x[ib])
         if len(near) == k:
             near = np.concatenate([near, np.zeros_like(near)])
-        _check_coupling(np.any(near[k:] & (u[k:] != 0.0)),
-                        np.any(near[:k] & (u[:k] != 0.0)))
+        # an antipodal N coupling is named before a coincident M one
+        if np.any(near[k:] & (u[k:] != 0.0)):
+            raise DegenerateInertia(
+                "antipodal invariants q_a - q_b = pi with N coupling")
+        if np.any(near[:k] & (u[:k] != 0.0)):
+            raise DegenerateInertia(
+                "coincident deformation invariants with nonzero M coupling")
         return d, np.where(near, 0.0,
                            self.coef / np.where(near, 1.0, d) ** 2)
 
@@ -200,7 +313,7 @@ class EomKernel:
             Q = np.exp(q)
             d, weights = self._pairs(Q, u)
             g = u * weights
-            np.multiply(p / (Q * Q), self.inv_inertia, out=dHdp)
+            np.multiply(p / (Q * Q), self.momentum, out=dHdp)
             np.multiply(self.q_weights @ (g * g * d), Q, out=force)
             force += p * dHdp
             if self.slope is not None:
@@ -255,100 +368,38 @@ class EomKernel:
     def float_rhs(self):
         """The time derivative of one packed state as a function from a
         list of dim Python floats to another, which calls no numpy: the
-        equations of _flow, from the same coef, q_weights, momentum,
-        coupling and nonzero so(n) structure constants, with the same
-        DegenerateInertia checks and the removable terms set to zero.
-        Where numpy returns inf or nan, math raises OverflowError,
+        equations of _flow, written out by _emit for this kernel's
+        structure and bound to its constants.  A state with a pair
+        denominator near zero goes through rhs, which raises the same
+        DegenerateInertia and sets the removable terms to zero.  Where
+        numpy returns inf or nan, math raises OverflowError,
         ZeroDivisionError or ValueError."""
-        n, k = self.n, self.layout.count
-        lim = phase.DEGENERACY_TOL
-        pairs = tuple(zip(*(i.tolist() for i in self.layout.iu)))
-        coef = self.coef.ravel().tolist()
-        q_rows = self.q_weights.tolist()
-        slope = self.slope
-        # _flow's commutator sum as (sign, i, j) of each nonzero term
-        # s u_i g_j, row by row of (dM, dN); every row has as many terms
-        partners, signs = _commutator_terms(n)
-        per_row = partners.shape[1]
-        rows, cols = np.nonzero(signs)
-        spin = list(zip(signs[rows, cols].tolist(),
-                        (cols // per_row).tolist(),
-                        np.tile(partners.ravel(), 2)[cols].tolist()))
-        at_rest = [0.0] * (2 * k)
+        return self._bind_floats()[0]
 
-        def weights(d, u, near):
-            _check_coupling(
-                any(a and b != 0.0 for a, b in zip(near[k:], u[k:])),
-                any(a and b != 0.0 for a, b in zip(near[:k], u)))
-            return [0.0 if a else c / (x * x)
-                    for a, c, x in zip(near, coef, d)]
-
-        def spin_rhs(u, g):
-            if not spin:
-                return at_rest
-            terms = [s * (u[i] * g[j]) for s, i, j in spin]
-            return [sum(terms[r:r + per_row])
-                    for r in range(0, len(terms), per_row)]
-
-        if self.kind == "DAlembert":
-            exp, inv_inertia = math.exp, self.inv_inertia
-
-            def rhs(y):
-                q, p, u = y[:n], y[n:2 * n], y[2 * n:]
-                Q = list(map(exp, q))
-                d = [Q[a] - Q[b] for a, b in pairs] \
-                    + [Q[a] + Q[b] for a, b in pairs]
-                # the screen of _pairs, then its exact test
-                if any(abs(d[i]) < lim * d[k + i] for i in range(k)):
-                    w = weights(d, u, [abs(Q[a] - Q[b])
-                                       < lim * max(Q[a], Q[b])
-                                       for a, b in pairs] + [False] * k)
-                else:
-                    w = [c / (x * x) for c, x in zip(coef, d)]
-                g = list(map(mul, u, w))
-                dq = [b / (a * a) * inv_inertia for a, b in zip(Q, p)]
-                gd = [a * a * b for a, b in zip(g, d)]
-                dp = [sum(map(mul, row, gd)) * a + b * c
-                      for row, a, b, c in zip(q_rows, Q, p, dq)]
-                if slope is not None:
-                    pull = slope(sum(q) / n) / n
-                    dp = [a - pull for a in dp]
-                return dq + dp + spin_rhs(u, g)
-            return rhs
-
-        sm, cm = (math.sin, math.cos) if self.kind == "TrigUn" \
-            else (math.sinh, math.cosh)
-        screened = 2 * k if self.kind == "TrigUn" else k
-        lim *= 0.5
-        momentum = self.momentum.tolist()
-        coupled = self.coupling is not None
-        if coupled:
+    def _bind_floats(self):
+        """(float_rhs, stepper) from _emit; stepper(h, w1, w2, w3, w4)
+        gives the RK4 step of one state with step h and weights w."""
+        coupling = self.coupling
+        own = cross = []
+        if coupling is not None:
             # the coupling Hessian has nonzeros only at (i, i) and (i, i -+ k)
-            own = self.coupling.diagonal().tolist()
-            cross = self.coupling.diagonal(k).tolist() \
-                + self.coupling.diagonal(-k).tolist()
+            own = coupling.diagonal().tolist()
+            cross = np.roll(coupling, self.layout.count, 1).diagonal().tolist()
+        dalembert = self.kind == "DAlembert"
+        form = "exp" if dalembert else \
+            "sin" if self.kind == "TrigUn" else "sinh"
 
-        def rhs(y):
-            q, p, u = y[:n], y[n:2 * n], y[2 * n:]
-            h = [0.5 * q[a] - 0.5 * q[b] for a, b in pairs]
-            d = list(map(sm, h)) + list(map(cm, h))
-            if min(map(abs, d[:screened]), default=1.0) < lim:
-                w = weights(d, u, [abs(x) < lim for x in d[:screened]]
-                            + [False] * (2 * k - screened))
-            else:
-                w = [c / (x * x) for c, x in zip(coef, d)]
-            g = list(map(mul, u, w))
-            v = list(map(mul, g, g))
-            pulls = [(v[i] - v[k + i]) * (d[i] * d[k + i]) for i in range(k)]
-            if slope is not None:
-                pulls.append(slope(sum(q) / n))
-            dq = [sum(map(mul, row, p)) for row in momentum]
-            dp = [sum(map(mul, row, pulls)) for row in q_rows]
-            if coupled:
-                g = [a + b * c + e * f for a, b, c, e, f
-                     in zip(g, own, u, cross, u[k:] + u[:k])]
-            return dq + dp + spin_rhs(u, g)
-        return rhs
+        def fallback(y):
+            with np.errstate(all="ignore"):
+                return self.rhs(y).tolist()
+
+        bind = _emit(form, self.n, self.slope is not None,
+                     coupling is not None)
+        return bind(self.coef.ravel().tolist(),
+                    self.q_weights.ravel().tolist(),
+                    np.ravel(self.momentum).tolist(), own, cross, self.slope,
+                    phase.DEGENERACY_TOL * (1.0 if dalembert else 0.5),
+                    fallback)
 
     def energies(self, ys):
         """Energy H and quadratic Casimir C2 of packed states (..., dim)."""
@@ -453,13 +504,11 @@ def integrate(model, potential, state0, t_end, control=StepControl()):
                           "use a steep oscillator classically")
     n = state0.n
     y = pack_state(state0)
+    kernel = EomKernel(model, potential, n)
     if control.method == "rk4":
-        times, samples = integrate_batch(model, potential, y[None], t_end,
-                                         control.step, n,
-                                         record_every=control.record_every)
-        samples = samples[:, 0]
+        times, samples = _rk4(kernel, y, t_end, control.step,
+                              control.record_every)
     else:
-        fun = EomKernel(model, potential, n).rhs
         t = 0.0
         times = [t]
         samples = [y]
@@ -467,7 +516,7 @@ def integrate(model, potential, state0, t_end, control=StepControl()):
         scale = max(1.0, float(np.max(np.abs(y))))
         while t < t_end - 1e-15 * t_end:
             h = min(h, t_end - t)
-            ynew, err = _rk45_step(fun, y, h)
+            ynew, err = _rk45_step(kernel.rhs, y, h)
             tol = control.atol + control.rtol * scale
             if err <= tol:
                 t += h
@@ -491,7 +540,7 @@ def integrate(model, potential, state0, t_end, control=StepControl()):
         # record the (-pi, pi] representative.  V(qbar) is not periodic,
         # so with one the angles are recorded as integrated
         samples[:, :n] = phase.wrap_angle(samples[:, :n])
-    energy, casimir = EomKernel(model, potential, n).energies(samples)
+    energy, casimir = kernel.energies(samples)
     return Trajectory(n=n, model=model, potential=potential,
                       times=times, samples=samples,
                       energy=energy, casimir=casimir, control=control)
@@ -504,22 +553,27 @@ def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
     is held component-major, (dim, B); each RHS call writes its stage into
     one (4, dim, B) buffer, and a step ends with one product of the RK4
     weights with that buffer.  One state, (dim,) or (1, dim), steps on
-    Python floats through EomKernel.float_rhs instead, where numpy's
-    per-call cost would outweigh its arithmetic.
+    Python floats through the kernel's emitted RK4 step instead (_emit),
+    where numpy's per-call cost would outweigh its arithmetic.
 
     A state that blows up (a step across a singular wall of the lattice)
     stays non-finite from then on.  numpy's floating-point warnings are
     off during the steps, and the records are checked once, at the end:
     StepFailure names the time of the first non-finite record."""
-    kernel = EomKernel(model, potential, n)
+    return _rk4(EomKernel(model, potential, n), y0, t_end, step,
+                record_every)
+
+
+def _rk4(kernel, y0, t_end, step, record_every):
+    """integrate_batch on a kernel built by the caller."""
     nsteps = step_count(t_end, step)
     h = t_end / nsteps
     y0 = np.asarray(y0, dtype=float)
     weights = h * _RK4_B
     if y0.size == y0.shape[-1]:
-        times, samples = _rk4_one_state(kernel.float_rhs(),
-                                        y0.ravel().tolist(), nsteps, h,
-                                        weights.tolist(), record_every)
+        times, samples = _rk4_one_state(
+            kernel._bind_floats()[1](h, *weights.tolist()),
+            y0.ravel().tolist(), nsteps, h, record_every)
     else:
         times, samples = _rk4_batch(kernel.rhs, y0, nsteps, h, weights,
                                     record_every)
@@ -567,29 +621,25 @@ def _rk4_batch(rhs, y0, nsteps, h, weights, record_every):
     return times, samples
 
 
-def _rk4_one_state(rhs, y, nsteps, h, weights, record_every):
+def _rk4_one_state(step, y, nsteps, h, record_every):
     """The steps of integrate_batch on one state, a list of Python floats;
     returns the record times and the records, t = 0 and y first.  A step
-    in which math raises, where numpy would return inf or nan, leaves the
-    state non-finite, as it would leave a batch."""
-    w1, w2, w3, w4 = weights
-    half = 0.5 * h
+    in which math raises, where numpy would return inf or nan, ends the
+    stepping, and every record from it on is nan, as a batch's would be
+    non-finite."""
     every = record_every or nsteps
     times = [0.0]
     samples = [y]
-    failed = False
     for k in range(nsteps):
-        if not failed:
-            try:
-                k1 = rhs(y)
-                k2 = rhs([a + half * b for a, b in zip(y, k1)])
-                k3 = rhs([a + half * b for a, b in zip(y, k2)])
-                k4 = rhs([a + h * b for a, b in zip(y, k3)])
-                y = [a + (w1 * b + w2 * c + w3 * d + w4 * e)
-                     for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
-            except (OverflowError, ZeroDivisionError, ValueError):
-                y = [math.nan] * len(y)
-                failed = True
+        try:
+            y = step(y)
+        except (OverflowError, ZeroDivisionError, ValueError):
+            # the record steps from k + 1 on: multiples of every, and the last
+            marks = [*range(-(-(k + 1) // every) * every, nsteps, every),
+                     nsteps]
+            times += [j * h for j in marks]
+            samples += [[math.nan] * len(y)] * len(marks)
+            break
         if (k + 1) % every == 0 or k == nsteps - 1:
             times.append((k + 1) * h)
             samples.append(y)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from affinebody import checks, dynamics, kinematics, phase, poisson
 from affinebody.dynamics import StepControl
@@ -577,6 +578,82 @@ class TestSingleState:
         assert alone == batched
         assert alone[1].startswith("antipodal")
 
+    def test_emitted_code_shared_by_structure(self, rng):
+        # the constants are arguments of the emitted code, not part of its
+        # source: two kernels of one structure compile once, and each
+        # keeps its own constants
+        dynamics._emit.cache_clear()
+        ys = packed_batch(rng, MODELS["AffAff"], 3, 4)
+        for A in (1.3, 0.7):
+            kernel = dynamics.EomKernel(ModelSpec(kind="AffAff", A=A, B=0.4),
+                                        WELL, 3)
+            rhs, stepper = kernel._bind_floats()
+            step = stepper(0.01, *(0.01 * dynamics._RK4_B).tolist())
+            for y, dy in zip(ys, kernel.rhs(ys)):
+                assert rel_err(np.array(rhs(y.tolist())), dy) <= 1e-14
+                assert rel_err(np.array(step(y.tolist())),
+                               rk4_step(kernel.rhs, y, 0.01)) <= 1e-14
+        assert dynamics._emit.cache_info().misses == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.sampled_from(ALL_KINDS), n=st.integers(1, 4),
+           data=st.data())
+    def test_screen_boundary(self, model, n, data):
+        """A pair whose half difference lies just below or above the
+        screen, 0.5 DEGENERACY_TOL (DAlembert's exact test; its screen is
+        at about twice that), or for TrigUn whose cosine does: float_rhs,
+        emitted or through its fallback, gives rhs's derivative or raises
+        its DegenerateInertia, and the emitted RK4 step is the textbook
+        step of float_rhs."""
+        k = n * (n - 1) // 2
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        y = packed_batch(rng, model, n, 1)[0]
+        if k:
+            i = data.draw(st.integers(0, k - 1))
+            a, b = (int(j[i]) for j in phase.pair_layout(n).iu)
+            half = data.draw(st.sampled_from([-1.0, 1.0])) \
+                * data.draw(st.floats(0.25, 4.0)) * 0.5 * phase.DEGENERACY_TOL
+            if model.kind == "TrigUn" and data.draw(st.booleans()):
+                half += 0.5 * np.pi
+            y[b] = y[a] - 2.0 * half
+            # keep or drop the pair's M and N couplings
+            y[2 * n + i] *= data.draw(st.booleans())
+            y[2 * n + k + i] *= data.draw(st.booleans())
+        kernel = dynamics.EomKernel(model, data.draw(st.sampled_from(
+            POTENTIALS)), n)
+        rhs, stepper = kernel._bind_floats()
+        step = stepper(1e-3, *(1e-3 * dynamics._RK4_B).tolist())
+
+        def outcome(f, *args):
+            with np.errstate(all="ignore"):
+                try:
+                    return np.asarray(f(*args), dtype=float)
+                except (DegenerateInertia, ArithmeticError,
+                        ValueError) as exc:
+                    return type(exc), str(exc)
+
+        def agree(got, want, tol=1e-14):
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                scale = max(1.0, np.max(np.abs(want), initial=0.0,
+                                        where=np.isfinite(want)))
+                np.testing.assert_allclose(got, want, rtol=0.0,
+                                           atol=tol * scale)
+
+        # DAlembert's Q_a - Q_b cancels near the wall: math.exp and np.exp
+        # differ by an ulp in about 5 % of arguments, which moves Q_a - Q_b
+        # by eps max(Q_a, Q_b) / |Q_a - Q_b| relative, and the derivative,
+        # through d^3, by three times that
+        cond = 0.0
+        if model.kind == "DAlembert" and k:
+            Q = np.exp(y[:n])[np.array(phase.pair_layout(n).iu)]
+            cond = np.max(Q.max(axis=0) / np.abs(Q[0] - Q[1]))
+        agree(outcome(rhs, y.tolist()), outcome(kernel.rhs, y),
+              1e-14 + 12 * np.finfo(float).eps * cond)
+        agree(outcome(step, y.tolist()), outcome(
+            rk4_step, lambda v: np.array(rhs(v.tolist())), y, 1e-3))
+
     def test_wall_crossing(self):
         model = MODELS["TrigUn"]
         with pytest.raises(StepFailure, match=r"at t = 3\.9$"):
@@ -599,6 +676,24 @@ class TestSingleState:
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("method", dynamics.METHODS)
+    def test_one_kernel_per_call(self, method, monkeypatch, rng):
+        # the steps and the energies share one kernel
+        model = MODELS["MetrAff"]
+        st_ = kind_state(rng, model, 3)
+        control = StepControl(method=method, step=0.01)
+        dynamics.integrate(model, WELL, st_, 0.05, control)  # fills caches
+        init = dynamics.EomKernel.__init__
+        built = []
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(dynamics.EomKernel, "__init__", counting)
+        dynamics.integrate(model, WELL, st_, 0.05, control)
+        assert built == [(model, WELL, 3)]
+
     def test_constant_trajectory(self):
         model = ModelSpec(kind="AffAff", A=1.0, B=0.0)
         st_ = ReducedState(np.array([0.4, -0.4]), np.zeros(2))
