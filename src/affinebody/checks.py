@@ -4,6 +4,8 @@ Lie-Poisson bracket and the exact geodesics of the AffAff model.  The
 check commands of the CLI and the test suite both run them.
 """
 
+import types
+
 import numpy as np
 
 from . import dynamics, kinematics, phase, poisson
@@ -17,23 +19,64 @@ DECOMP_SV_TOL = 1e-9
 def random_configuration(rng, n, cond_max=1e6):
     """Random orientation-preserving matrix with a bounded condition
     number."""
-    while True:
-        raw = rng.standard_normal((n, n))
+    return random_configurations(rng, [n], cond_max)[n][0]
+
+
+def random_configurations(rng, dims, cond_max=1e6):
+    """Random orientation-preserving matrices with a bounded condition
+    number, one n x n matrix for each n of dims in turn, returned as
+    {n: (count, n, n) stack} with each stack in draw order.
+
+    The draws are those of random_configuration for each n, in the same
+    order; the arithmetic runs on the stacks.  random_configuration draws
+    a raw matrix again when its SVD finds a zero singular value.  Here the
+    SVDs come after all the draws, so the RNG goes back to its state at
+    the start, the draws before that matrix and the matrix itself are
+    replayed, and the rest is drawn anew."""
+    start = rng.bit_generator.state
+    draws = [_draw_configuration(rng, n) for n in dims]
+    order = np.asarray(dims)
+    stacks = {}
+    redraw = len(dims)
+    for n in dict.fromkeys(dims):
+        members = np.flatnonzero(order == n)
+        raw, budget, shift = (np.array(column) for column in
+                              zip(*(draws[k] for k in members)))
         u, s, vt = np.linalg.svd(raw)
-        if s[-1] <= 0:
-            continue
-        # compress the singular-value spread into the allowed range
-        log_s = np.log(s)
-        spread = log_s[0] - log_s[-1]
-        budget = np.log(cond_max) * rng.uniform(0.05, 0.95)
-        if spread > budget:
-            log_s = log_s[-1] + (log_s - log_s[-1]) * budget / spread
-        s = np.exp(log_s + rng.uniform(-1.0, 1.0))
-        phi = u @ np.diag(s) @ vt
-        if np.linalg.det(phi) < 0:
-            u[:, -1] *= -1.0
-            phi = u @ np.diag(s) @ vt
-        return phi
+        redraw = min([redraw, *members[s[:, -1] <= 0]])
+        # a member to be redrawn has log 0 = -inf; its result is dropped
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # compress the singular-value spread into the allowed range
+            log_s = np.log(s)
+            spread = log_s[:, 0] - log_s[:, -1]
+            budget *= np.log(cond_max)
+            squeeze = spread > budget
+            low = log_s[squeeze, -1:]
+            log_s[squeeze] = low + (log_s[squeeze] - low) \
+                * budget[squeeze, None] / spread[squeeze, None]
+            s = np.exp(log_s + shift[:, None])
+            phi = (u * s[:, None, :]) @ vt
+            flip = np.linalg.det(phi) < 0
+        u[flip, :, -1] *= -1.0
+        phi[flip] = (u[flip] * s[flip, None, :]) @ vt[flip]
+        stacks[n] = phi
+    if redraw == len(dims):
+        return stacks
+    rng.bit_generator.state = start
+    for n in dims[:redraw]:
+        _draw_configuration(rng, n)
+    rng.standard_normal((dims[redraw],) * 2)
+    tail = random_configurations(rng, dims[redraw:], cond_max)
+    return {n: np.concatenate([phi[:np.count_nonzero(order[:redraw] == n)],
+                               tail.get(n, phi[:0])])
+            for n, phi in stacks.items()}
+
+
+def _draw_configuration(rng, n):
+    """The draws of one random configuration: a raw matrix, the share of
+    log cond_max its singular values may spread over, and their shift."""
+    return (rng.standard_normal((n, n)), rng.uniform(0.05, 0.95),
+            rng.uniform(-1.0, 1.0))
 
 
 def random_state(rng, n, scale=1.0, min_gap=0.05):
@@ -46,7 +89,10 @@ def random_state(rng, n, scale=1.0, min_gap=0.05):
     p = rng.standard_normal(n) * scale
     M = rng.standard_normal((n, n)) * scale
     N = rng.standard_normal((n, n)) * scale
-    return phase.ReducedState(q, p, M=M - M.T, N=N - N.T)
+    # M - M^T is skew by construction: no skew test needed
+    upper = phase.pair_layout(n).upper
+    return phase.ReducedState(q, p, m_upper=upper(M - M.T),
+                              n_upper=upper(N - N.T))
 
 
 def random_linear_observable(rng, n):
@@ -60,32 +106,29 @@ def random_linear_observable(rng, n):
 
 def check_brackets(rng, trials=200, n=3):
     """Antisymmetry, Jacobi, and Leibniz residuals of the reduced bracket
-    over random observables and states."""
-    max_anti = 0.0
-    max_jacobi = 0.0
-    max_leibniz = 0.0
-    for _ in range(trials):
-        F = random_linear_observable(rng, n)
-        G = random_linear_observable(rng, n)
-        H = random_linear_observable(rng, n)
-        state = random_state(rng, n)
-        fg = poisson.poisson_bracket(F, G, state)
-        gf = poisson.poisson_bracket(G, F, state)
-        max_anti = max(max_anti, abs(fg + gf))
-        # inner brackets of linear observables are again linear, so the
-        # Jacobi identity can be evaluated without finite differences
-        gh = poisson.bracket_observable(G, H)
-        hf = poisson.bracket_observable(H, F)
-        fg_obs = poisson.bracket_observable(F, G)
-        jac = (poisson.poisson_bracket(F, gh, state)
-               + poisson.poisson_bracket(G, hf, state)
-               + poisson.poisson_bracket(H, fg_obs, state))
-        max_jacobi = max(max_jacobi, abs(jac))
-        FG = poisson.ProductObservable(F, G)
-        lhs = poisson.poisson_bracket(FG, H, state)
-        rhs = (F.value(state) * poisson.poisson_bracket(G, H, state)
-               + G.value(state) * poisson.poisson_bracket(F, H, state))
-        max_leibniz = max(max_leibniz, abs(lhs - rhs))
+    over random observables and states.  The trials are drawn one after
+    another and then stacked, so that each bracket runs once on all of
+    them."""
+    draws = [(random_linear_observable(rng, n), random_linear_observable(rng, n),
+              random_linear_observable(rng, n), random_state(rng, n))
+             for _ in range(trials)]
+    *observables, states = zip(*draws)
+    F, G, H = (_stacked_observable(column) for column in observables)
+    state = _stacked_state(states)
+
+    def bracket(A, B):
+        return poisson.bracket_values(A, B, state)
+
+    anti = bracket(F, G) + bracket(G, F)
+    # inner brackets of linear observables are again linear, so the
+    # Jacobi identity can be evaluated without finite differences
+    jacobi = (bracket(F, poisson.bracket_observable(G, H))
+              + bracket(G, poisson.bracket_observable(H, F))
+              + bracket(H, poisson.bracket_observable(F, G)))
+    leibniz = bracket(poisson.ProductObservable(F, G), H) - (
+        F.value(state) * bracket(G, H) + G.value(state) * bracket(F, H))
+    max_anti, max_jacobi, max_leibniz = (
+        float(np.max(np.abs(r), initial=0.0)) for r in (anti, jacobi, leibniz))
     worst = max(max_anti, max_jacobi, max_leibniz)
     return {
         "trials": trials, "n": n,
@@ -99,33 +142,29 @@ def check_brackets(rng, trials=200, n=3):
 def check_decomposition(rng, trials=1000, dims=(2, 3), cond_max=1e6):
     """Two-polar and polar reconstruction residuals over random
     configurations, with singular values checked against an independent
-    eigen-decomposition of phi^T phi."""
-    max_recon = 0.0
-    max_ortho = 0.0
-    max_sv = 0.0
-    for k in range(trials):
-        n = dims[k % len(dims)]
-        phi = random_configuration(rng, n, cond_max=cond_max)
-        scale = np.linalg.norm(phi)
+    eigen-decomposition of phi^T phi.  The configurations are drawn one
+    after another and then stacked by n, so that each n takes one
+    decomposition of each kind."""
+    stacks = random_configurations(
+        rng, [dims[k % len(dims)] for k in range(trials)], cond_max)
+    max_recon = max_ortho = max_sv = 0.0
+    for n, phi in stacks.items():
+        scale = _norms(phi)
         tp = kinematics.two_polar(phi)
-        max_recon = max(max_recon,
-                        np.linalg.norm(tp.reconstruct() - phi) / scale)
-        eye = np.eye(n)
-        max_ortho = max(
-            max_ortho,
-            np.linalg.norm(tp.L.T @ tp.L - eye),
-            np.linalg.norm(tp.R.T @ tp.R - eye))
-        # independent oracle: sqrt of the Green tensor spectrum
-        ev = np.linalg.eigvalsh(phi.T @ phi)
-        oracle = np.sqrt(np.sort(ev)[::-1])
-        sv = np.sort(np.exp(tp.q))[::-1]
-        max_sv = max(max_sv,
-                     np.max(np.abs(sv - oracle)) / max(oracle[0], 1.0))
         pol = kinematics.polar_decompose(phi)
+        eye = np.eye(n)
         max_recon = max(max_recon,
-                        np.linalg.norm(pol.reconstruct() - phi) / scale)
-        max_ortho = max(max_ortho,
-                        np.linalg.norm(pol.U.T @ pol.U - eye))
+                        np.max(_norms(tp.reconstruct() - phi) / scale),
+                        np.max(_norms(pol.reconstruct() - phi) / scale))
+        max_ortho = max(max_ortho, *(
+            np.max(_norms(np.swapaxes(X, -1, -2) @ X - eye))
+            for X in (tp.L, tp.R, pol.U)))
+        # independent oracle: sqrt of the Green tensor spectrum
+        ev = np.linalg.eigvalsh(np.swapaxes(phi, -1, -2) @ phi)
+        oracle = np.sqrt(np.sort(ev)[:, ::-1])
+        sv = np.sort(np.exp(tp.q))[:, ::-1]
+        max_sv = max(max_sv, np.max(np.max(np.abs(sv - oracle), axis=-1)
+                                    / np.maximum(oracle[:, 0], 1.0)))
     ok = (max_recon < DECOMP_RECON_TOL and max_ortho < DECOMP_ORTHO_TOL
           and max_sv < DECOMP_SV_TOL)
     return {
@@ -137,6 +176,32 @@ def check_decomposition(rng, trials=1000, dims=(2, 3), cond_max=1e6):
                        "singular_values": DECOMP_SV_TOL},
         "verdict": "PASS" if ok else "FAIL",
     }
+
+
+def _norms(x):
+    """Frobenius norm of each matrix of a stack (..., n, n), taken as
+    np.linalg.norm takes it of one matrix: the root of the dot product of
+    its flattened entries with themselves."""
+    flat = x.reshape(x.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def _stacked_observable(observables):
+    """Linear observables as one, with a leading trial axis on each
+    coefficient."""
+    return poisson.LinearObservable(observables[0].n, *(
+        np.array([getattr(o, a) for o in observables])
+        for a in ("c0", "cq", "cp", "CM", "CN")))
+
+
+def _stacked_state(states):
+    """Reduced states as one object with a leading trial axis on each of
+    the attributes that observables and brackets read."""
+    q, p, m_upper, n_upper = (np.array([getattr(s, a) for s in states])
+                              for a in phase.ReducedState.__slots__)
+    layout = phase.pair_layout(states[0].n)
+    return types.SimpleNamespace(q=q, p=p, m_upper=m_upper, n_upper=n_upper,
+                                 M=layout.skew(m_upper), N=layout.skew(n_upper))
 
 
 def geodesic_cross_check(model, phi0, Omega, t_end, step=1e-3, samples=11):

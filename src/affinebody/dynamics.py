@@ -96,16 +96,17 @@ def _commutator_terms(n):
 
 
 @functools.lru_cache(maxsize=None)
-def _emit(form, n, sloped, coupled):
-    """Compile the single-state RHS and RK4 step of one kernel structure
-    as straight-line Python, partial evaluation as in SymPy's lambdify.
+def _emit(form, n, sloped, coupled, function):
+    """Compile the single-state RHS (function "rhs") or RK4 step (function
+    "stepper") of one kernel structure as straight-line Python, partial
+    evaluation as in SymPy's lambdify.
     form is the pair function: sinh for the four hyperbolic kinds, sin for
     TrigUn, exp for DAlembert (Q_a -+ Q_b).  The state is unpacked into
     locals, and every product of _flow and every nonzero commutator term
     of _commutator_terms(n) is written out.  No constant is written into
     the source: bind(coef, q_weights, momentum, own, cross, slope, lim,
-    fallback) returns the (rhs, stepper) of one kernel, and
-    stepper(h, w1, w2, w3, w4) its RK4 step with the stages in locals.
+    fallback) returns the function of one kernel, and stepper(h, w1, w2,
+    w3, w4) its RK4 step with the stages in locals.
     A pair denominator below lim (lim (Q_a + Q_b) for DAlembert; the
     cosines too for TrigUn) sends the stage to fallback, the batch kernel
     on that one state."""
@@ -179,15 +180,21 @@ def _emit(form, n, sloped, coupled):
     names = [[f"{s}{j}" for j in range(2 * (n + k))]
              for s in ("y", "z", "r", "k0_", "k1_", "k2_", "k3_")]
     y, z, r, stages = names[0], names[1], names[2], names[3:]
-    step = unpack(y, "y")
-    for s, out in enumerate(stages):
-        x = z if s else y
-        step += [f"{a} = {b} + {'h' if s == 3 else 'half'} * {c}"
-                 for a, b, c in zip(z, y, stages[s - 1]) if s]
-        step += body(x, out, f"{', '.join(out)}, = fallback({listed(x)})")
-    step.append("return " + listed(
-        f"{a} + (w1 * {b} + w2 * {c} + w3 * {d} + w4 * {e})"
-        for a, b, c, d, e in zip(y, *stages)))
+    if function == "rhs":
+        code = _block("def rhs(y):", unpack(y, "y") + body(
+            y, r, "return fallback(y)") + [f"return {listed(r)}"])
+    else:
+        step = unpack(y, "y")
+        for s, out in enumerate(stages):
+            x = z if s else y
+            step += [f"{a} = {b} + {'h' if s == 3 else 'half'} * {c}"
+                     for a, b, c in zip(z, y, stages[s - 1]) if s]
+            step += body(x, out, f"{', '.join(out)}, = fallback({listed(x)})")
+        step.append("return " + listed(
+            f"{a} + (w1 * {b} + w2 * {c} + w3 * {d} + w4 * {e})"
+            for a, b, c, d, e in zip(y, *stages)))
+        code = _block("def stepper(h, w1, w2, w3, w4):", ["half = 0.5 * h"]
+                      + _block("def step(y):", step) + ["return step"])
     constants = [([f"C{i}" for i in range(2 * k)], "coef"),
                  ([f"W{a}_{i}" for a in range(n)
                    for i in range(2 * k if exp else k + pull)], "q_weights"),
@@ -199,15 +206,11 @@ def _emit(form, n, sloped, coupled):
         "def bind(coef, q_weights, momentum, own, cross, slope, lim, "
         "fallback):",
         [line for targets, into in constants
-         for line in unpack(targets, into)]
-        + _block("def rhs(y):", unpack(y, "y") + body(
-            y, r, "return fallback(y)") + [f"return {listed(r)}"])
-        + _block("def stepper(h, w1, w2, w3, w4):", ["half = 0.5 * h"]
-                 + _block("def step(y):", step) + ["return step"])
-        + ["return rhs, stepper"])
+         for line in unpack(targets, into)] + code + [f"return {function}"])
     namespace = {f.__name__: f for f in (math.exp, math.sinh, math.cosh,
                                          math.sin, math.cos)}
-    exec(compile("\n".join(source), f"<{form} n={n}>", "exec"), namespace)
+    exec(compile("\n".join(source), f"<{function} {form} n={n}>", "exec"),
+         namespace)
     return namespace["bind"]
 
 
@@ -374,11 +377,12 @@ class EomKernel:
         DegenerateInertia and sets the removable terms to zero.  Where
         numpy returns inf or nan, math raises OverflowError,
         ZeroDivisionError or ValueError."""
-        return self._bind_floats()[0]
+        return self._bind_floats("rhs")
 
-    def _bind_floats(self):
-        """(float_rhs, stepper) from _emit; stepper(h, w1, w2, w3, w4)
-        gives the RK4 step of one state with step h and weights w."""
+    def _bind_floats(self, function):
+        """The float_rhs ("rhs") or the stepper ("stepper") from _emit;
+        stepper(h, w1, w2, w3, w4) gives the RK4 step of one state with
+        step h and weights w."""
         coupling = self.coupling
         own = cross = []
         if coupling is not None:
@@ -394,7 +398,7 @@ class EomKernel:
                 return self.rhs(y).tolist()
 
         bind = _emit(form, self.n, self.slope is not None,
-                     coupling is not None)
+                     coupling is not None, function)
         return bind(self.coef.ravel().tolist(),
                     self.q_weights.ravel().tolist(),
                     np.ravel(self.momentum).tolist(), own, cross, self.slope,
@@ -572,7 +576,7 @@ def _rk4(kernel, y0, t_end, step, record_every):
     weights = h * _RK4_B
     if y0.size == y0.shape[-1]:
         times, samples = _rk4_one_state(
-            kernel._bind_floats()[1](h, *weights.tolist()),
+            kernel._bind_floats("stepper")(h, *weights.tolist()),
             y0.ravel().tolist(), nsteps, h, record_every)
     else:
         times, samples = _rk4_batch(kernel.rhs, y0, nsteps, h, weights,
@@ -625,24 +629,31 @@ def _rk4_one_state(step, y, nsteps, h, record_every):
     """The steps of integrate_batch on one state, a list of Python floats;
     returns the record times and the records, t = 0 and y first.  A step
     in which math raises, where numpy would return inf or nan, ends the
-    stepping, and every record from it on is nan, as a batch's would be
-    non-finite."""
+    stepping, as does a record with a non-finite component; every record
+    after that is nan, as a batch's would be non-finite."""
     every = record_every or nsteps
     times = [0.0]
     samples = [y]
-    for k in range(nsteps):
+    for k in range(1, nsteps + 1):
         try:
             y = step(y)
         except (OverflowError, ZeroDivisionError, ValueError):
-            # the record steps from k + 1 on: multiples of every, and the last
-            marks = [*range(-(-(k + 1) // every) * every, nsteps, every),
-                     nsteps]
-            times += [j * h for j in marks]
-            samples += [[math.nan] * len(y)] * len(marks)
             break
-        if (k + 1) % every == 0 or k == nsteps - 1:
-            times.append((k + 1) * h)
+        if k % every == 0 or k == nsteps:
+            times.append(k * h)
             samples.append(y)
+            # a finite sum means finite components; a sum that is not
+            # finite may still come from finite ones near 1e308
+            if not math.isfinite(sum(y)) and not all(map(math.isfinite, y)):
+                k += 1  # this record stands: the nan ones start after it
+                break
+    else:
+        return times, samples
+    # the record steps from k on: multiples of every, and the last
+    marks = [j for j in (*range(-(-k // every) * every, nsteps, every), nsteps)
+             if j >= k]
+    times += [j * h for j in marks]
+    samples += [[math.nan] * len(y)] * len(marks)
     return times, samples
 
 

@@ -20,18 +20,39 @@ CONDITION_FLOOR = 1e-12
 FULL_DEGENERACY_TOL = 1e-14
 
 
-def _check_configuration(phi):
-    """phi as a float array, checked to be square, finite and of positive
-    determinant."""
+def _check_configuration(phi, floor=None):
+    """phi as a float array of n x n matrices (..., n, n), one matrix
+    being a stack with no leading axes, and its SVD (u, s, vt), or None
+    when no floor is given.  Each member is checked to be finite, of
+    positive determinant and, given a floor, of smallest/largest singular
+    value ratio at least floor; the first member in stack order that
+    fails a test raises that test's error."""
     phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
+    if phi.ndim < 2 or phi.shape[-1] != phi.shape[-2]:
         raise ShapeMismatch(f"phi must be square, got shape {phi.shape}")
-    if not np.all(np.isfinite(phi)):
-        raise SingularConfiguration("phi contains non-finite entries")
-    if np.linalg.det(phi) <= 0.0:
+    finite = np.isfinite(phi).all(axis=(-2, -1))
+    # a non-finite member takes no further test: zero it for the rest
+    safe = phi if finite.all() else np.where(finite[..., None, None], phi, 0.0)
+    passed = [finite, np.linalg.det(safe) > 0.0]
+    factors = None
+    if floor is not None:
+        factors = np.linalg.svd(safe)
+        s = factors[1]
+        # det > 0 already rules out s[..., 0] == 0
+        passed.append(s[..., -1] >= floor * s[..., 0])
+    if not np.logical_and.reduce(passed).all():
+        # argwhere runs in stack order, and a member's tests in turn
+        *member, test = np.argwhere(~np.stack(passed, axis=-1))[0]
+        if test == 0:
+            raise SingularConfiguration("phi contains non-finite entries")
+        if test == 1:
+            raise SingularConfiguration(
+                "configuration must have positive determinant")
+        top, low = s[(*member, 0)], s[(*member, -1)]
         raise SingularConfiguration(
-            "configuration must have positive determinant")
-    return phi
+            f"singular value ratio {low / top:.3e} "
+            f"below condition floor {floor:.0e}")
+    return phi, factors
 
 
 @dataclass(frozen=True)
@@ -41,7 +62,10 @@ class Configuration:
     phi: np.ndarray
 
     def __post_init__(self):
-        phi = _check_configuration(self.phi)
+        if np.ndim(self.phi) != 2:
+            raise ShapeMismatch(
+                f"phi must be square, got shape {np.shape(self.phi)}")
+        phi, _ = _check_configuration(self.phi)
         object.__setattr__(self, "phi", phi)
 
     @property
@@ -67,7 +91,8 @@ class TwoPolar:
     Gauge: q is sorted non-increasing and det L = det R = +1.  When the
     deformation spectrum is degenerate the factors are one valid choice
     among many; ``degeneracy_margin(q)`` tells the caller how much gauge
-    freedom remains.
+    freedom remains.  The factors of a stack (..., n, n) carry its
+    leading axes.
     """
 
     L: np.ndarray
@@ -75,55 +100,49 @@ class TwoPolar:
     q: np.ndarray
 
     def reconstruct(self):
-        return (self.L * np.exp(self.q)) @ self.R.T
-
-
-def _guarded_svd(phi):
-    phi = _check_configuration(phi)
-    u, s, vt = np.linalg.svd(phi)
-    if s[0] == 0.0 or s[-1] < CONDITION_FLOOR * s[0]:
-        raise SingularConfiguration(
-            f"singular value ratio {s[-1] / s[0] if s[0] else 0.0:.3e} "
-            f"below condition floor {CONDITION_FLOOR:.0e}")
-    return u, s, vt
+        return (self.L * np.exp(self.q)[..., None, :]) \
+            @ np.swapaxes(self.R, -1, -2)
 
 
 def polar_decompose(phi):
-    """Left polar factorisation phi = U A.
+    """Left polar factorisation phi = U A of one n x n matrix, or of each
+    member of a stack (..., n, n).
 
     U is the closest special orthogonal matrix to phi, A = U^T phi is
     symmetric positive definite.
     """
-    u, s, vt = _guarded_svd(phi)
+    _, (u, s, vt) = _check_configuration(phi, CONDITION_FLOOR)
     # det(phi) > 0 ensures det(u vt) = +1, so U is already a rotation
     U = u @ vt
-    A = vt.T @ (s[:, None] * vt)
-    A = 0.5 * (A + A.T)
+    v = np.swapaxes(vt, -1, -2)
+    A = v @ (s[..., :, None] * vt)
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
     return PolarDecomposition(U=U, A=A)
 
 
 def two_polar(phi):
-    """Two-polar (singular value) factorisation phi = L diag(exp q) R^T."""
-    u, s, vt = _guarded_svd(phi)
-    n = len(s)
-    spread = (s[0] - s[-1]) / s[0]
-    if spread <= FULL_DEGENERACY_TOL:
-        # fully degenerate spectrum: phi is a multiple of a rotation, pick
-        # the gauge R = identity so rotations factor as themselves
-        scale = float(np.mean(s))
-        L = np.asarray(phi, dtype=float) / scale
-        # re-project to the orthogonal group to kill rounding drift
-        lu, _, lvt = np.linalg.svd(L)
-        L = lu @ lvt
-        return TwoPolar(L=L, R=np.eye(n), q=np.full(n, np.log(scale)))
-    L = u.copy()
-    R = vt.T.copy()
+    """Two-polar (singular value) factorisation phi = L diag(exp q) R^T of
+    one n x n matrix, or of each member of a stack (..., n, n)."""
+    phi, (L, s, vt) = _check_configuration(phi, CONDITION_FLOOR)
+    R = np.swapaxes(vt, -1, -2).copy()
+    q = np.log(s)
     # joint sign flip of a matched column pair leaves phi invariant and
     # fixes both determinants to +1
-    if np.linalg.det(L) < 0.0:
-        L[:, -1] = -L[:, -1]
-        R[:, -1] = -R[:, -1]
-    return TwoPolar(L=L, R=R, q=np.log(s))
+    sign = np.sign(np.linalg.det(L))[..., None]
+    L[..., -1] *= sign
+    R[..., -1] *= sign
+    spread = (s[..., 0] - s[..., -1]) / s[..., 0]
+    degenerate = spread <= FULL_DEGENERACY_TOL
+    if degenerate.any():
+        # fully degenerate spectrum: phi is a multiple of a rotation, pick
+        # the gauge R = identity so rotations factor as themselves
+        scale = np.mean(s[degenerate], axis=-1)
+        # re-project to the orthogonal group to kill rounding drift
+        lu, _, lvt = np.linalg.svd(phi[degenerate] / scale[:, None, None])
+        L[degenerate] = lu @ lvt
+        R[degenerate] = np.eye(s.shape[-1])
+        q[degenerate] = np.log(scale)[:, None]
+    return TwoPolar(L=L, R=R, q=q)
 
 
 def align_two_polar(tp, reference):

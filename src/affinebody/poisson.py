@@ -47,13 +47,17 @@ class FunctionObservable:
 
 
 class LinearObservable:
-    """c0 + cq.q + cp.p + sum_{a<b} (CM_ab M_ab + CN_ab N_ab)."""
+    """c0 + cq.q + cp.p + sum_{a<b} (CM_ab M_ab + CN_ab N_ab).
+
+    Coefficients with leading axes make a stack of observables, one per
+    member, whose value takes a state with the same leading axes.
+    """
 
     def __init__(self, n, c0=0.0, cq=None, cp=None, CM=None, CN=None,
                  name="linear"):
         self.n = n
         self.name = name
-        self.c0 = float(c0)
+        self.c0 = np.asarray(c0, dtype=float)
         self.cq = np.zeros(n) if cq is None else np.asarray(cq, dtype=float)
         self.cp = np.zeros(n) if cp is None else np.asarray(cp, dtype=float)
         self.CM = np.zeros((n, n)) if CM is None else np.asarray(CM, float)
@@ -61,9 +65,12 @@ class LinearObservable:
 
     def value(self, state):
         upper = phase.pair_layout(self.n).upper
-        return (self.c0 + self.cq @ state.q + self.cp @ state.p
-                + upper(self.CM) @ state.m_upper
-                + upper(self.CN) @ state.n_upper)
+        # a stack's upper components come out strided, and numpy sums a
+        # strided dot product in another order than a contiguous one
+        cm, cn = (np.ascontiguousarray(upper(C)) for C in (self.CM, self.CN))
+        return (self.c0 + np.vecdot(self.cq, state.q)
+                + np.vecdot(self.cp, state.p)
+                + np.vecdot(cm, state.m_upper) + np.vecdot(cn, state.n_upper))
 
     def gradient(self, state):
         return PhaseGradient(self.cq.copy(), self.cp.copy(),
@@ -80,12 +87,15 @@ class ProductObservable:
         return self.f.value(state) * self.g.value(state)
 
     def gradient(self, state):
-        fv, gv = self.f.value(state), self.g.value(state)
+        # the values of a stack get the trailing axis of dq; without it a
+        # stack of n members would broadcast along the wrong axis
+        fv, gv = (np.asarray(o.value(state))[..., None]
+                  for o in (self.f, self.g))
         gf, gg = self.f.gradient(state), self.g.gradient(state)
         return PhaseGradient(gv * gf.dq + fv * gg.dq,
                              gv * gf.dp + fv * gg.dp,
-                             gv * gf.dM + fv * gg.dM,
-                             gv * gf.dN + fv * gg.dN)
+                             gv[..., None] * gf.dM + fv[..., None] * gg.dM,
+                             gv[..., None] * gf.dN + fv[..., None] * gg.dN)
 
 
 def coordinate_observable(tag, n, a=None, b=None):
@@ -136,22 +146,28 @@ def hamiltonian_observable(model, potential):
     return FunctionObservable(f"H[{model.kind}]", value, grad)
 
 
-def poisson_bracket(F, G, state):
-    """Evaluate {F, G} at a reduced state."""
+def bracket_values(F, G, state):
+    """{F, G} over the leading axes that the state's arrays and the
+    observables' coefficients share, as an array: 0-d for one state."""
     gF = F.gradient(state)
     gG = G.gradient(state)
-    canonical = float(gF.dq @ gG.dp - gF.dp @ gG.dq)
     M, N = state.M, state.N
     lie = -0.5 * np.trace(
         gF.dM @ (M @ gG.dM - gG.dM @ M)
         + gF.dN @ (M @ gG.dN - gG.dN @ M)
         + gF.dM @ (N @ gG.dN - gG.dN @ N)
-        + gF.dN @ (N @ gG.dM - gG.dM @ N))
-    return canonical + float(lie)
+        + gF.dN @ (N @ gG.dM - gG.dM @ N), axis1=-2, axis2=-1)
+    return np.vecdot(gF.dq, gG.dp) - np.vecdot(gF.dp, gG.dq) + lie
+
+
+def poisson_bracket(F, G, state):
+    """Evaluate {F, G} at a reduced state."""
+    return float(bracket_values(F, G, state))
 
 
 def bracket_observable(F, G):
-    """The bracket {F, G} of two linear observables as a linear observable.
+    """The bracket {F, G} of two linear observables as a linear observable,
+    or of each pair of members of two stacks.
 
     The canonical part is a constant, and Tr(A [X, B]) = Tr(X [B, A])
     turns the Lie-Poisson part into -(1/2) Tr(M CM + N CN), the M and N
@@ -165,6 +181,6 @@ def bracket_observable(F, G):
         return X @ Y - Y @ X
 
     return LinearObservable(
-        F.n, c0=F.cq @ G.cp - F.cp @ G.cq,
+        F.n, c0=np.vecdot(F.cq, G.cp) - np.vecdot(F.cp, G.cq),
         CM=com(G.CM, F.CM) + com(G.CN, F.CN),
         CN=com(G.CN, F.CM) + com(G.CM, F.CN), name=f"{{{F.name},{G.name}}}")

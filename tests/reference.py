@@ -13,6 +13,8 @@ the weighted inner product is a trapezoid-rule coding of the norm that
 `quantum.eigensolve` takes by node sums.  The squared norms of rho and tau,
 with their gradients, are the conserved quantities of the metric-restricted
 kinds, and beta is the pbar coefficient of the free-streaming velocity.
+random_configuration is the one-matrix-at-a-time draw that
+`checks.random_configurations` stacks.
 """
 
 import numpy as np
@@ -378,3 +380,26 @@ def inner_product(f1, f2, weight_kind, grid):
         integrand = trapz(integrand, x=ax, axis=grid_ndim - 1)
         grid_ndim -= 1
     return complex(integrand) / norm
+
+
+def random_configuration(rng, n, cond_max=1e6):
+    """Random orientation-preserving matrix with a bounded condition
+    number, drawn and factored one matrix at a time; a raw matrix with a
+    zero singular value is drawn again."""
+    while True:
+        raw = rng.standard_normal((n, n))
+        u, s, vt = np.linalg.svd(raw)
+        if s[-1] <= 0:
+            continue
+        # compress the singular-value spread into the allowed range
+        log_s = np.log(s)
+        spread = log_s[0] - log_s[-1]
+        budget = np.log(cond_max) * rng.uniform(0.05, 0.95)
+        if spread > budget:
+            log_s = log_s[-1] + (log_s - log_s[-1]) * budget / spread
+        s = np.exp(log_s + rng.uniform(-1.0, 1.0))
+        phi = u @ np.diag(s) @ vt
+        if np.linalg.det(phi) < 0:
+            u[:, -1] *= -1.0
+            phi = u @ np.diag(s) @ vt
+        return phi

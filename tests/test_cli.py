@@ -337,6 +337,65 @@ class TestChecks:
         report = io.load_json(tmp_path / "decomp.json")
         assert report["verdict"] == "PASS"
 
+    # the stacked harnesses report, to the last bit, what the loop over one
+    # trial at a time reported; the figures were recorded with that loop,
+    # with numpy 2.4 on its bundled OpenBLAS (another LAPACK build may
+    # move their last digits)
+    @pytest.mark.parametrize("command,seed,config,line,figures", [
+        ("check-decomp", 1, {"trials": 300, "dims": [2, 3]},
+         "max_reconstruction=3.649e-15 max_orthogonality=2.470e-15",
+         {"max_reconstruction": 3.649289639281849e-15,
+          "max_orthogonality": 2.4695359854439333e-15,
+          "max_singular_value_error": 4.957589508915743e-15}),
+        ("check-decomp", 7, {"trials": 200, "dims": [1, 2, 3, 4]},
+         "max_reconstruction=2.336e-15 max_orthogonality=3.281e-15",
+         {"max_reconstruction": 2.33647844007064e-15,
+          "max_orthogonality": 3.2811605107204988e-15,
+          "max_singular_value_error": 6.198441163129712e-15}),
+        ("check-decomp", 42, {"trials": 60, "dims": [3], "cond_max": 10.0},
+         "max_reconstruction=1.688e-15 max_orthogonality=2.451e-15",
+         {"max_reconstruction": 1.688266768507568e-15,
+          "max_orthogonality": 2.4511531426719897e-15,
+          "max_singular_value_error": 1.0856250896123208e-15}),
+        ("check-brackets", 1, {"trials": 40, "n": 3},
+         "max_residual=1.137e-13",
+         {"max_antisymmetry": 7.105427357601002e-15,
+          "max_jacobi": 4.263256414560601e-14,
+          "max_leibniz": 1.1368683772161603e-13,
+          "max_residual": 1.1368683772161603e-13}),
+        ("check-brackets", 7, {"trials": 50, "n": 2},
+         "max_residual=2.665e-15",
+         {"max_antisymmetry": 0.0, "max_jacobi": 0.0,
+          "max_leibniz": 2.6645352591003757e-15,
+          "max_residual": 2.6645352591003757e-15}),
+        ("check-brackets", 42, {"trials": 20, "n": 4},
+         "max_residual=1.705e-13",
+         {"max_antisymmetry": 1.4210854715202004e-14,
+          "max_jacobi": 4.973799150320701e-14,
+          "max_leibniz": 1.7053025658242404e-13,
+          "max_residual": 1.7053025658242404e-13}),
+    ], ids=["decomp-1", "decomp-7", "decomp-42", "brackets-1", "brackets-7",
+            "brackets-42"])
+    def test_reports_pinned(self, tmp_path, capsys, command, seed, config,
+                            line, figures):
+        assert run(tmp_path, command, config, seed=seed) == 0
+        trials = config["trials"]
+        assert capsys.readouterr().out.startswith(
+            f"{command}: trials={trials} {line} verdict=PASS artifact=")
+        report = io.load_json(
+            tmp_path / f"{command.removeprefix('check-')}.json")
+        if command == "check-decomp":
+            expected = {"trials": trials, "dims": config["dims"],
+                        "cond_max": config.get("cond_max", 1e6), **figures,
+                        "tolerances": {"reconstruction": 1e-10,
+                                       "orthogonality": 1e-12,
+                                       "singular_values": 1e-9}}
+        else:
+            expected = {"trials": trials, "n": config["n"], **figures,
+                        "tolerance": 1e-9}
+        assert report == {**expected, "verdict": "PASS"}
+        assert list(report) == [*expected, "verdict"]
+
     def test_missing_config_file(self, tmp_path):
         code = cli.main(["classify", "--config",
                          str(tmp_path / "absent.json")])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -580,20 +582,38 @@ class TestSingleState:
 
     def test_emitted_code_shared_by_structure(self, rng):
         # the constants are arguments of the emitted code, not part of its
-        # source: two kernels of one structure compile once, and each
-        # keeps its own constants
+        # source: two kernels of one structure compile the RHS once and
+        # the step once, and each keeps its own constants
         dynamics._emit.cache_clear()
         ys = packed_batch(rng, MODELS["AffAff"], 3, 4)
         for A in (1.3, 0.7):
             kernel = dynamics.EomKernel(ModelSpec(kind="AffAff", A=A, B=0.4),
                                         WELL, 3)
-            rhs, stepper = kernel._bind_floats()
+            rhs, stepper = kernel.float_rhs(), kernel._bind_floats("stepper")
             step = stepper(0.01, *(0.01 * dynamics._RK4_B).tolist())
             for y, dy in zip(ys, kernel.rhs(ys)):
                 assert rel_err(np.array(rhs(y.tolist())), dy) <= 1e-14
                 assert rel_err(np.array(step(y.tolist())),
                                rk4_step(kernel.rhs, y, 0.01)) <= 1e-14
-        assert dynamics._emit.cache_info().misses == 1
+        assert dynamics._emit.cache_info().misses == 2
+
+    def test_rk4_compiles_no_rhs(self, rng, monkeypatch):
+        # single-state RK4 asks _emit for the step alone; the RHS is
+        # emitted when float_rhs asks for it
+        emitted = []
+        emit = dynamics._emit
+
+        def recording(*key):
+            emitted.append(key[-1])
+            return emit(*key)
+
+        monkeypatch.setattr(dynamics, "_emit", recording)
+        model = MODELS["MetrAff"]
+        y = packed_batch(rng, model, 3, 1)[0]
+        dynamics.integrate_batch(model, WELL, y, 0.01, 0.001, 3)
+        assert emitted == ["stepper"]
+        dynamics.EomKernel(model, WELL, 3).float_rhs()
+        assert emitted == ["stepper", "rhs"]
 
     @settings(max_examples=300, deadline=None)
     @given(model=st.sampled_from(ALL_KINDS), n=st.integers(1, 4),
@@ -621,7 +641,7 @@ class TestSingleState:
             y[2 * n + k + i] *= data.draw(st.booleans())
         kernel = dynamics.EomKernel(model, data.draw(st.sampled_from(
             POTENTIALS)), n)
-        rhs, stepper = kernel._bind_floats()
+        rhs, stepper = kernel.float_rhs(), kernel._bind_floats("stepper")
         step = stepper(1e-3, *(1e-3 * dynamics._RK4_B).tolist())
 
         def outcome(f, *args):
@@ -660,6 +680,40 @@ class TestSingleState:
             dynamics.integrate_batch(model, WELL,
                                      dynamics.pack_state(WALL_CROSSING),
                                      5.0, 0.0025, 3, record_every=10)
+
+    def test_wall_crossing_stops_stepping(self):
+        # the state turns non-finite at step 1,556 of 2,000; the stepping
+        # stops at the record step after it, and the later records are nan
+        h = 0.0025
+        kernel = dynamics.EomKernel(MODELS["TrigUn"], WELL, 3)
+        step = kernel._bind_floats("stepper")(h, *(h * dynamics._RK4_B)
+                                              .tolist())
+        calls = []
+
+        def counting(y):
+            calls.append(None)
+            return step(y)
+
+        times, samples = dynamics._rk4_one_state(
+            counting, dynamics.pack_state(WALL_CROSSING).tolist(), 2000, h,
+            10)
+        assert len(calls) == 1560
+        assert times == [k * h for k in range(0, 2001, 10)]
+        finite = [all(map(math.isfinite, y)) for y in samples]
+        assert finite.index(False) == 156
+        assert all(math.isnan(v) for y in samples[157:] for v in y)
+
+    def test_finite_state_near_overflow_keeps_stepping(self):
+        # finite components whose sum overflows are not a blow-up
+        calls = []
+
+        def step(y):
+            calls.append(None)
+            return [1e308, 1e308, -1.0]
+
+        times, samples = dynamics._rk4_one_state(step, [0.0] * 3, 20, 0.1, 5)
+        assert len(calls) == 20 and len(times) == 5
+        assert samples[1:] == [[1e308, 1e308, -1.0]] * 4
 
     @pytest.mark.parametrize("case", sorted(OVERFLOWS))
     def test_overflow_is_step_failure(self, case):

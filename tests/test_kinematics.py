@@ -107,3 +107,81 @@ class TestDegeneracyMargin:
         q = np.array([np.log(2.0), 0.0, -np.log(2.0)])
         assert kinematics.degeneracy_margin(q) == pytest.approx(
             np.log(2.0), abs=1e-12)
+
+
+def stack_of_configurations(rng, n, count):
+    """count configurations of det > 0 with a scaled rotation first; for
+    n >= 2 some members have det u < 0 in their SVD, so their factors
+    need the gauge flip."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Q[:, 0] *= np.sign(np.linalg.det(Q))
+    members = [2.5 * Q]
+    while len(members) < count:
+        members.append(random_spd_configuration(rng, n))
+    phi = np.array(members)
+    if n >= 2:
+        assert np.any(np.linalg.det(np.linalg.svd(phi)[0]) < 0.0)
+    return phi
+
+
+def first_error(matrices):
+    """The exception a loop of two_polar calls meets first."""
+    for phi in matrices:
+        try:
+            kinematics.two_polar(phi)
+        except SingularConfiguration as exc:
+            return str(exc)
+    raise AssertionError("no member fails")
+
+
+class TestStacks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bit_identical_to_single_calls(self, rng, n):
+        phi = stack_of_configurations(rng, n, 12)
+        tp = kinematics.two_polar(phi)
+        pol = kinematics.polar_decompose(phi)
+        # the scaled rotation takes the fully degenerate gauge
+        assert np.array_equal(tp.R[0], np.eye(n))
+        for k, member in enumerate(phi):
+            one = kinematics.two_polar(member)
+            for got, want in ((tp.L, one.L), (tp.R, one.R), (tp.q, one.q)):
+                assert np.array_equal(got[k], want)
+            one = kinematics.polar_decompose(member)
+            assert np.array_equal(pol.U[k], one.U)
+            assert np.array_equal(pol.A[k], one.A)
+        # more leading axes than one
+        tp2 = kinematics.two_polar(phi.reshape(3, 4, n, n))
+        assert np.array_equal(tp2.L.reshape(tp.L.shape), tp.L)
+        assert np.array_equal(tp2.q.reshape(tp.q.shape), tp.q)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reconstruct(self, rng, n):
+        # as many members as n: a transpose of the whole stack would give
+        # a square stack of the wrong matrices instead of failing
+        phi = stack_of_configurations(rng, n, n)
+        for factors in (kinematics.two_polar(phi),
+                        kinematics.polar_decompose(phi)):
+            whole = factors.reconstruct()
+            assert whole.shape == phi.shape
+            for k, member in enumerate(phi):
+                one = type(factors)(*(np.asarray(f)[k] for f in
+                                      vars(factors).values()))
+                assert np.array_equal(whole[k], one.reconstruct())
+            assert np.max(np.abs(whole - phi)) <= 1e-12 * np.max(np.abs(phi))
+
+    @pytest.mark.parametrize("bad", [
+        [np.diag([1.0, 0.0])],
+        [np.diag([-1.0, 1.0]), np.diag([1.0, 1e-13])],
+        [np.diag([1.0, 1e-13]), np.diag([-1.0, 1.0])],
+        [np.diag([1.0, 0.0]), np.diag([np.nan, 1.0])],
+        [np.diag([np.inf, 1.0]), np.diag([-1.0, 1.0])],
+    ], ids=["singular", "det-then-floor", "floor-then-det",
+            "singular-then-nan", "inf-then-det"])
+    def test_first_failing_member_raises(self, rng, bad):
+        good = [random_spd_configuration(rng, 2) for _ in range(3)]
+        matrices = np.array(good[:2] + bad + good[2:])
+        expected = first_error(matrices)
+        for decompose in (kinematics.two_polar, kinematics.polar_decompose):
+            with pytest.raises(SingularConfiguration) as info:
+                decompose(matrices)
+            assert str(info.value) == expected

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from affinebody import phase, poisson
+from affinebody import checks, phase, poisson
 from affinebody.checks import random_linear_observable as random_linear
 from affinebody.errors import UnknownObservable
 from affinebody.phase import ModelSpec, PotentialSpec
@@ -95,6 +95,33 @@ class TestAlgebra:
             st_ = random_state(rng, n)
             assert closed.value(st_) == pytest.approx(
                 poisson.poisson_bracket(F, G, st_), rel=1e-12, abs=1e-12)
+
+
+class TestStacks:
+    # as many trials as n at (3, 3): a value per trial times gradients of
+    # shape (trials, n) broadcasts along the wrong axis without raising
+    @pytest.mark.parametrize("n,trials", [(3, 3), (2, 5), (4, 4), (1, 2)])
+    def test_stacked_bracket_matches_each_state(self, rng, n, trials):
+        draws = [(random_linear(rng, n), random_linear(rng, n),
+                  random_linear(rng, n), checks.random_state(rng, n))
+                 for _ in range(trials)]
+        *observables, states = zip(*draws)
+        F, G, H = (checks._stacked_observable(o) for o in observables)
+        state = checks._stacked_state(states)
+
+        def agree(pair):
+            got = poisson.bracket_values(*pair(F, G, H), state)
+            assert got.shape == (trials,)
+            for k, (f, g, h, st_) in enumerate(draws):
+                assert got[k] == poisson.poisson_bracket(*pair(f, g, h), st_)
+
+        agree(lambda f, g, h: (f, g))
+        agree(lambda f, g, h: (g, f))
+        agree(lambda f, g, h: (poisson.ProductObservable(f, g), h))
+        agree(lambda f, g, h: (h, poisson.bracket_observable(f, g)))
+        values = F.value(state)
+        for k, (f, *_, st_) in enumerate(draws):
+            assert values[k] == f.value(st_)
 
 
 class TestConservedObservables:
