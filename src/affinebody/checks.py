@@ -89,10 +89,7 @@ def random_state(rng, n, scale=1.0, min_gap=0.05):
     p = rng.standard_normal(n) * scale
     M = rng.standard_normal((n, n)) * scale
     N = rng.standard_normal((n, n)) * scale
-    # M - M^T is skew by construction: no skew test needed
-    upper = phase.pair_layout(n).upper
-    return phase.ReducedState(q, p, m_upper=upper(M - M.T),
-                              n_upper=upper(N - N.T))
+    return phase.ReducedState(q, p, M=M - M.T, N=N - N.T)
 
 
 def random_linear_observable(rng, n):
@@ -198,7 +195,7 @@ def _stacked_state(states):
     """Reduced states as one object with a leading trial axis on each of
     the attributes that observables and brackets read."""
     q, p, m_upper, n_upper = (np.array([getattr(s, a) for s in states])
-                              for a in phase.ReducedState.__slots__)
+                              for a in ("q", "p", "m_upper", "n_upper"))
     layout = phase.pair_layout(states[0].n)
     return types.SimpleNamespace(q=q, p=p, m_upper=m_upper, n_upper=n_upper,
                                  M=layout.skew(m_upper), N=layout.skew(n_upper))

@@ -642,9 +642,9 @@ def _rk4_one_state(step, y, nsteps, h, record_every):
         if k % every == 0 or k == nsteps:
             times.append(k * h)
             samples.append(y)
-            # a finite sum means finite components; a sum that is not
-            # finite may still come from finite ones near 1e308
-            if not math.isfinite(sum(y)) and not all(map(math.isfinite, y)):
+            # each component in turn: a sum overflows on finite states
+            # near 1e308
+            if not all(map(math.isfinite, y)):
                 k += 1  # this record stands: the nan ones start after it
                 break
     else:

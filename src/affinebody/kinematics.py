@@ -30,29 +30,43 @@ def _check_configuration(phi, floor=None):
     phi = np.asarray(phi, dtype=float)
     if phi.ndim < 2 or phi.shape[-1] != phi.shape[-2]:
         raise ShapeMismatch(f"phi must be square, got shape {phi.shape}")
+    # the whole stack is tested at once; members are told apart only
+    # when it fails
+    if np.isfinite(phi).all():
+        passed = np.linalg.det(phi) > 0.0
+        factors = None
+        if floor is not None:
+            factors = np.linalg.svd(phi)
+            s = factors[1]
+            # det > 0 already rules out s[..., 0] == 0
+            passed &= s[..., -1] >= floor * s[..., 0]
+        if passed.all():
+            return phi, factors
+    _raise_first_failure(phi, floor)
+
+
+def _raise_first_failure(phi, floor):
+    """Raise the error of the first member of phi in stack order that
+    fails a test of _check_configuration, for its first failing test."""
     finite = np.isfinite(phi).all(axis=(-2, -1))
     # a non-finite member takes no further test: zero it for the rest
-    safe = phi if finite.all() else np.where(finite[..., None, None], phi, 0.0)
+    safe = np.where(finite[..., None, None], phi, 0.0)
     passed = [finite, np.linalg.det(safe) > 0.0]
-    factors = None
     if floor is not None:
-        factors = np.linalg.svd(safe)
-        s = factors[1]
-        # det > 0 already rules out s[..., 0] == 0
+        # the full SVD, as above, so that each verdict is the same
+        s = np.linalg.svd(safe)[1]
         passed.append(s[..., -1] >= floor * s[..., 0])
-    if not np.logical_and.reduce(passed).all():
-        # argwhere runs in stack order, and a member's tests in turn
-        *member, test = np.argwhere(~np.stack(passed, axis=-1))[0]
-        if test == 0:
-            raise SingularConfiguration("phi contains non-finite entries")
-        if test == 1:
-            raise SingularConfiguration(
-                "configuration must have positive determinant")
-        top, low = s[(*member, 0)], s[(*member, -1)]
+    # argwhere runs in stack order, and a member's tests in turn
+    *member, test = np.argwhere(~np.stack(passed, axis=-1))[0]
+    if test == 0:
+        raise SingularConfiguration("phi contains non-finite entries")
+    if test == 1:
         raise SingularConfiguration(
-            f"singular value ratio {low / top:.3e} "
-            f"below condition floor {floor:.0e}")
-    return phi, factors
+            "configuration must have positive determinant")
+    top, low = s[(*member, 0)], s[(*member, -1)]
+    raise SingularConfiguration(
+        f"singular value ratio {low / top:.3e} "
+        f"below condition floor {floor:.0e}")
 
 
 @dataclass(frozen=True)
@@ -114,9 +128,8 @@ def polar_decompose(phi):
     _, (u, s, vt) = _check_configuration(phi, CONDITION_FLOOR)
     # det(phi) > 0 ensures det(u vt) = +1, so U is already a rotation
     U = u @ vt
-    v = np.swapaxes(vt, -1, -2)
-    A = v @ (s[..., :, None] * vt)
-    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    A = vt.swapaxes(-1, -2) @ (s[..., :, None] * vt)
+    A = 0.5 * (A + A.swapaxes(-1, -2))
     return PolarDecomposition(U=U, A=A)
 
 
@@ -124,7 +137,7 @@ def two_polar(phi):
     """Two-polar (singular value) factorisation phi = L diag(exp q) R^T of
     one n x n matrix, or of each member of a stack (..., n, n)."""
     phi, (L, s, vt) = _check_configuration(phi, CONDITION_FLOOR)
-    R = np.swapaxes(vt, -1, -2).copy()
+    R = vt.swapaxes(-1, -2).copy()
     q = np.log(s)
     # joint sign flip of a matched column pair leaves phi invariant and
     # fixes both determinants to +1
@@ -133,7 +146,7 @@ def two_polar(phi):
     R[..., -1] *= sign
     spread = (s[..., 0] - s[..., -1]) / s[..., 0]
     degenerate = spread <= FULL_DEGENERACY_TOL
-    if degenerate.any():
+    if np.count_nonzero(degenerate):
         # fully degenerate spectrum: phi is a multiple of a rotation, pick
         # the gauge R = identity so rotations factor as themselves
         scale = np.mean(s[degenerate], axis=-1)
