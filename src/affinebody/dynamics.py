@@ -23,7 +23,7 @@ written out for its kernel's structure (_emit).
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -457,13 +457,17 @@ class Trajectory:
 
     @property
     def energy_drift(self):
-        scale = max(abs(self.energy[0]), 1.0)
-        return float(np.max(np.abs(self.energy - self.energy[0])) / scale)
+        return _drift(self.energy)
 
     @property
     def casimir_drift(self):
-        scale = max(abs(self.casimir[0]), 1.0)
-        return float(np.max(np.abs(self.casimir - self.casimir[0])) / scale)
+        return _drift(self.casimir)
+
+
+def _drift(values):
+    """Largest deviation from the first value, relative to max(|first|, 1)."""
+    scale = max(abs(values[0]), 1.0)
+    return float(np.max(np.abs(values - values[0])) / scale)
 
 
 # RK4 weights of the four stages, in units of the step
@@ -516,7 +520,7 @@ def integrate(model, potential, state0, t_end, control=StepControl()):
         t = 0.0
         times = [t]
         samples = [y]
-        h = min(control.step, t_end)
+        h = min(control.step, MAX_STEP, t_end)
         scale = max(1.0, float(np.max(np.abs(y))))
         while t < t_end - 1e-15 * t_end:
             h = min(h, t_end - t)
@@ -572,18 +576,21 @@ def _rk4(kernel, y0, t_end, step, record_every):
     """integrate_batch on a kernel built by the caller."""
     nsteps = step_count(t_end, step)
     h = t_end / nsteps
+    every = record_every or nsteps
+    # the step counts at the records after t = 0: multiples of every, and
+    # the last step
+    marks = [*range(every, nsteps, every), nsteps]
     y0 = np.asarray(y0, dtype=float)
     weights = h * _RK4_B
     if y0.size == y0.shape[-1]:
-        times, samples = _rk4_one_state(
+        samples = _rk4_one_state(
             kernel._bind_floats("stepper")(h, *weights.tolist()),
-            y0.ravel().tolist(), nsteps, h, record_every)
+            y0.ravel().tolist(), marks)
     else:
-        times, samples = _rk4_batch(kernel.rhs, y0, nsteps, h, weights,
-                                    record_every)
+        samples = _rk4_batch(kernel.rhs, y0, h, weights, marks)
+    times = h * np.array([0, *marks])
     if record_every is None:
         times[-1] = t_end
-    times = np.array(times)
     samples = np.array(samples).reshape(times.shape + y0.shape)
     finite = np.isfinite(samples.reshape(len(times), -1)).all(axis=1)
     if not finite.all():
@@ -601,60 +608,46 @@ def step_count(t_end, step):
     return max(1, round(ratio))
 
 
-def _rk4_batch(rhs, y0, nsteps, h, weights, record_every):
+def _rk4_batch(rhs, y0, h, weights, marks):
     """The steps of integrate_batch on a component-major batch; returns
-    the record times and the records, t = 0 and y0 first."""
+    the records, y0 first and then one at each step count of marks."""
     z = y0.reshape(-1, y0.shape[-1]).T.copy()
     stages = np.empty((4,) + z.shape)
     k1, k2, k3, k4 = stages
     flat = stages.reshape(4, -1)
     half = 0.5 * h
-    every = record_every or nsteps
-    times = [0.0]
     samples = [y0]
     with np.errstate(all="ignore"):
-        for k in range(nsteps):
-            rhs(z.T, k1)
-            rhs((z + half * k1).T, k2)
-            rhs((z + half * k2).T, k3)
-            rhs((z + h * k3).T, k4)
-            z = z + (weights @ flat).reshape(z.shape)
-            if (k + 1) % every == 0 or k == nsteps - 1:
-                times.append((k + 1) * h)
-                samples.append(z.T.reshape(y0.shape))
-    return times, samples
+        for start, stop in zip([0, *marks], marks):
+            for _ in range(stop - start):
+                rhs(z.T, k1)
+                rhs((z + half * k1).T, k2)
+                rhs((z + half * k2).T, k3)
+                rhs((z + h * k3).T, k4)
+                z = z + (weights @ flat).reshape(z.shape)
+            samples.append(z.T.reshape(y0.shape))
+    return samples
 
 
-def _rk4_one_state(step, y, nsteps, h, record_every):
+def _rk4_one_state(step, y, marks):
     """The steps of integrate_batch on one state, a list of Python floats;
-    returns the record times and the records, t = 0 and y first.  A step
-    in which math raises, where numpy would return inf or nan, ends the
-    stepping, as does a record with a non-finite component; every record
-    after that is nan, as a batch's would be non-finite."""
-    every = record_every or nsteps
-    times = [0.0]
+    returns the records, y first and then one at each step count of marks.
+    A step in which math raises, where numpy would return inf or nan, ends
+    the stepping, as does a record with a non-finite component; every
+    record after that is nan, as a batch's would be non-finite."""
     samples = [y]
-    for k in range(1, nsteps + 1):
+    for start, stop in zip([0, *marks], marks):
         try:
-            y = step(y)
+            for _ in range(stop - start):
+                y = step(y)
         except (OverflowError, ZeroDivisionError, ValueError):
             break
-        if k % every == 0 or k == nsteps:
-            times.append(k * h)
-            samples.append(y)
-            # each component in turn: a sum overflows on finite states
-            # near 1e308
-            if not all(map(math.isfinite, y)):
-                k += 1  # this record stands: the nan ones start after it
-                break
-    else:
-        return times, samples
-    # the record steps from k on: multiples of every, and the last
-    marks = [j for j in (*range(-(-k // every) * every, nsteps, every), nsteps)
-             if j >= k]
-    times += [j * h for j in marks]
-    samples += [[math.nan] * len(y)] * len(marks)
-    return times, samples
+        samples.append(y)
+        # each component in turn: a sum overflows on finite states near
+        # 1e308
+        if not all(map(math.isfinite, y)):
+            break
+    return samples + [[math.nan] * len(y)] * (len(marks) + 1 - len(samples))
 
 
 def _polar_factors(mats):
@@ -747,12 +740,7 @@ def reconstruct_attitudes(model, trajectory, L0, R0):
     for i, step in enumerate(props):
         np.matmul(chain[i], step, out=chain[i + 1])
     chain[1:] = _polar_factors(chain[1:])
-    attitudes = [(L, R) for L, R in chain]
-    return Trajectory(n=n, model=trajectory.model,
-                      potential=trajectory.potential, times=times,
-                      samples=trajectory.samples, energy=trajectory.energy,
-                      casimir=trajectory.casimir, control=trajectory.control,
-                      attitudes=attitudes)
+    return replace(trajectory, attitudes=[(L, R) for L, R in chain])
 
 
 def geodesic_exponential(phi0, Omega, t):

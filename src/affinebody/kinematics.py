@@ -32,40 +32,29 @@ def _check_configuration(phi, floor=None):
         raise ShapeMismatch(f"phi must be square, got shape {phi.shape}")
     # the whole stack is tested at once; members are told apart only
     # when it fails
-    if np.isfinite(phi).all():
-        passed = np.linalg.det(phi) > 0.0
+    finite = np.isfinite(phi).all()
+    if finite:
+        positive = np.linalg.det(phi) > 0.0
         factors = None
+        passed = positive
         if floor is not None:
             factors = np.linalg.svd(phi)
             s = factors[1]
             # det > 0 already rules out s[..., 0] == 0
-            passed &= s[..., -1] >= floor * s[..., 0]
+            passed = positive & (s[..., -1] >= floor * s[..., 0])
         if passed.all():
             return phi, factors
-    _raise_first_failure(phi, floor)
-
-
-def _raise_first_failure(phi, floor):
-    """Raise the error of the first member of phi in stack order that
-    fails a test of _check_configuration, for its first failing test."""
-    finite = np.isfinite(phi).all(axis=(-2, -1))
-    # a non-finite member takes no further test: zero it for the rest
-    safe = np.where(finite[..., None, None], phi, 0.0)
-    passed = [finite, np.linalg.det(safe) > 0.0]
-    if floor is not None:
-        # the full SVD, as above, so that each verdict is the same
-        s = np.linalg.svd(safe)[1]
-        passed.append(s[..., -1] >= floor * s[..., 0])
-    # argwhere runs in stack order, and a member's tests in turn
-    *member, test = np.argwhere(~np.stack(passed, axis=-1))[0]
-    if test == 0:
+    if phi.ndim > 2:
+        # each member in stack order: the first that fails raises
+        for member in phi.reshape(-1, *phi.shape[-2:]):
+            _check_configuration(member, floor)
+    if not finite:
         raise SingularConfiguration("phi contains non-finite entries")
-    if test == 1:
+    if not positive:
         raise SingularConfiguration(
             "configuration must have positive determinant")
-    top, low = s[(*member, 0)], s[(*member, -1)]
     raise SingularConfiguration(
-        f"singular value ratio {low / top:.3e} "
+        f"singular value ratio {s[-1] / s[0]:.3e} "
         f"below condition floor {floor:.0e}")
 
 
@@ -187,6 +176,5 @@ def degeneracy_margin(q):
     q = np.asarray(q, dtype=float)
     if q.size < 2:
         return np.inf
-    diffs = np.abs(q[:, None] - q[None, :])
-    iu = np.triu_indices(q.size, k=1)
-    return float(diffs[iu].min())
+    # the smallest gap lies between neighbours in sorted order
+    return float(np.min(np.diff(np.sort(q))))

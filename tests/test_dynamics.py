@@ -377,6 +377,77 @@ class TestRk4Driver:
         dynamics.reconstruct_attitudes(model, traj, np.eye(3), np.eye(3))
         assert calls == []
 
+    # (t_end, step, record_every): 12 steps, record_every None, 1, a
+    # divisor, a non-divisor, 12 and beyond; 17 steps; and t_end < step,
+    # which takes one step
+    @pytest.mark.parametrize("t_end, step, record_every", [
+        (0.12, 0.01, None), (0.12, 0.01, 1), (0.12, 0.01, 4),
+        (0.12, 0.01, 5), (0.12, 0.01, 12), (0.12, 0.01, 13),
+        (0.05, 0.003, None), (0.05, 0.003, 2), (0.05, 0.003, 17),
+        (0.004, 0.01, None), (0.004, 0.01, 1), (0.004, 0.01, 3),
+    ])
+    def test_record_schedule(self, t_end, step, record_every, rng):
+        # a record after every record_every steps and after the last; one
+        # state and a batch record at the same times
+        model = MODELS["AffMetr"]
+        ys = packed_batch(rng, model, 2, 3)
+        nsteps = dynamics.step_count(t_end, step)
+        h = t_end / nsteps
+        every = record_every or nsteps
+        marks = [k for k in range(1, nsteps + 1)
+                 if k % every == 0 or k == nsteps]
+        want = [0.0] + [k * h for k in marks]
+        if record_every is None:
+            want[-1] = t_end
+        t_one, one = dynamics.integrate_batch(model, WELL, ys[0], t_end, step,
+                                              2, record_every)
+        t_all, batch = dynamics.integrate_batch(model, WELL, ys, t_end, step,
+                                                2, record_every)
+        assert t_one.tolist() == t_all.tolist() == want
+        assert one.shape == (len(want), ys.shape[1])
+        assert batch.shape == (len(want),) + ys.shape
+        assert rel_err(one, batch[:, 0]) <= 1e-13
+
+    @pytest.mark.parametrize("failure", ["raises", "non-finite"])
+    def test_failing_single_state_pads_with_nan(self, failure):
+        # 12 steps recorded every 5: records after steps 5, 10 and 12.  The
+        # state fails in step 7, and the records after it are nan
+        calls = []
+
+        def step(y):
+            calls.append(None)
+            if len(calls) < 7:
+                return [v + 1.0 for v in y]
+            if failure == "raises":
+                raise OverflowError("math range error")
+            return [math.inf] * len(y)
+
+        samples = dynamics._rk4_one_state(step, [0.0, 0.0], [5, 10, 12])
+        assert len(samples) == 4
+        assert samples[:2] == [[0.0, 0.0], [5.0, 5.0]]
+        if failure == "raises":
+            assert len(calls) == 7
+            padded = samples[2:]
+        else:
+            # the non-finite record after step 10 stands
+            assert len(calls) == 10 and samples[2] == [math.inf] * 2
+            padded = samples[3:]
+        assert all(math.isnan(v) for y in padded for v in y)
+
+    def test_single_state_failure_matches_batch(self):
+        # 2,000 steps recorded every 7: the single state pads the records
+        # after its failure, and both name the record after step 1,561
+        model = MODELS["TrigUn"]
+        y = dynamics.pack_state(WALL_CROSSING)
+        messages = []
+        for y0 in (y, np.array([y, y, y])):
+            with pytest.raises(StepFailure) as info:
+                dynamics.integrate_batch(model, WELL, y0, 5.0, 0.0025, 3,
+                                         record_every=7)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == \
+            "RK4 state turned non-finite at t = 3.9025"
+
     def test_endpoint_memory_flat_in_steps(self, rng):
         # an endpoints-only run keeps two records however many steps it takes
         import tracemalloc
@@ -694,11 +765,11 @@ class TestSingleState:
             calls.append(None)
             return step(y)
 
-        times, samples = dynamics._rk4_one_state(
-            counting, dynamics.pack_state(WALL_CROSSING).tolist(), 2000, h,
-            10)
+        samples = dynamics._rk4_one_state(
+            counting, dynamics.pack_state(WALL_CROSSING).tolist(),
+            list(range(10, 2001, 10)))
         assert len(calls) == 1560
-        assert times == [k * h for k in range(0, 2001, 10)]
+        assert len(samples) == 201
         finite = [all(map(math.isfinite, y)) for y in samples]
         assert finite.index(False) == 156
         assert all(math.isnan(v) for y in samples[157:] for v in y)
@@ -711,8 +782,8 @@ class TestSingleState:
             calls.append(None)
             return [1e308, 1e308, -1.0]
 
-        times, samples = dynamics._rk4_one_state(step, [0.0] * 3, 20, 0.1, 5)
-        assert len(calls) == 20 and len(times) == 5
+        samples = dynamics._rk4_one_state(step, [0.0] * 3, [5, 10, 15, 20])
+        assert len(calls) == 20 and len(samples) == 5
         assert samples[1:] == [[1e308, 1e308, -1.0]] * 4
 
     @pytest.mark.parametrize("case", sorted(OVERFLOWS))
@@ -829,6 +900,16 @@ class TestIntegrate:
                                  StepControl(method="rk45", rtol=1e-10,
                                              atol=1e-12))
         assert np.allclose(t4.samples[-1], t45.samples[-1], atol=1e-7)
+
+    def test_rk45_steps_within_max_step(self):
+        # a step option above MAX_STEP is clamped from the first step on:
+        # this slow state would take a first step of 0.5 within tolerance
+        model = ModelSpec(kind="AffAff", A=1.3, B=0.4)
+        st_ = ReducedState(np.array([0.4, -0.4]), np.array([0.01, -0.01]))
+        traj = dynamics.integrate(model, GEODETIC, st_, 1.0,
+                                  StepControl(method="rk45", step=0.5))
+        assert len(traj.times) > 10
+        assert np.max(np.diff(traj.times)) <= dynamics.MAX_STEP * (1 + 1e-12)
 
     def test_rk45_min_step_failure(self, rng, monkeypatch):
         # a state headed into the repulsive coincidence wall forces the

@@ -180,8 +180,15 @@ class TestStacks:
     def test_first_failing_member_raises(self, rng, bad):
         good = [random_spd_configuration(rng, 2) for _ in range(3)]
         matrices = np.array(good[:2] + bad + good[2:])
-        expected = first_error(matrices)
-        for decompose in (kinematics.two_polar, kinematics.polar_decompose):
-            with pytest.raises(SingularConfiguration) as info:
-                decompose(matrices)
-            assert str(info.value) == expected
+        # the same members after good ones, held as a (2, 3) stack: the
+        # first failing member sits in its second row
+        front = [random_spd_configuration(rng, 2)
+                 for _ in range(6 - len(matrices))]
+        grid = np.concatenate([front, matrices]).reshape(2, 3, 2, 2)
+        for stack in (matrices, grid):
+            expected = first_error(stack.reshape(-1, 2, 2))
+            for decompose in (kinematics.two_polar,
+                              kinematics.polar_decompose):
+                with pytest.raises(SingularConfiguration) as info:
+                    decompose(stack)
+                assert str(info.value) == expected
