@@ -6,6 +6,7 @@ and writes machine-readable artifacts to the output directory.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -184,7 +185,10 @@ COMMANDS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The flag parser, built once per process: parsing leaves it as it
+    was, so every call of main can share it."""
     parser = argparse.ArgumentParser(
         prog="affine-body",
         description="affinely-rigid body experiment runner")
@@ -193,7 +197,11 @@ def main(argv=None):
     parser.add_argument("--output-dir", default=".")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         command, keys = COMMANDS[args.command]

@@ -16,9 +16,10 @@ to (B, dim).  A Fortran-ordered (B, dim) batch is the fast path: its
 transpose is a free view in which each component is one contiguous row.
 integrate_batch and reconstruct_attitudes hold their states component-major
 and pass such views.  Any other input gives the same numbers and is read
-through strides or a copy.  The one exception is a single state in
-integrate_batch, which steps as a list of Python floats through code
-written out for its kernel's structure (_emit).
+through strides or a copy.  The exceptions are a single state in
+integrate_batch and the adaptive steps of integrate, which step as lists
+of Python floats through code written out for the kernel's structure
+(_emit).
 """
 
 import functools
@@ -97,16 +98,23 @@ def _commutator_terms(n):
 
 @functools.lru_cache(maxsize=None)
 def _emit(form, n, sloped, coupled, function):
-    """Compile the single-state RHS (function "rhs") or RK4 step (function
-    "stepper") of one kernel structure as straight-line Python, partial
-    evaluation as in SymPy's lambdify.
+    """Compile the single-state RHS (function "rhs"), RK4 segment runner
+    ("stepper") or Dormand-Prince attempt ("dopri") of one kernel
+    structure as straight-line Python, partial evaluation as in SymPy's
+    lambdify.
     form is the pair function: sinh for the four hyperbolic kinds, sin for
     TrigUn, exp for DAlembert (Q_a -+ Q_b).  The state is unpacked into
     locals, and every product of _flow and every nonzero commutator term
-    of _commutator_terms(n) is written out.  No constant is written into
-    the source: bind(coef, q_weights, momentum, own, cross, slope, lim,
-    fallback) returns the function of one kernel, and stepper(h, w1, w2,
-    w3, w4) its RK4 step with the stages in locals.
+    of _commutator_terms(n) is written out.  No model constant is written
+    into the source: bind(coef, q_weights, momentum, own, cross, slope,
+    lim, fallback) returns the function of one kernel, which unpacks them
+    into its locals when called.  Both steps come from one writer of
+    explicit Runge-Kutta stages: stepper(h, w1, w2, w3, w4) returns
+    run(y, count), count RK4 steps with the stages in locals, and
+    dopri(y, k, h) takes k = f(y) and returns the fifth-order result y5,
+    f(y5) and the error estimate h max|_DP_E @ K|, the stages written from
+    the literals of _DP_A, _DP_B5 and _DP_E.  Its last stage is f(y5), as
+    _DP_A[6] is _DP_B5: the next attempt's k after an accept (FSAL).
     A pair denominator below lim (lim (Q_a + Q_b) for DAlembert; the
     cosines too for TrigUn) sends the stage to fallback, the batch kernel
     on that one state."""
@@ -177,24 +185,39 @@ def _emit(form, n, sloped, coupled, function):
     def listed(names):
         return f"[{', '.join(names)}]"
 
-    names = [[f"{s}{j}" for j in range(2 * (n + k))]
-             for s in ("y", "z", "r", "k0_", "k1_", "k2_", "k3_")]
-    y, z, r, stages = names[0], names[1], names[2], names[3:]
-    if function == "rhs":
-        code = _block("def rhs(y):", unpack(y, "y") + body(
-            y, r, "return fallback(y)") + [f"return {listed(r)}"])
-    else:
-        step = unpack(y, "y")
-        for s, out in enumerate(stages):
-            x = z if s else y
-            step += [f"{a} = {b} + {'h' if s == 3 else 'half'} * {c}"
-                     for a, b, c in zip(z, y, stages[s - 1]) if s]
-            step += body(x, out, f"{', '.join(out)}, = fallback({listed(x)})")
-        step.append("return " + listed(
-            f"{a} + (w1 * {b} + w2 * {c} + w3 * {d} + w4 * {e})"
-            for a, b, c, d, e in zip(y, *stages)))
-        code = _block("def stepper(h, w1, w2, w3, w4):", ["half = 0.5 * h"]
-                      + _block("def step(y):", step) + ["return step"])
+    dim = 2 * (n + k)
+    y, z, x, e, r = ([f"{s}{j}" for j in range(dim)] for s in "yzxer")
+    stages = [[f"k{s}_{j}" for j in range(dim)] for s in range(7)]
+
+    def evaluate(at, s):
+        """Lines that set stage s to the time derivative at the locals at."""
+        out = stages[s]
+        return body(at, out, f"{', '.join(out)}, = fallback({listed(at)})")
+
+    def weighted(j, row, scale=""):
+        """Component j of scale (row @ stages), its zero weights left out."""
+        terms = " + ".join(f"{c} * {stages[s][j]}"
+                           for s, c in enumerate(row) if c)
+        return scale + (f"({terms})" if scale or " + " in terms else terms)
+
+    def advance(target, row, scale=""):
+        """Lines that set the locals target to y + scale (row @ stages)."""
+        return [f"{t} = {b} + {weighted(j, row, scale)}"
+                for j, (t, b) in enumerate(zip(target, y))]
+
+    def explicit_stages(rows, scale=""):
+        """Stages 1, 2, ... of an explicit Runge-Kutta step from the
+        locals y and stage 0: stage s at y + scale (rows[s - 1] @ stages)."""
+        lines = []
+        for s, row in enumerate(rows, 1):
+            lines += advance(z, row, scale) + evaluate(z, s)
+        return lines
+
+    def literals(weights):
+        """Tableau weights as exact source literals, the zeros as 0.0,
+        which weighted leaves out."""
+        return [float(c) and repr(float(c)) for c in weights]
+
     constants = [([f"C{i}" for i in range(2 * k)], "coef"),
                  ([f"W{a}_{i}" for a in range(n)
                    for i in range(2 * k if exp else k + pull)], "q_weights"),
@@ -202,11 +225,38 @@ def _emit(form, n, sloped, coupled, function):
                                       for b in range(n)], "momentum"),
                  ([f"O{i}" for i in range(2 * k * coupled)], "own"),
                  ([f"X{i}" for i in range(2 * k * coupled)], "cross")]
+    bound = [line for names, into in constants
+             for line in unpack(names, into)]
+    if function == "rhs":
+        code = _block("def rhs(y):", bound + unpack(y, "y") + body(
+            y, r, "return fallback(y)") + [f"return {listed(r)}"])
+    elif function == "stepper":
+        # the classical tableau, the step folded into its entries
+        step = evaluate(y, 0) + explicit_stages(
+            [["half"], [None, "half"], [None, None, "h"]]) \
+            + advance(y, ["w1", "w2", "w3", "w4"])
+        code = _block("def stepper(h, w1, w2, w3, w4):", [
+            "rates = h, 0.5 * h, w1, w2, w3, w4"] + _block(
+            "def run(y, count):", bound + [
+                "h, half, w1, w2, w3, w4 = rates"] + unpack(y, "y")
+            + _block("for _ in range(count):", step)
+            + [f"return {listed(y)}"]) + ["return run"])
+    else:
+        step = unpack(stages[0], "k") + explicit_stages(
+            [literals(row[:s]) for s, row in enumerate(_DP_A[1:6], 1)],
+            "h * ") + advance(x, literals(_DP_B5), "h * ") + evaluate(x, 6)
+        error = [f"{e[j]} = {weighted(j, literals(_DP_E))}"
+                 for j in range(dim)]
+        # a non-finite component makes the sum nan or inf, where max()
+        # could drop a nan: either way the attempt is rejected
+        error += [f"total = {' + '.join(e)}",
+                  f"err = h * max({', '.join(f'abs({v})' for v in e)})"]
+        code = _block("def dopri(y, k, h):", bound + unpack(y, "y") + step
+                      + error + [f"return {listed(x)}, {listed(stages[6])}, "
+                                 "err if total == total else total"])
     source = _block(
         "def bind(coef, q_weights, momentum, own, cross, slope, lim, "
-        "fallback):",
-        [line for targets, into in constants
-         for line in unpack(targets, into)] + code + [f"return {function}"])
+        "fallback):", code + [f"return {function}"])
     namespace = {f.__name__: f for f in (math.exp, math.sinh, math.cosh,
                                          math.sin, math.cos)}
     exec(compile("\n".join(source), f"<{function} {form} n={n}>", "exec"),
@@ -380,9 +430,11 @@ class EomKernel:
         return self._bind_floats("rhs")
 
     def _bind_floats(self, function):
-        """The float_rhs ("rhs") or the stepper ("stepper") from _emit;
-        stepper(h, w1, w2, w3, w4) gives the RK4 step of one state with
-        step h and weights w."""
+        """The float_rhs ("rhs"), the RK4 stepper ("stepper") or the
+        Dormand-Prince attempt ("dopri") of this kernel, from _emit:
+        stepper(h, w1, w2, w3, w4) gives run(y, count), count RK4 steps of
+        one state with step h and weights w, and dopri(y, k, h) gives
+        (y5, f(y5), err) from y and k = f(y)."""
         coupling = self.coupling
         own = cross = []
         if coupling is not None:
@@ -475,7 +527,8 @@ _RK4_B = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
 
 
 # Dormand-Prince 5(4) embedded pair: row i of _DP_A weighs the earlier
-# stages that form the input of stage i
+# stages that form the input of stage i; row 6 is _DP_B5, so the last
+# stage is f(y5), the first of the next step (FSAL)
 _DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -492,17 +545,6 @@ _DP_E = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                            -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-def _rk45_step(fun, y, h):
-    """Fifth-order step and its error estimate h max|_DP_E @ K|, taken from
-    the stages so that it does not cancel against y."""
-    ks = np.empty((7, y.size))
-    ks[0] = fun(y).ravel()
-    for i in range(1, 7):
-        ks[i] = fun(y + h * (_DP_A[i, :i] @ ks[:i]).reshape(y.shape)).ravel()
-    y5 = y + h * (_DP_B5 @ ks).reshape(y.shape)
-    return y5, h * np.max(np.abs(_DP_E @ ks))
-
-
 def integrate(model, potential, state0, t_end, control=StepControl()):
     """Integrate the reduced equations of motion up to t_end."""
     if t_end <= 0:
@@ -517,21 +559,34 @@ def integrate(model, potential, state0, t_end, control=StepControl()):
         times, samples = _rk4(kernel, y, t_end, control.step,
                               control.record_every)
     else:
+        # the emitted Dormand-Prince attempt on Python floats; k = f(y) is
+        # held over a rejected attempt and taken from the last stage of an
+        # accepted one.  The error estimate h max|_DP_E @ K| comes from the
+        # stages, so that it does not cancel against y
+        rhs, dopri = kernel.float_rhs(), kernel._bind_floats("dopri")
+        y = y.tolist()
+        k = None
         t = 0.0
         times = [t]
         samples = [y]
         h = min(control.step, MAX_STEP, t_end)
-        scale = max(1.0, float(np.max(np.abs(y))))
+        scale = max(1.0, *map(abs, y))
         while t < t_end - 1e-15 * t_end:
             h = min(h, t_end - t)
-            ynew, err = _rk45_step(kernel.rhs, y, h)
+            try:
+                if k is None:
+                    k = rhs(y)
+                ynew, knew, err = dopri(y, k, h)
+            except (OverflowError, ZeroDivisionError, ValueError):
+                # where numpy would return inf or nan: a rejected attempt
+                err = math.nan
             tol = control.atol + control.rtol * scale
             if err <= tol:
                 t += h
-                y = ynew
+                y, k = ynew, knew
                 times.append(t)
                 samples.append(y)
-                scale = max(1.0, float(np.max(np.abs(y))))
+                scale = max(1.0, *map(abs, y))
                 factor = 2.0 if err == 0.0 else min(
                     2.0, max(0.2, 0.9 * (tol / err) ** 0.2))
                 h = min(MAX_STEP, h * factor)
@@ -629,17 +684,17 @@ def _rk4_batch(rhs, y0, h, weights, marks):
     return samples
 
 
-def _rk4_one_state(step, y, marks):
-    """The steps of integrate_batch on one state, a list of Python floats;
-    returns the records, y first and then one at each step count of marks.
-    A step in which math raises, where numpy would return inf or nan, ends
-    the stepping, as does a record with a non-finite component; every
-    record after that is nan, as a batch's would be non-finite."""
+def _rk4_one_state(run, y, marks):
+    """The steps of integrate_batch on one state, a list of Python floats,
+    made by run(y, count) one record segment at a time; returns the
+    records, y first and then one at each step count of marks.  A segment
+    in which math raises, where numpy would return inf or nan, ends the
+    stepping, as does a record with a non-finite component; every record
+    after that is nan, as a batch's would be non-finite."""
     samples = [y]
     for start, stop in zip([0, *marks], marks):
         try:
-            for _ in range(stop - start):
-                y = step(y)
+            y = run(y, stop - start)
         except (OverflowError, ZeroDivisionError, ValueError):
             break
         samples.append(y)
@@ -651,15 +706,21 @@ def _rk4_one_state(step, y, marks):
 
 
 def _polar_factors(mats):
-    """Polar factors u vt of a stack of matrices u diag(s) vt.  Raises
-    StepFailure if any of them is more than ORTHOGONALITY_TOL from the
-    rotation group, by max |s - 1| = max(s_0 - 1, 1 - s_-1)."""
-    u, s, vt = np.linalg.svd(mats)
-    resid = np.max(np.abs(s - 1.0), initial=0.0)
-    if resid > ORTHOGONALITY_TOL:
+    """Polar factors of a stack of matrices A near the rotation group, by
+    one Newton-Schulz step (Bjorck and Bowie, 1971): with E = A^T A - I,
+    A - A E / 2.  Raises StepFailure if any of them drifts from the group
+    by more than ORTHOGONALITY_TOL, read as |E|_F / 2, which is at least
+    max |s - 1| over the singular values s of A to first order.  For the
+    matrices that pass, the step's error, of order |E|^2, is below
+    round-off."""
+    E = mats.swapaxes(-1, -2) @ mats
+    E -= np.eye(mats.shape[-1])
+    resid = 0.5 * math.sqrt(np.max(np.square(E).sum(axis=(-2, -1)),
+                                   initial=0.0))
+    if not resid <= ORTHOGONALITY_TOL:
         raise StepFailure(f"orthogonality residual {resid:g} "
                           "exceeded during attitude propagation")
-    return u @ vt
+    return mats - 0.5 * (mats @ E)
 
 
 def reconstruct_attitudes(model, trajectory, L0, R0):
@@ -678,15 +739,15 @@ def reconstruct_attitudes(model, trajectory, L0, R0):
     interval's (t_k+1 - t_k) / record_every, jointly with the reduced
     state so that chi and theta are known at the interior stages.
 
-    After every step each propagator A = u diag(s) vt is replaced by its
-    polar factor u vt, and a step that leaves the rotation group by
-    max |s - 1| > ORTHOGONALITY_TOL raises StepFailure, as do seeds that
-    are not rotations.  For a rotation Q, polar(Q A) = Q polar(A), and
-    Q A has the singular values of A, so this is the step-by-step
-    re-projection of L and R themselves, with the same drift values, up to
-    round-off.  The chained products (L, R)_k are projected once more, in
-    one batched SVD, so that the round-off of the chain does not pile up
-    in their orthogonality over many records.
+    After every step each propagator A is replaced by its polar factor,
+    taken by one Newton-Schulz step (_polar_factors), and a step that
+    leaves the rotation group by |A^T A - I|_F / 2 > ORTHOGONALITY_TOL
+    raises StepFailure, as do seeds that are not rotations.  For a
+    rotation Q, polar(Q A) = Q polar(A), and (Q A)^T Q A = A^T A, so this
+    is the step-by-step re-projection of L and R themselves, with the same
+    drift values, up to round-off.  The chained products (L, R)_k are
+    projected once more, in one batched step, so that the round-off of
+    the chain does not pile up in their orthogonality over many records.
     """
     n = trajectory.n
     L0 = np.asarray(L0, dtype=float)

@@ -48,11 +48,13 @@ def trajectory_header(n):
 
 
 def write_csv(path, header, rows):
-    """A header line, then one line per row of the 2-d array `rows`."""
+    """A header line, then one line per row of the 2-d array `rows`, each
+    value as format_float writes it."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows.tolist())
 
 
 def write_trajectory_csv(path, trajectory):

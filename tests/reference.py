@@ -6,7 +6,9 @@ skew n x n matrices rather than packed pair vectors: the closed-form
 gradients of every model kind, and the explicit lattice form of the AffAff
 energy.  The textbook RK4 step and the sequential attitude propagation are
 the step-by-step forms of `dynamics.integrate_batch` and
-`dynamics.reconstruct_attitudes`.  The full-grid operator is assembled
+`dynamics.reconstruct_attitudes`, and the Dormand-Prince stage loop on
+the numpy kernel, with its step-size controller, is the adaptive form of
+`dynamics.integrate`.  The full-grid operator is assembled
 here the way the library once did, on the whole points^n box with
 Kronecker products, keeping every off-wall node of all n! Weyl chambers;
 the weighted inner product is a trapezoid-rule coding of the norm that
@@ -19,8 +21,9 @@ random_configuration is the one-matrix-at-a-time draw that
 
 import numpy as np
 
-from affinebody import phase, quantum
-from affinebody.dynamics import ORTHOGONALITY_TOL, EomKernel, Trajectory
+from affinebody import dynamics, phase, quantum
+from affinebody.dynamics import (_DP_A, _DP_B5, _DP_E, ORTHOGONALITY_TOL,
+                                 EomKernel, Trajectory)
 from affinebody.errors import (ConfigError, ShapeMismatch, StepFailure,
                                UnknownObservable)
 from affinebody.phase import _pair_denominators
@@ -156,6 +159,54 @@ def rk4_step(fun, y, h):
     k3 = fun(y + 0.5 * h * k2)
     k4 = fun(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk45_step(fun, y, h):
+    """Fifth-order step and its error estimate h max|_DP_E @ K|, taken from
+    the stages so that it does not cancel against y; seven evaluations of
+    fun."""
+    ks = np.empty((7, y.size))
+    ks[0] = fun(y).ravel()
+    for i in range(1, 7):
+        ks[i] = fun(y + h * (_DP_A[i, :i] @ ks[:i]).reshape(y.shape)).ravel()
+    y5 = y + h * (_DP_B5 @ ks).reshape(y.shape)
+    return y5, h * np.max(np.abs(_DP_E @ ks))
+
+
+def integrate_rk45(model, potential, state0, t_end, control):
+    """The adaptive controller of `dynamics.integrate` on rk45_step and
+    the numpy kernel: (times, samples, rejected attempts), before the
+    TrigUn angles are wrapped."""
+    y = dynamics.pack_state(state0)
+    fun = EomKernel(model, potential, state0.n).rhs
+    t = 0.0
+    times = [t]
+    samples = [y]
+    rejected = 0
+    h = min(control.step, dynamics.MAX_STEP, t_end)
+    scale = max(1.0, float(np.max(np.abs(y))))
+    while t < t_end - 1e-15 * t_end:
+        h = min(h, t_end - t)
+        with np.errstate(all="ignore"):
+            ynew, err = rk45_step(fun, y, h)
+        tol = control.atol + control.rtol * scale
+        if err <= tol:
+            t += h
+            y = ynew
+            times.append(t)
+            samples.append(y)
+            scale = max(1.0, float(np.max(np.abs(y))))
+            factor = 2.0 if err == 0.0 else min(
+                2.0, max(0.2, 0.9 * (tol / err) ** 0.2))
+            h = min(dynamics.MAX_STEP, h * factor)
+        else:
+            rejected += 1
+            h *= max(0.2, 0.9 * (tol / err) ** 0.2)
+        if h < dynamics.MIN_STEP:
+            raise StepFailure(
+                f"adaptive step underflowed below {dynamics.MIN_STEP:g} "
+                f"at t = {t:g}")
+    return np.array(times), np.array(samples), rejected
 
 
 def _project_rotation(L):

@@ -644,6 +644,19 @@ class TestConfigParser:
     def test_base_configs_run(self, tmp_path, command):
         assert run(tmp_path, command, BASES[command]) == 0
 
+    def test_calls_parse_independently(self, tmp_path, capsys):
+        # main builds its flag parser once per process; a second call,
+        # with another command and neither --seed nor --quiet, takes
+        # neither from the first: simulate would exit 2 on a seed
+        cfg = tmp_path / "brackets.json"
+        cfg.write_text(json.dumps(BASES["check-brackets"]))
+        assert cli.main(["check-brackets", "--config", str(cfg),
+                         "--output-dir", str(tmp_path), "--seed", "5",
+                         "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert run(tmp_path, "simulate", BASES["simulate"]) == 0
+        assert capsys.readouterr().out.startswith("simulate: kind=AffAff ")
+
     @pytest.mark.parametrize("command,block,content,key", IGNORED, ids=[
         "-".join([command, block or "config"]
                  + [str(content[k]) for k in ("kind", "method")

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -256,6 +258,16 @@ def rel_err(a, b):
     return np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b)))
 
 
+def segments(step):
+    """The run(y, count) that _rk4_one_state calls, from a one-step
+    function."""
+    def run(y, count):
+        for _ in range(count):
+            y = step(y)
+        return y
+    return run
+
+
 class TestLayout:
     """Public arrays are (..., dim); the kernel's component-major
     internals give the same numbers for every memory order and rank."""
@@ -422,7 +434,8 @@ class TestRk4Driver:
                 raise OverflowError("math range error")
             return [math.inf] * len(y)
 
-        samples = dynamics._rk4_one_state(step, [0.0, 0.0], [5, 10, 12])
+        samples = dynamics._rk4_one_state(segments(step), [0.0, 0.0],
+                                          [5, 10, 12])
         assert len(samples) == 4
         assert samples[:2] == [[0.0, 0.0], [5.0, 5.0]]
         if failure == "raises":
@@ -661,10 +674,10 @@ class TestSingleState:
             kernel = dynamics.EomKernel(ModelSpec(kind="AffAff", A=A, B=0.4),
                                         WELL, 3)
             rhs, stepper = kernel.float_rhs(), kernel._bind_floats("stepper")
-            step = stepper(0.01, *(0.01 * dynamics._RK4_B).tolist())
+            run = stepper(0.01, *(0.01 * dynamics._RK4_B).tolist())
             for y, dy in zip(ys, kernel.rhs(ys)):
                 assert rel_err(np.array(rhs(y.tolist())), dy) <= 1e-14
-                assert rel_err(np.array(step(y.tolist())),
+                assert rel_err(np.array(run(y.tolist(), 1)),
                                rk4_step(kernel.rhs, y, 0.01)) <= 1e-14
         assert dynamics._emit.cache_info().misses == 2
 
@@ -694,8 +707,9 @@ class TestSingleState:
         screen, 0.5 DEGENERACY_TOL (DAlembert's exact test; its screen is
         at about twice that), or for TrigUn whose cosine does: float_rhs,
         emitted or through its fallback, gives rhs's derivative or raises
-        its DegenerateInertia, and the emitted RK4 step is the textbook
-        step of float_rhs."""
+        its DegenerateInertia, the emitted RK4 step is the textbook step of
+        float_rhs, and the emitted Dormand-Prince attempt gives the numpy
+        stage loop's result on float_rhs."""
         k = n * (n - 1) // 2
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         y = packed_batch(rng, model, n, 1)[0]
@@ -713,7 +727,7 @@ class TestSingleState:
         kernel = dynamics.EomKernel(model, data.draw(st.sampled_from(
             POTENTIALS)), n)
         rhs, stepper = kernel.float_rhs(), kernel._bind_floats("stepper")
-        step = stepper(1e-3, *(1e-3 * dynamics._RK4_B).tolist())
+        run = stepper(1e-3, *(1e-3 * dynamics._RK4_B).tolist())
 
         def outcome(f, *args):
             with np.errstate(all="ignore"):
@@ -742,8 +756,16 @@ class TestSingleState:
             cond = np.max(Q.max(axis=0) / np.abs(Q[0] - Q[1]))
         agree(outcome(rhs, y.tolist()), outcome(kernel.rhs, y),
               1e-14 + 12 * np.finfo(float).eps * cond)
-        agree(outcome(step, y.tolist()), outcome(
+        agree(outcome(run, y.tolist(), 1), outcome(
             rk4_step, lambda v: np.array(rhs(v.tolist())), y, 1e-3))
+        # next to a wall the attempt's seven stages can overflow, each sum
+        # order at its own place: compare where the loop's result is finite
+        dopri = kernel._bind_floats("dopri")
+        want = outcome(lambda v: reference.rk45_step(
+            lambda u: np.array(rhs(u.tolist())), v, 1e-3)[0], y)
+        if isinstance(want, tuple) or np.isfinite(want).all():
+            agree(outcome(lambda v: dopri(v, rhs(v), 1e-3)[0], y.tolist()),
+                  want)
 
     def test_wall_crossing(self):
         model = MODELS["TrigUn"]
@@ -754,21 +776,22 @@ class TestSingleState:
 
     def test_wall_crossing_stops_stepping(self):
         # the state turns non-finite at step 1,556 of 2,000; the stepping
-        # stops at the record step after it, and the later records are nan
+        # stops at the record step after it, the 156th segment of 10
+        # steps, and the later records are nan
         h = 0.0025
         kernel = dynamics.EomKernel(MODELS["TrigUn"], WELL, 3)
-        step = kernel._bind_floats("stepper")(h, *(h * dynamics._RK4_B)
-                                              .tolist())
+        run = kernel._bind_floats("stepper")(h, *(h * dynamics._RK4_B)
+                                             .tolist())
         calls = []
 
-        def counting(y):
-            calls.append(None)
-            return step(y)
+        def counting(y, count):
+            calls.append(count)
+            return run(y, count)
 
         samples = dynamics._rk4_one_state(
             counting, dynamics.pack_state(WALL_CROSSING).tolist(),
             list(range(10, 2001, 10)))
-        assert len(calls) == 1560
+        assert len(calls) == 156 and sum(calls) == 1560
         assert len(samples) == 201
         finite = [all(map(math.isfinite, y)) for y in samples]
         assert finite.index(False) == 156
@@ -782,7 +805,8 @@ class TestSingleState:
             calls.append(None)
             return [1e308, 1e308, -1.0]
 
-        samples = dynamics._rk4_one_state(step, [0.0] * 3, [5, 10, 15, 20])
+        samples = dynamics._rk4_one_state(segments(step), [0.0] * 3,
+                                          [5, 10, 15, 20])
         assert len(calls) == 20 and len(samples) == 5
         assert samples[1:] == [[1e308, 1e308, -1.0]] * 4
 
@@ -933,7 +957,7 @@ class TestIntegrate:
         z = h * lam
         P = -97 / 120000 * z ** 5 + 13 / 40000 * z ** 6 - z ** 7 / 24000
         y = np.array([1e6, -3e6])
-        _, err = dynamics._rk45_step(lambda v: lam * v, y, h)
+        _, err = reference.rk45_step(lambda v: lam * v, y, h)
         assert err == pytest.approx(3e6 * abs(P), rel=1e-2)
 
     def test_box_potential_rejected(self):
@@ -955,6 +979,120 @@ class TestIntegrate:
         assert header[0] == "t"
         assert data.shape[0] == len(traj.times)
         assert np.allclose(data[:, 1:-2], traj.samples)
+
+
+SESSION_RK45 = json.loads(pathlib.Path(__file__).with_name(
+    "session_rk45_seed7.json").read_text())
+
+
+class TestEmittedRk45:
+    """integrate's adaptive attempts run through the emitted Dormand-Prince
+    step (_emit "dopri") with FSAL; tests/reference.py keeps the numpy
+    stage loop and the controller as the oracle."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Calls of the kernels' emitted functions, by function."""
+        calls = {"rhs": 0, "dopri": 0}
+        bind_floats = dynamics.EomKernel._bind_floats
+
+        def counting(kernel, function):
+            emitted = bind_floats(kernel, function)
+
+            def call(*args):
+                calls[function] += 1
+                return emitted(*args)
+            return call if function in calls else emitted
+
+        monkeypatch.setattr(dynamics.EomKernel, "_bind_floats", counting)
+        return calls
+
+    def agreement(self, monkeypatch, model, potential, state, t_end,
+                  control=StepControl(method="rk45", step=0.05)):
+        """Largest relative difference of the records from the oracle's,
+        after checking that both make the same attempts, or 0.0 if both
+        raise the same StepFailure.  The records cannot agree bit for bit:
+        the error estimate is a cancelling sum, whose rounding in another
+        order moves the next step size (measured: up to 5.2e-11)."""
+        calls = self.counted(monkeypatch)
+        try:
+            times, samples, rejected = reference.integrate_rk45(
+                model, potential, state, t_end, control)
+        except StepFailure as exc:
+            with pytest.raises(StepFailure) as info:
+                dynamics.integrate(model, potential, state, t_end, control)
+            assert str(info.value) == str(exc)
+            return 0.0
+        got = dynamics.integrate(model, potential, state, t_end, control)
+        if model.kind == "TrigUn" and potential.is_trivial:
+            samples[:, :state.n] = phase.wrap_angle(samples[:, :state.n])
+        assert len(got.times) == len(times)
+        # f(y0) once, then six stages per attempt: the seventh is the next
+        # attempt's first
+        assert calls == {"rhs": 1, "dopri": len(times) - 1 + rejected}
+        return max(rel_err(got.times, times), rel_err(got.samples, samples))
+
+    @kinds
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @potentials
+    def test_matches_reference(self, model, n, pot, rng, monkeypatch):
+        state = dynamics.unpack_state(packed_batch(rng, model, n, 1)[0], n)
+        assert self.agreement(monkeypatch, model, pot, state, 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("config", SESSION_RK45,
+                             ids=[c["label"] for c in SESSION_RK45])
+    def test_matches_reference_on_bench_configs(self, config, monkeypatch):
+        # the RK45 simulate configs of perfbench's session workload, seed 7
+        model = ModelSpec.from_json(config["model"])
+        potential = PotentialSpec.from_json(config.get("potential"))
+        state = ReducedState(**config["initial"])
+        assert self.agreement(monkeypatch, model, potential, state,
+                              0.4) <= 1e-10
+
+    @kinds
+    def test_emitted_error_estimate(self, model, rng):
+        h = 0.2
+        kernel = dynamics.EomKernel(model, WELL, 3)
+        y = packed_batch(rng, model, 3, 1)[0]
+        k = kernel.rhs(y)
+        y5, k7, err = kernel._bind_floats("dopri")(
+            y.tolist(), kernel.float_rhs()(y.tolist()), h)
+        want_y5, want_err = reference.rk45_step(kernel.rhs, y, h)
+        assert rel_err(np.array(y5), want_y5) <= 1e-14
+        assert rel_err(np.array(k7), kernel.rhs(want_y5)) <= 1e-14
+        # the estimate is a cancelling sum of the stages: its round-off
+        # is relative to h |k|, not to the estimate (measured: 6.4e-17)
+        assert want_err > 0.0
+        assert abs(err - want_err) <= 1e-15 * h * np.max(np.abs(k))
+
+    # TrigUn angles of order 1e250, whose sines stay finite: the first
+    # attempt's last stage is nan in p, M and N alone, and max() over the
+    # estimate's components would drop the nan that np.max keeps
+    NAN_STAGE = (MODELS["TrigUn"],
+                 [1.4724844842081287e+250, 8.89703245623224e+203,
+                  0.03263895655060513],
+                 [0.007336439601512827, 6.430487440067388e+69,
+                  -1.288287868278864],
+                 [1.2748425487392708e+16, -0.7659726567101007,
+                  -0.8812811010343705],
+                 [0.3592963384369897, -0.7720982562724807,
+                  -0.3168154170935121], None)
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWS) + ["nan_stage"])
+    def test_overflow_is_rejected_attempt(self, case):
+        # an attempt in which math raises, or whose estimate has a nan
+        # component, is rejected as one whose numpy error estimate is nan:
+        # the same StepFailure results
+        model, q, p, m, nn, _ = {**OVERFLOWS, "nan_stage": self.NAN_STAGE}[
+            case]
+        state = ReducedState(q, p, m_upper=m, n_upper=nn)
+        control = StepControl(method="rk45", step=0.01)
+        messages = []
+        for integrate in (dynamics.integrate, reference.integrate_rk45):
+            with pytest.raises(StepFailure) as info:
+                integrate(model, GEODETIC, state, 5.0, control)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 class TestAttitudeReconstruction:
