@@ -20,9 +20,16 @@ through strides or a copy.  The exceptions are a single state in
 integrate_batch and the adaptive steps of integrate, which step as lists
 of Python floats through code written out for the kernel's structure
 (_emit).
+
+The kernel writes every intermediate (B,)-wide row into a workspace of
+its own for each batch width B, and integrate_batch holds its states and
+stages in buffers of the same kind: C-contiguous blocks that start on an
+ALIGNMENT-byte boundary (_aligned_empty), so that every row starts on a
+cache line when 8 divides B.  Rows are not padded.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -39,6 +46,10 @@ STATIONARY_TOL = 1e-10
 THRESHOLD_TOL = 1e-12
 METHODS = ("rk4", "rk45")
 MIN_STEP, MAX_STEP = 1e-12, 0.1    # the RK45 controller's step range
+# bytes: one cache line, one AVX-512 register.  numpy's allocator starts
+# an array 0, 16, 32 or 48 bytes past a cache line, and an add or multiply
+# on operands that straddle cache lines takes about twice as long
+ALIGNMENT = 64
 
 
 @dataclass(frozen=True)
@@ -276,8 +287,12 @@ class EomKernel:
     module docstring).  Each pair's sinh/cosh (sin/cos for TrigUn, exp for
     DAlembert) is evaluated once per call, the commutators are summed over
     the nonzero so(n) structure constants, and every constant of the model
-    is computed once, at construction.  float_rhs evaluates the same
-    equations for one state on Python floats.
+    is computed once, at construction.  The results of a call go into the
+    aligned _Workspace of its width, built the first time the kernel sees
+    that width; rhs without out, flow and energies return new arrays.  As
+    it holds these buffers, one kernel must not be called from two threads
+    at once; the library builds a kernel per call.  float_rhs evaluates
+    the same equations for one state on Python floats.
     """
 
     def __init__(self, model, potential, n):
@@ -288,6 +303,7 @@ class EomKernel:
         self.kind = model.kind
         self.layout = layout
         self.potential = potential
+        self._workspaces = {}
         self.slope = None if potential.is_trivial \
             else potential.dilatational_slope
         partners, self.spin_signs = _commutator_terms(n)
@@ -322,26 +338,38 @@ class EomKernel:
             off = 0.5 * (c_tau - c_rho) * np.eye(k)
             self.coupling = np.block([[diag, off], [off, diag]])
 
-    def _pairs(self, x, u):
+    def _workspace(self, width):
+        """The aligned buffers and views of batch width B = width, built the
+        first time this kernel sees that width."""
+        ws = self._workspaces.get(width)
+        if ws is None:
+            ws = self._workspaces[width] = _Workspace(self, width)
+        return ws
+
+    def _pairs(self, x, u, ws):
         """Pair denominators d (2k, B) and the weights coef/d^2 with which
         u enters dH/du, the removable terms of vanishing coupling set to
-        zero.  x is Q = exp(q), (n, B), for DAlembert and half the pair
-        differences, (k, B), otherwise."""
+        zero, written into the workspace ws.  x is Q = exp(q), (n, B), for
+        DAlembert and half the pair differences, (k, B), otherwise."""
         k = self.layout.count
         tol = phase.DEGENERACY_TOL
-        d = np.empty((2 * k,) + x.shape[1:])
+        d = ws.d
         if self.kind == "DAlembert":
             np.matmul(self.pair_map, x, out=d)
             # Q_a + Q_b >= max(Q_a, Q_b): a screen for the exact test below
-            near = np.abs(d[:k]) < tol * d[k:]
+            np.multiply(tol, ws.d_hi, out=ws.limit)
+            near = np.less(np.abs(ws.d_lo, out=ws.magnitude), ws.limit,
+                           out=ws.near)
         else:
-            self.sm(x, out=d[:k])
-            self.cm(x, out=d[k:])
+            self.sm(x, out=ws.d_lo)
+            self.cm(x, out=ws.d_hi)
             # sinh(h) == h below 2^-28, so for the hyperbolic kinds this is
             # exactly |q_a - q_b| < tol; cosh never triggers it
-            near = np.abs(d if self.kind == "TrigUn" else d[:k]) < 0.5 * tol
+            near = np.less(np.abs(ws.screened, out=ws.magnitude), 0.5 * tol,
+                           out=ws.near)
         if not np.count_nonzero(near):
-            return d, self.coef / (d * d)
+            weights = np.multiply(d, d, out=ws.weights)
+            return d, np.divide(self.coef, weights, out=weights)
         if self.kind == "DAlembert":
             ia, ib = self.layout.iu
             near = np.abs(d[:k]) < tol * np.maximum(x[ia], x[ib])
@@ -357,49 +385,56 @@ class EomKernel:
         return d, np.where(near, 0.0,
                            self.coef / np.where(near, 1.0, d) ** 2)
 
-    def _gradients(self, q, p, u, dHdp, force):
+    def _gradients(self, q, p, u, dHdp, force, ws):
         """Energy gradients, component-major: writes dH/dp and -dH/dq into
         dHdp and force, (n, B) like q and p, and returns dH/du, (2k, B)
-        like u."""
-        k = self.layout.count
+        like u, the workspace's g."""
+        g, v = ws.g, ws.v
         if self.kind == "DAlembert":
-            Q = np.exp(q)
-            d, weights = self._pairs(Q, u)
-            g = u * weights
-            np.multiply(p / (Q * Q), self.momentum, out=dHdp)
-            np.multiply(self.q_weights @ (g * g * d), Q, out=force)
-            force += p * dHdp
+            Q = np.exp(q, out=ws.Q)
+            d, weights = self._pairs(Q, u, ws)
+            np.multiply(u, weights, out=g)
+            np.multiply(Q, Q, out=ws.QQ)
+            np.multiply(np.divide(p, ws.QQ, out=ws.QQ), self.momentum,
+                        out=dHdp)
+            np.multiply(g, g, out=v)
+            np.matmul(self.q_weights, np.multiply(v, d, out=v), out=ws.pull)
+            np.multiply(ws.pull, Q, out=force)
+            np.add(force, np.multiply(p, dHdp, out=ws.pull), out=force)
             if self.slope is not None:
                 force -= self.slope(q.sum(axis=0) / self.n) / self.n
             return g
-        h = self.pair_map @ q
-        d, weights = self._pairs(h[:k], u)
-        g = u * weights
-        v = g * g
-        pulls = (v[:k] - v[k:]) * (d[:k] * d[k:])
+        np.matmul(self.pair_map, q, out=ws.h)
+        d, weights = self._pairs(ws.h_pairs, u, ws)
+        np.multiply(u, weights, out=g)
+        np.multiply(g, g, out=v)
+        pulls = np.subtract(ws.v_lo, ws.v_hi, out=ws.pulls_pairs)
+        np.multiply(pulls, np.multiply(ws.d_lo, ws.d_hi, out=ws.dd),
+                    out=pulls)
         if self.slope is not None:
-            pulls = np.concatenate([pulls, self.slope(h[k:])])
-        np.matmul(self.q_weights, pulls, out=force)
+            ws.pulls_slope[...] = self.slope(ws.qbar)
+        np.matmul(self.q_weights, ws.pulls, out=force)
         np.matmul(self.momentum, p, out=dHdp)
         if self.coupling is not None:
-            g = g + self.coupling @ u
+            np.add(g, np.matmul(self.coupling, u, out=ws.cu), out=g)
         return g
 
     def _flow(self, z, dz=None):
         """Time derivative dz of component-major states z (dim, B), written
         into dz if given, and the stacked upper components of G_M and G_N,
-        (2k, B)."""
-        n, k = self.n, self.layout.count
+        (2k, B), the latter in the workspace of width B."""
+        n = self.n
         u = z[2 * n:]
         if dz is None:
             dz = np.empty(z.shape)
-        g = self._gradients(z[:n], z[n:2 * n], u, dz[:n], dz[n:2 * n])
+        ws = self._workspace(z.shape[1])
+        g = self._gradients(z[:n], z[n:2 * n], u, dz[:n], dz[n:2 * n], ws)
         if self.partners.size:
-            tail = z.shape[1:]
-            products = u.reshape((2, k, 1) + tail) \
-                * g.take(self.partners, axis=0).reshape((k, -1) + tail)
-            np.matmul(self.spin_signs, products.reshape((-1,) + tail),
-                      out=dz[2 * n:])
+            # with out, mode "raise" would copy through a buffer
+            np.take(g, self.partners, axis=0, out=ws.taken, mode="clip")
+            np.multiply(u.reshape(ws.u_shape), ws.taken_terms,
+                        out=ws.products)
+            np.matmul(self.spin_signs, ws.product_rows, out=dz[2 * n:])
         else:
             dz[2 * n:] = 0.0
         return dz, g
@@ -409,7 +444,8 @@ class EomKernel:
         the stacked upper components of G_M = dH/dM and G_N = dH/dN."""
         y = np.asarray(y, dtype=float)
         dz, g = self._flow(y.reshape(-1, y.shape[-1]).T)
-        return dz.T.reshape(y.shape), g.T.reshape(y.shape[:-1] + (-1,))
+        # g is the workspace's, which the next call overwrites
+        return dz.T.reshape(y.shape), g.copy().T.reshape(y.shape[:-1] + (-1,))
 
     def rhs(self, y, out=None):
         """Time derivative of packed states y (..., dim), written into the
@@ -464,19 +500,75 @@ class EomKernel:
         z = ys.reshape(-1, ys.shape[-1]).T
         q, p, u = z[:n], z[n:2 * n], z[2 * n:]
         dHdp, force = np.empty((2,) + p.shape)
-        g = self._gradients(q, p, u, dHdp, force)
+        ws = self._workspace(z.shape[1])
+        g = self._gradients(q, p, u, dHdp, force, ws)
         # the kinetic energy is quadratic in (p, u): T = (p.dT/dp + u.dT/du)/2
         energy = 0.5 * (np.sum(p * dHdp, axis=0) + np.sum(u * g, axis=0)) \
             + self.potential.dilatational_value(q.mean(axis=0))
         # the coupling part of C2 is u.dH/du of the hyperbolic lattice
-        # with A = 1, whatever the model kind
+        # with A = 1, whatever the model kind.  The shared lattice keeps no
+        # workspace: its pairs go through this kernel's, whose pair rows
+        # (and a screen that may take in the cosh rows too) fit it at the
+        # same n, and whose g has been read
         lattice = _casimir_kernel(n)
-        _, weights = lattice._pairs(lattice.pair_map[:-1] @ q, u)
+        _, weights = lattice._pairs(lattice.pair_map[:-1] @ q, u, ws)
         dp = self.layout.incidence @ p
         casimir = np.sum(dp * dp, axis=0) / n \
             + np.sum(u * u * weights, axis=0)
         shape = ys.shape[:-1]
         return energy.reshape(shape), casimir.reshape(shape)
+
+
+def _aligned_empty(shape):
+    """An uninitialised C-contiguous float64 array whose first element
+    starts on a multiple of ALIGNMENT bytes; the rows of a (rows, B) array
+    then start on cache lines whenever 8 divides B.  Its rows are not
+    padded to a cache line: numpy iterates a (rows, B) view of padded rows
+    as strided, which measured slower than the split loads it saves, and
+    BLAS rounds the last columns of a product in its own tail loop, which
+    padding would move."""
+    size = math.prod(shape)
+    raw = np.empty(size + ALIGNMENT // 8)
+    start = -raw.ctypes.data % ALIGNMENT // 8
+    return raw[start:start + size].reshape(shape)
+
+
+class _Workspace:
+    """The buffers of one batch width B into which EomKernel writes every
+    elementwise result of _pairs, _gradients and _flow, as the (count, B)
+    rows of one aligned block (_aligned_empty), and the views of them each
+    call uses, built here once."""
+
+    def __init__(self, kernel, width):
+        n, k = kernel.n, kernel.layout.count
+        # the screen of _pairs: |sm| over all 2k pairs for TrigUn, whose
+        # cosine vanishes at antipodal pairs, over the first k otherwise
+        screened = 2 * k if kernel.kind == "TrigUn" else k
+        counts = dict(d=2 * k, weights=2 * k, g=2 * k, v=2 * k,
+                      magnitude=screened)
+        if kernel.kind == "DAlembert":
+            counts.update(limit=k, Q=n, QQ=n, pull=n)
+        else:
+            counts.update(h=k + 1, pulls=k + (kernel.slope is not None),
+                          dd=k, cu=2 * k * (kernel.coupling is not None))
+        # the g_j taken for the u_i g_j of the (2, k, 2T) commutator terms,
+        # and the terms as (4kT, B) rows for the product with the signs
+        pairs = kernel.partners.size // max(k, 1)
+        counts.update(taken=k * pairs, product_rows=2 * k * pairs)
+        block = _aligned_empty((sum(counts.values()), width))
+        ends = itertools.accumulate(counts.values())
+        for (name, count), end in zip(counts.items(), ends):
+            setattr(self, name, block[end - count:end])
+        self.d_lo, self.d_hi = self.d[:k], self.d[k:]
+        self.screened = self.d[:screened]
+        self.near = np.empty(self.magnitude.shape, dtype=bool)
+        self.v_lo, self.v_hi = self.v[:k], self.v[k:]
+        if kernel.kind != "DAlembert":
+            self.h_pairs, self.qbar = self.h[:k], self.h[k:]
+            self.pulls_pairs, self.pulls_slope = self.pulls[:k], self.pulls[k:]
+        self.u_shape = (2, k, 1, width)
+        self.taken_terms = self.taken.reshape(k, pairs, width)
+        self.products = self.product_rows.reshape(2, k, pairs, width)
 
 
 @functools.lru_cache(maxsize=None)
@@ -613,8 +705,9 @@ def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
     """Fixed-step RK4 over a batch of packed states; records only the
     endpoints unless record_every is given.  Returns (times, samples) with
     samples shaped (records,) + y0.shape.  A batch of more than one state
-    is held component-major, (dim, B); each RHS call writes its stage into
-    one (4, dim, B) buffer, and a step ends with one product of the RK4
+    is held component-major, (dim, B), in aligned buffers (_aligned_empty)
+    and stepped in place; each RHS call writes its stage into one aligned
+    (4, dim, B) buffer, and a step ends with one product of the RK4
     weights with that buffer.  One state, (dim,) or (1, dim), steps on
     Python floats through the kernel's emitted RK4 step instead (_emit),
     where numpy's per-call cost would outweigh its arithmetic.
@@ -646,7 +739,7 @@ def _rk4(kernel, y0, t_end, step, record_every):
     times = h * np.array([0, *marks])
     if record_every is None:
         times[-1] = t_end
-    samples = np.array(samples).reshape(times.shape + y0.shape)
+    samples = np.asarray(samples).reshape(times.shape + y0.shape)
     finite = np.isfinite(samples.reshape(len(times), -1)).all(axis=1)
     if not finite.all():
         raise StepFailure("RK4 state turned non-finite at "
@@ -665,23 +758,38 @@ def step_count(t_end, step):
 
 def _rk4_batch(rhs, y0, h, weights, marks):
     """The steps of integrate_batch on a component-major batch; returns
-    the records, y0 first and then one at each step count of marks."""
-    z = y0.reshape(-1, y0.shape[-1]).T.copy()
-    stages = np.empty((4,) + z.shape)
-    k1, k2, k3, k4 = stages
-    flat = stages.reshape(4, -1)
+    the records, (len(marks) + 1, B, dim), y0 first and then one at each
+    step count of marks.  The state z, the stage input, the (4, dim, B)
+    stages and their weighted sum are aligned blocks (_aligned_empty).
+    Each RHS call writes its stage into the stage block, a step ends with
+    one product of the RK4 weights with that block, and z is stepped in
+    place, so each record is copied at its mark."""
+    dim = y0.shape[-1]
+    width = y0.size // dim
+    flat = _aligned_empty((4, dim * width))
+    total = _aligned_empty((dim * width,))
+    k1, k2, k3, k4 = flat.reshape(4, dim, width)
+    acc = total.reshape(dim, width)
+    z, zs = _aligned_empty((dim, width)), _aligned_empty((dim, width))
+    z[...] = y0.reshape(-1, dim).T
+    states, inputs = z.T, zs.T
+    records = np.empty((len(marks) + 1, width, dim))
+    records[0] = states
     half = 0.5 * h
-    samples = [y0]
     with np.errstate(all="ignore"):
-        for start, stop in zip([0, *marks], marks):
+        for record, (start, stop) in enumerate(zip([0, *marks], marks), 1):
             for _ in range(stop - start):
-                rhs(z.T, k1)
-                rhs((z + half * k1).T, k2)
-                rhs((z + half * k2).T, k3)
-                rhs((z + h * k3).T, k4)
-                z = z + (weights @ flat).reshape(z.shape)
-            samples.append(z.T.reshape(y0.shape))
-    return samples
+                rhs(states, k1)
+                np.add(z, np.multiply(k1, half, out=zs), out=zs)
+                rhs(inputs, k2)
+                np.add(z, np.multiply(k2, half, out=zs), out=zs)
+                rhs(inputs, k3)
+                np.add(z, np.multiply(k3, h, out=zs), out=zs)
+                rhs(inputs, k4)
+                np.matmul(weights, flat, out=total)
+                np.add(z, acc, out=z)
+            records[record] = states
+    return records
 
 
 def _rk4_one_state(run, y, marks):

@@ -8,7 +8,12 @@ energy.  The textbook RK4 step and the sequential attitude propagation are
 the step-by-step forms of `dynamics.integrate_batch` and
 `dynamics.reconstruct_attitudes`, and the Dormand-Prince stage loop on
 the numpy kernel, with its step-size controller, is the adaptive form of
-`dynamics.integrate`.  The full-grid operator is assembled
+`dynamics.integrate`.  AllocatingKernel and integrate_batch are the batch
+kernel and RK4 loop as they were before `dynamics` wrote its elementwise
+results into aligned workspaces: every result a fresh numpy temporary.
+The same operations in the same order, they are the bit-for-bit oracle of
+`dynamics.integrate_batch` and `EomKernel.energies`.  The full-grid
+operator is assembled
 here the way the library once did, on the whole points^n box with
 Kronecker products, keeping every off-wall node of all n! Weyl chambers;
 the weighted inner product is a trapezoid-rule coding of the norm that
@@ -22,10 +27,10 @@ random_configuration is the one-matrix-at-a-time draw that
 import numpy as np
 
 from affinebody import dynamics, phase, quantum
-from affinebody.dynamics import (_DP_A, _DP_B5, _DP_E, ORTHOGONALITY_TOL,
-                                 EomKernel, Trajectory)
-from affinebody.errors import (ConfigError, ShapeMismatch, StepFailure,
-                               UnknownObservable)
+from affinebody.dynamics import (_DP_A, _DP_B5, _DP_E, _RK4_B,
+                                 ORTHOGONALITY_TOL, EomKernel, Trajectory)
+from affinebody.errors import (ConfigError, DegenerateInertia, ShapeMismatch,
+                               StepFailure, UnknownObservable)
 from affinebody.phase import _pair_denominators
 from affinebody.poisson import FunctionObservable, PhaseGradient
 
@@ -171,6 +176,140 @@ def rk45_step(fun, y, h):
         ks[i] = fun(y + h * (_DP_A[i, :i] @ ks[:i]).reshape(y.shape)).ravel()
     y5 = y + h * (_DP_B5 @ ks).reshape(y.shape)
     return y5, h * np.max(np.abs(_DP_E @ ks))
+
+
+class AllocatingKernel(EomKernel):
+    """EomKernel with the allocating _pairs, _gradients, _flow and
+    energies it had before the aligned workspaces: every elementwise
+    result is a new numpy temporary."""
+
+    def _pairs(self, x, u):
+        k = self.layout.count
+        tol = phase.DEGENERACY_TOL
+        d = np.empty((2 * k,) + x.shape[1:])
+        if self.kind == "DAlembert":
+            np.matmul(self.pair_map, x, out=d)
+            near = np.abs(d[:k]) < tol * d[k:]
+        else:
+            self.sm(x, out=d[:k])
+            self.cm(x, out=d[k:])
+            near = np.abs(d if self.kind == "TrigUn" else d[:k]) < 0.5 * tol
+        if not np.count_nonzero(near):
+            return d, self.coef / (d * d)
+        if self.kind == "DAlembert":
+            ia, ib = self.layout.iu
+            near = np.abs(d[:k]) < tol * np.maximum(x[ia], x[ib])
+        if len(near) == k:
+            near = np.concatenate([near, np.zeros_like(near)])
+        if np.any(near[k:] & (u[k:] != 0.0)):
+            raise DegenerateInertia(
+                "antipodal invariants q_a - q_b = pi with N coupling")
+        if np.any(near[:k] & (u[:k] != 0.0)):
+            raise DegenerateInertia(
+                "coincident deformation invariants with nonzero M coupling")
+        return d, np.where(near, 0.0,
+                           self.coef / np.where(near, 1.0, d) ** 2)
+
+    def _gradients(self, q, p, u, dHdp, force):
+        k = self.layout.count
+        if self.kind == "DAlembert":
+            Q = np.exp(q)
+            d, weights = self._pairs(Q, u)
+            g = u * weights
+            np.multiply(p / (Q * Q), self.momentum, out=dHdp)
+            np.multiply(self.q_weights @ (g * g * d), Q, out=force)
+            force += p * dHdp
+            if self.slope is not None:
+                force -= self.slope(q.sum(axis=0) / self.n) / self.n
+            return g
+        h = self.pair_map @ q
+        d, weights = self._pairs(h[:k], u)
+        g = u * weights
+        v = g * g
+        pulls = (v[:k] - v[k:]) * (d[:k] * d[k:])
+        if self.slope is not None:
+            pulls = np.concatenate([pulls, self.slope(h[k:])])
+        np.matmul(self.q_weights, pulls, out=force)
+        np.matmul(self.momentum, p, out=dHdp)
+        if self.coupling is not None:
+            g = g + self.coupling @ u
+        return g
+
+    def _flow(self, z, dz=None):
+        n, k = self.n, self.layout.count
+        u = z[2 * n:]
+        if dz is None:
+            dz = np.empty(z.shape)
+        g = self._gradients(z[:n], z[n:2 * n], u, dz[:n], dz[n:2 * n])
+        if self.partners.size:
+            tail = z.shape[1:]
+            products = u.reshape((2, k, 1) + tail) \
+                * g.take(self.partners, axis=0).reshape((k, -1) + tail)
+            np.matmul(self.spin_signs, products.reshape((-1,) + tail),
+                      out=dz[2 * n:])
+        else:
+            dz[2 * n:] = 0.0
+        return dz, g
+
+    def energies(self, ys):
+        n = self.n
+        ys = np.asarray(ys, dtype=float)
+        z = ys.reshape(-1, ys.shape[-1]).T
+        q, p, u = z[:n], z[n:2 * n], z[2 * n:]
+        dHdp, force = np.empty((2,) + p.shape)
+        g = self._gradients(q, p, u, dHdp, force)
+        energy = 0.5 * (np.sum(p * dHdp, axis=0) + np.sum(u * g, axis=0)) \
+            + self.potential.dilatational_value(q.mean(axis=0))
+        lattice = AllocatingKernel(phase.ModelSpec(kind="AffAff"),
+                                   phase.PotentialSpec(), n)
+        _, weights = lattice._pairs(lattice.pair_map[:-1] @ q, u)
+        dp = self.layout.incidence @ p
+        casimir = np.sum(dp * dp, axis=0) / n \
+            + np.sum(u * u * weights, axis=0)
+        shape = ys.shape[:-1]
+        return energy.reshape(shape), casimir.reshape(shape)
+
+
+def rk4_batch(rhs, y0, h, weights, marks):
+    """The RK4 loop of `dynamics.integrate_batch` on a fresh
+    component-major copy of the batch, a new state every step."""
+    z = y0.reshape(-1, y0.shape[-1]).T.copy()
+    stages = np.empty((4,) + z.shape)
+    k1, k2, k3, k4 = stages
+    flat = stages.reshape(4, -1)
+    half = 0.5 * h
+    samples = [y0]
+    with np.errstate(all="ignore"):
+        for start, stop in zip([0, *marks], marks):
+            for _ in range(stop - start):
+                rhs(z.T, k1)
+                rhs((z + half * k1).T, k2)
+                rhs((z + half * k2).T, k3)
+                rhs((z + h * k3).T, k4)
+                z = z + (weights @ flat).reshape(z.shape)
+            samples.append(z.T.reshape(y0.shape))
+    return samples
+
+
+def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
+    """`dynamics.integrate_batch` on more than one state, through
+    AllocatingKernel and rk4_batch."""
+    kernel = AllocatingKernel(model, potential, n)
+    nsteps = dynamics.step_count(t_end, step)
+    h = t_end / nsteps
+    every = record_every or nsteps
+    marks = [*range(every, nsteps, every), nsteps]
+    y0 = np.asarray(y0, dtype=float)
+    samples = rk4_batch(kernel.rhs, y0, h, h * _RK4_B, marks)
+    times = h * np.array([0, *marks])
+    if record_every is None:
+        times[-1] = t_end
+    samples = np.array(samples).reshape(times.shape + y0.shape)
+    finite = np.isfinite(samples.reshape(len(times), -1)).all(axis=1)
+    if not finite.all():
+        raise StepFailure("RK4 state turned non-finite at "
+                          f"t = {times[np.argmin(finite)]:g}")
+    return times, samples
 
 
 def integrate_rk45(model, potential, state0, t_end, control):

@@ -478,6 +478,124 @@ class TestRk4Driver:
         assert abs(peaks[2] - peaks[1]) < 8 * 1024
 
 
+def batch_outcome(integrate, model, pot, y0, n, record_every):
+    """(times, samples, energies, Casimirs) of a short RK4 run, or the
+    type and text of what it raised."""
+    try:
+        times, samples = integrate(model, pot, y0, 0.02, 0.005, n,
+                                   record_every)
+    except (DegenerateInertia, StepFailure) as err:
+        return type(err), str(err)
+    kernel = (dynamics.EomKernel if integrate is dynamics.integrate_batch
+              else reference.AllocatingKernel)(model, pot, n)
+    return (times, samples) + kernel.energies(samples)
+
+
+def same_outcome(got, want):
+    return len(got) == len(want) and all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        for a, b in zip(got, want))
+
+
+class TestAlignedWorkspace:
+    """The batch kernel and RK4 loop write every elementwise result into
+    aligned workspaces; tests/reference.py keeps the allocating
+    kernel and loop, whose records they reproduce bit for bit."""
+
+    WIDTHS = (2, 7, 8, 9, 1000, 1001)
+
+    @kinds
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @potentials
+    @pytest.mark.parametrize("record_every", [None, 3])
+    def test_integrate_batch_matches_oracle(self, model, n, pot,
+                                            record_every, rng):
+        for width in self.WIDTHS:
+            y0 = np.asfortranarray(packed_batch(rng, model, n, width))
+            runs = [batch_outcome(integrate, model, pot, y0, n, record_every)
+                    for integrate in (dynamics.integrate_batch,
+                                      reference.integrate_batch)]
+            assert len(runs[0]) == 4, runs[0]
+            assert same_outcome(*runs), width
+
+    @kinds
+    @pytest.mark.parametrize("m_coupling", [0.0, 0.5])
+    def test_coincident_pair_matches_oracle(self, model, m_coupling, rng):
+        # one state of nine with q_1 = q_2: removable without M coupling,
+        # the oracle's DegenerateInertia with it
+        ys = packed_batch(rng, model, 3, 9)
+        ys[4] = dynamics.pack_state(ReducedState(
+            np.array([0.2, 0.2, -0.3]), np.array([0.1, -0.2, 0.3]),
+            m_upper=[m_coupling, 0.3, 0.0], n_upper=[0.4, 0.1, 0.0]))
+        got, want = (batch_outcome(integrate, model, WELL, ys, 3, 3)
+                     for integrate in (dynamics.integrate_batch,
+                                       reference.integrate_batch))
+        assert same_outcome(got, want)
+        if m_coupling:
+            assert got == (DegenerateInertia, "coincident deformation "
+                           "invariants with nonzero M coupling")
+        else:
+            assert np.all(np.isfinite(got[1]))
+
+    def test_wall_crossing_failure_matches_oracle(self):
+        model = MODELS["TrigUn"]
+        y0 = np.array([dynamics.pack_state(WALL_CROSSING)] * 3)
+        messages = []
+        for integrate in (dynamics.integrate_batch, reference.integrate_batch):
+            with pytest.raises(StepFailure) as info:
+                integrate(model, WELL, y0, 5.0, 0.0025, 3, record_every=7)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == \
+            "RK4 state turned non-finite at t = 3.9025"
+
+    @kinds
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 1000, 1001])
+    def test_rows_start_on_cache_lines(self, model, width):
+        # the workspace is (count, B) rows of one C-contiguous block that
+        # starts on an ALIGNMENT boundary, and so does every row when 8
+        # divides the width
+        kernel = dynamics.EomKernel(model, WELL, 3)
+        ws = kernel._workspace(width)
+        assert kernel._workspace(width) is ws
+        buffers = [a for a in vars(ws).values()
+                   if isinstance(a, np.ndarray) and a.dtype == float]
+        assert min(a.ctypes.data for a in buffers) % dynamics.ALIGNMENT == 0
+        stages = dynamics._aligned_empty((4, 12, width))
+        assert stages.ctypes.data % dynamics.ALIGNMENT == 0
+        for a in buffers + [stages]:
+            assert a.shape[-1] == width and a.flags.c_contiguous
+            for row in np.ndindex(a.shape[:-1]):
+                aligned = a[row].ctypes.data % dynamics.ALIGNMENT == 0
+                assert aligned or width % 8, row
+
+    @kinds
+    @sizes
+    def test_returned_arrays_outlive_later_calls(self, model, n, rng):
+        kernel = dynamics.EomKernel(model, WELL, n)
+        first, other = (np.asfortranarray(packed_batch(rng, model, n, 9))
+                        for _ in range(2))
+        results = [kernel.rhs(first), *kernel.flow(first)]
+        kept = [a.copy() for a in results]
+        kernel.rhs(other)
+        kernel.flow(other)
+        for a, b in zip(results, kept):
+            assert np.array_equal(a, b)
+
+    @kinds
+    @sizes
+    def test_energies_keep_no_state_in_shared_lattice(self, model, n, rng):
+        # the lattice's pair weights go through the calling kernel's
+        # workspace, of whatever kind
+        ys = packed_batch(rng, model, n, 9)
+        kernel = dynamics.EomKernel(model, WELL, n)
+        oracle = reference.AllocatingKernel(model, WELL, n)
+        for batch in (ys[:5], ys, ys[:5], ys[0]):
+            for got, want in zip(kernel.energies(batch),
+                                 oracle.energies(batch)):
+                assert np.array_equal(got, want)
+        assert dynamics._casimir_kernel(n)._workspaces == {}
+
+
 class TestDegenerateBatch:
     """One degenerate state among 1000 Fortran-ordered states."""
 
