@@ -21,13 +21,17 @@ integrate_batch and the adaptive steps of integrate, which step as lists
 of Python floats through code written out for the kernel's structure
 (_emit).
 
-The kernel writes every intermediate (B,)-wide row into a workspace of
+The kernel writes its intermediate (B,)-wide rows into a workspace of
 its own for each batch width B, and integrate_batch holds its states and
 stages in buffers of the same kind: C-contiguous blocks that start on an
 ALIGNMENT-byte boundary (_aligned_empty), so that every row starts on a
-cache line when 8 divides B.  Rows are not padded.
+cache line when 8 divides B.  Rows are not padded.  Two paths still
+allocate: DAlembert's V'(qbar) row under a potential, which measured no
+faster in a workspace row, and the near-degenerate branch of _pairs,
+whose np.where runs only when a pair denominator is near zero.
 """
 
+import contextlib
 import functools
 import itertools
 import math
@@ -330,6 +334,10 @@ class EomKernel:
             # V(qbar) pulls every q_a with -V'(qbar)/n: one more column
             self.q_weights = np.hstack([self.q_weights,
                                         np.full((n, 1), -1.0 / n)])
+        # with one column, the product is one multiply per element, which
+        # np.multiply makes several times faster than np.matmul
+        self._pull = np.multiply if self.q_weights.shape[1] == 1 \
+            else np.matmul
         self.momentum = 2.0 * (cL * np.eye(n) + cQ)
         # c_rho |rho|^2 + c_tau |tau|^2, with rho = (N - M)/2 and
         # tau = -(M + N)/2, as the Hessian in u of a quadratic form
@@ -412,8 +420,8 @@ class EomKernel:
         np.multiply(pulls, np.multiply(ws.d_lo, ws.d_hi, out=ws.dd),
                     out=pulls)
         if self.slope is not None:
-            ws.pulls_slope[...] = self.slope(ws.qbar)
-        np.matmul(self.q_weights, ws.pulls, out=force)
+            self.slope(ws.qbar, out=ws.pulls_slope)
+        self._pull(self.q_weights, ws.pulls, out=force)
         np.matmul(self.momentum, p, out=dHdp)
         if self.coupling is not None:
             np.add(g, np.matmul(self.coupling, u, out=ws.cu), out=g)
@@ -708,7 +716,10 @@ def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
     is held component-major, (dim, B), in aligned buffers (_aligned_empty)
     and stepped in place; each RHS call writes its stage into one aligned
     (4, dim, B) buffer, and a step ends with one product of the RK4
-    weights with that buffer.  One state, (dim,) or (1, dim), steps on
+    weights with that buffer.  The steps run on numpy's unbuffered loops:
+    its ufunc buffer is lowered to at most a row (_row_buffer), and a
+    force from a one-column q_weights is one multiply, not a matmul
+    (EomKernel._gradients).  One state, (dim,) or (1, dim), steps on
     Python floats through the kernel's emitted RK4 step instead (_emit),
     where numpy's per-call cost would outweigh its arithmetic.
 
@@ -763,7 +774,14 @@ def _rk4_batch(rhs, y0, h, weights, marks):
     stages and their weighted sum are aligned blocks (_aligned_empty).
     Each RHS call writes its stage into the stage block, a step ends with
     one product of the RK4 weights with that block, and z is stepped in
-    place, so each record is copied at its mark."""
+    place, so each record is copied at its mark.
+
+    The steps run with numpy's ufunc buffer (8192 elements by default) no
+    longer than a row (_row_buffer).  With a longer buffer, numpy's
+    iterator copies the broadcast operands of a ufunc, such as the
+    commutator product of _flow, through it in chunks; with one no longer
+    than a row, each contiguous row is the inner loop and nothing is
+    copied.  Elementwise results do not depend on the buffer."""
     dim = y0.shape[-1]
     width = y0.size // dim
     flat = _aligned_empty((4, dim * width))
@@ -776,7 +794,7 @@ def _rk4_batch(rhs, y0, h, weights, marks):
     records = np.empty((len(marks) + 1, width, dim))
     records[0] = states
     half = 0.5 * h
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), _row_buffer(width):
         for record, (start, stop) in enumerate(zip([0, *marks], marks), 1):
             for _ in range(stop - start):
                 rhs(states, k1)
@@ -790,6 +808,23 @@ def _rk4_batch(rhs, y0, h, weights, marks):
                 np.add(z, acc, out=z)
             records[record] = states
     return records
+
+
+@contextlib.contextmanager
+def _row_buffer(width):
+    """numpy's ufunc buffer lowered to the largest multiple of 16 (numpy
+    1.x takes no other size) not above width, from 16 columns on and never
+    raised; the caller's size comes back on every exit, as numpy >= 2.0
+    scopes it to errstate and numpy 1.x does not.  Below 16 columns a
+    16-element buffer measured slower than the default."""
+    rows = width - width % 16
+    caller = np.getbufsize()
+    if 16 <= rows < caller:
+        np.setbufsize(rows)
+    try:
+        yield
+    finally:
+        np.setbufsize(caller)
 
 
 def _rk4_one_state(run, y, marks):

@@ -310,19 +310,27 @@ class PotentialSpec:
         k, exponent = self.params
         return k * qbar ** int(exponent)
 
-    def dilatational_slope(self, qbar):
-        """V'(qbar).  A float qbar is not converted to numpy, so that the
-        harmonic well and the steep oscillator return a float for it."""
+    def dilatational_slope(self, qbar, out=None):
+        """V'(qbar), written into the array out if one is given.  A float
+        qbar is not converted to numpy, so that the harmonic well and the
+        steep oscillator return a float for it."""
         if not isinstance(qbar, float):
             qbar = np.asarray(qbar, dtype=float)
-        if self.kind == "none":
-            return np.zeros_like(qbar)
-        if self.kind == "harmonic_well":
-            return self.params[0] * qbar
         if self.kind == "box":
             raise DomainError("box potential has no smooth gradient")
-        k, exponent = self.params
-        return k * int(exponent) * qbar ** (int(exponent) - 1)
+        if self.kind == "harmonic_well" and out is not None:
+            return np.multiply(self.params[0], qbar, out=out)
+        if self.kind == "none":
+            slope = np.zeros_like(qbar)
+        elif self.kind == "harmonic_well":
+            slope = self.params[0] * qbar
+        else:
+            k, exponent = self.params
+            slope = k * int(exponent) * qbar ** (int(exponent) - 1)
+        if out is None:
+            return slope
+        out[...] = slope
+        return out
 
     def value(self, q):
         """Total potential on q, batched over leading dimensions."""

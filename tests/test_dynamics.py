@@ -502,7 +502,10 @@ class TestAlignedWorkspace:
     aligned workspaces; tests/reference.py keeps the allocating
     kernel and loop, whose records they reproduce bit for bit."""
 
-    WIDTHS = (2, 7, 8, 9, 1000, 1001)
+    # 15, 16, 17 and 33 sit at the edges of the ufunc buffer rule
+    # (_row_buffer): below 16 columns the buffer is left alone, from there
+    # on it is lowered to a multiple of 16 not above the width
+    WIDTHS = (2, 7, 8, 9, 15, 16, 17, 33, 1000, 1001)
 
     @kinds
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -521,21 +524,23 @@ class TestAlignedWorkspace:
     @kinds
     @pytest.mark.parametrize("m_coupling", [0.0, 0.5])
     def test_coincident_pair_matches_oracle(self, model, m_coupling, rng):
-        # one state of nine with q_1 = q_2: removable without M coupling,
-        # the oracle's DegenerateInertia with it
-        ys = packed_batch(rng, model, 3, 9)
-        ys[4] = dynamics.pack_state(ReducedState(
-            np.array([0.2, 0.2, -0.3]), np.array([0.1, -0.2, 0.3]),
-            m_upper=[m_coupling, 0.3, 0.0], n_upper=[0.4, 0.1, 0.0]))
-        got, want = (batch_outcome(integrate, model, WELL, ys, 3, 3)
-                     for integrate in (dynamics.integrate_batch,
-                                       reference.integrate_batch))
-        assert same_outcome(got, want)
-        if m_coupling:
-            assert got == (DegenerateInertia, "coincident deformation "
-                           "invariants with nonzero M coupling")
-        else:
-            assert np.all(np.isfinite(got[1]))
+        # one state of nine, and of 1000 (under a lowered ufunc buffer),
+        # with q_1 = q_2: removable without M coupling, the oracle's
+        # DegenerateInertia with it
+        for width in (9, 1000):
+            ys = packed_batch(rng, model, 3, width)
+            ys[4] = dynamics.pack_state(ReducedState(
+                np.array([0.2, 0.2, -0.3]), np.array([0.1, -0.2, 0.3]),
+                m_upper=[m_coupling, 0.3, 0.0], n_upper=[0.4, 0.1, 0.0]))
+            got, want = (batch_outcome(integrate, model, WELL, ys, 3, 3)
+                         for integrate in (dynamics.integrate_batch,
+                                           reference.integrate_batch))
+            assert same_outcome(got, want), width
+            if m_coupling:
+                assert got == (DegenerateInertia, "coincident deformation "
+                               "invariants with nonzero M coupling")
+            else:
+                assert np.all(np.isfinite(got[1]))
 
     def test_wall_crossing_failure_matches_oracle(self):
         model = MODELS["TrigUn"]
@@ -547,6 +552,67 @@ class TestAlignedWorkspace:
             messages.append(str(info.value))
         assert messages[0] == messages[1] == \
             "RK4 state turned non-finite at t = 3.9025"
+
+    @pytest.mark.parametrize("caller", [8192, 4096])
+    @pytest.mark.parametrize("outcome", ["returns", "StepFailure",
+                                         "DegenerateInertia"])
+    def test_caller_numpy_state_restored(self, caller, outcome, rng):
+        # the steps run with warnings off and a buffer no longer than a
+        # row; the caller's buffer and error handling come back on every
+        # exit
+        model, width = MODELS["TrigUn"], 20
+        y0 = packed_batch(rng, model, 3, width)
+        t_end, error = 0.02, None
+        if outcome == "StepFailure":
+            y0[:] = dynamics.pack_state(WALL_CROSSING)
+            t_end, error = 5.0, StepFailure
+        elif outcome == "DegenerateInertia":
+            y0[4] = dynamics.pack_state(ReducedState(
+                np.array([0.2, 0.2, -0.3]), np.array([0.1, -0.2, 0.3]),
+                m_upper=[0.5, 0.3, 0.0], n_upper=[0.4, 0.1, 0.0]))
+            error = DegenerateInertia
+        with np.errstate(over="raise", divide="warn", invalid="warn"):
+            before = np.setbufsize(caller)
+            try:
+                errors = np.geterr()
+                if error is None:
+                    dynamics.integrate_batch(model, WELL, y0, t_end, 0.0025,
+                                             3)
+                else:
+                    with pytest.raises(error):
+                        dynamics.integrate_batch(model, WELL, y0, t_end,
+                                                 0.0025, 3)
+                assert np.getbufsize() == caller
+                assert np.geterr() == errors
+            finally:
+                np.setbufsize(before)
+
+    @pytest.mark.parametrize("caller, width, inside", [
+        (8192, 1, 8192), (8192, 10, 8192), (8192, 15, 8192), (8192, 16, 16),
+        (8192, 33, 32), (8192, 1000, 992), (4096, 1000, 992),
+        (512, 1000, 512), (8192, 8200, 8192)])
+    def test_ufunc_buffer_lowered_to_a_row(self, caller, width, inside, rng,
+                                           monkeypatch):
+        # only ever lowered, to the largest multiple of 16 not above the
+        # width, and never below 16 columns
+        seen = set()
+        rhs = dynamics.EomKernel.rhs
+
+        def spy(kernel, y, out=None):
+            seen.add(np.getbufsize())
+            return rhs(kernel, y, out)
+
+        monkeypatch.setattr(dynamics.EomKernel, "rhs", spy)
+        model = MODELS["AffAff"]
+        y0 = packed_batch(rng, model, 2, width)
+        with np.errstate():
+            before = np.setbufsize(caller)
+            try:
+                dynamics.integrate_batch(model, GEODETIC, y0, 0.002, 0.001, 2)
+                assert np.getbufsize() == caller
+            finally:
+                np.setbufsize(before)
+        assert seen == ({inside} if width > 1 else set())
 
     @kinds
     @pytest.mark.parametrize("width", [1, 7, 8, 9, 1000, 1001])

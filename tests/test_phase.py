@@ -215,6 +215,22 @@ class TestSpecs:
     def test_box_slope_rejected(self):
         with pytest.raises(DomainError):
             PotentialSpec.box(1.0).dilatational_slope(0.2)
+        with pytest.raises(DomainError):
+            PotentialSpec.box(1.0).dilatational_slope(
+                np.zeros((3, 1000)), out=np.empty((3, 1000)))
+
+    @pytest.mark.parametrize("pot", [
+        PotentialSpec.none(), PotentialSpec.harmonic_well(1.5),
+        PotentialSpec.steep_oscillator(0.7, 4)],
+        ids=["none", "harmonic_well", "steep_oscillator"])
+    def test_slope_into_out(self, pot):
+        qbar = np.random.default_rng(3).uniform(-2.0, 2.0, (3, 1000))
+        out = np.full((3, 1000), np.nan)
+        assert pot.dilatational_slope(qbar, out=out) is out
+        assert np.array_equal(out, pot.dilatational_slope(qbar))
+        # a float in, a float out, as the emitted single-state code needs
+        if not pot.is_trivial:
+            assert type(pot.dilatational_slope(0.3)) is float
 
     def test_steep_oscillator_odd_exponent(self):
         with pytest.raises(ConfigError):
