@@ -31,7 +31,6 @@ faster in a workspace row, and the near-degenerate branch of _pairs,
 whose np.where runs only when a pair denominator is near zero.
 """
 
-import contextlib
 import functools
 import itertools
 import math
@@ -710,23 +709,25 @@ def integrate(model, potential, state0, t_end, control=StepControl()):
 
 
 def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
-    """Fixed-step RK4 over a batch of packed states; records only the
-    endpoints unless record_every is given.  Returns (times, samples) with
-    samples shaped (records,) + y0.shape.  A batch of more than one state
-    is held component-major, (dim, B), in aligned buffers (_aligned_empty)
-    and stepped in place; each RHS call writes its stage into one aligned
+    """Fixed-step RK4 over a batch of packed states, rows of width
+    n(n + 1) (else ShapeMismatch); records only the endpoints unless
+    record_every is given.  Returns (times, samples) with samples shaped
+    (records,) + y0.shape.  A batch of more than one state is held
+    component-major, (dim, B), in aligned buffers (_aligned_empty) and
+    stepped in place; each RHS call writes its stage into one aligned
     (4, dim, B) buffer, and a step ends with one product of the RK4
-    weights with that buffer.  The steps run on numpy's unbuffered loops:
-    its ufunc buffer is lowered to at most a row (_row_buffer), and a
-    force from a one-column q_weights is one multiply, not a matmul
-    (EomKernel._gradients).  One state, (dim,) or (1, dim), steps on
-    Python floats through the kernel's emitted RK4 step instead (_emit),
-    where numpy's per-call cost would outweigh its arithmetic.
+    weights with that buffer.  The steps run on numpy's unbuffered loops
+    (_rk4_batch), and a force from a one-column q_weights is one multiply,
+    not a matmul (EomKernel._gradients).  One state, (dim,) or (1, dim),
+    steps on Python floats through the kernel's emitted RK4 step instead
+    (_emit), where numpy's per-call cost would outweigh its arithmetic.
 
     A state that blows up (a step across a singular wall of the lattice)
     stays non-finite from then on.  numpy's floating-point warnings are
     off during the steps, and the records are checked once, at the end:
     StepFailure names the time of the first non-finite record."""
+    if np.shape(y0)[-1:] != (n * n + n,):
+        raise ShapeMismatch(f"rows of y0 need n(n + 1) = {n * n + n} entries")
     return _rk4(EomKernel(model, potential, n), y0, t_end, step,
                 record_every)
 
@@ -776,12 +777,12 @@ def _rk4_batch(rhs, y0, h, weights, marks):
     one product of the RK4 weights with that block, and z is stepped in
     place, so each record is copied at its mark.
 
-    The steps run with numpy's ufunc buffer (8192 elements by default) no
-    longer than a row (_row_buffer).  With a longer buffer, numpy's
-    iterator copies the broadcast operands of a ufunc, such as the
-    commutator product of _flow, through it in chunks; with one no longer
-    than a row, each contiguous row is the inner loop and nothing is
-    copied.  Elementwise results do not depend on the buffer."""
+    Inside errstate, whose exit restores it (numpy >= 2.0), numpy's ufunc
+    buffer is lowered, never raised, to the largest multiple of 16 (numpy
+    takes no other size) not above B from B = 16 on; below, 16 elements
+    measured slower.  A longer buffer makes numpy copy the broadcast
+    operands of a ufunc, such as _flow's commutator product, through it in
+    chunks; with one no longer than a row, each row is one inner loop."""
     dim = y0.shape[-1]
     width = y0.size // dim
     flat = _aligned_empty((4, dim * width))
@@ -794,7 +795,9 @@ def _rk4_batch(rhs, y0, h, weights, marks):
     records = np.empty((len(marks) + 1, width, dim))
     records[0] = states
     half = 0.5 * h
-    with np.errstate(all="ignore"), _row_buffer(width):
+    with np.errstate(all="ignore"):
+        if 16 <= width - width % 16 < np.getbufsize():
+            np.setbufsize(width - width % 16)
         for record, (start, stop) in enumerate(zip([0, *marks], marks), 1):
             for _ in range(stop - start):
                 rhs(states, k1)
@@ -808,23 +811,6 @@ def _rk4_batch(rhs, y0, h, weights, marks):
                 np.add(z, acc, out=z)
             records[record] = states
     return records
-
-
-@contextlib.contextmanager
-def _row_buffer(width):
-    """numpy's ufunc buffer lowered to the largest multiple of 16 (numpy
-    1.x takes no other size) not above width, from 16 columns on and never
-    raised; the caller's size comes back on every exit, as numpy >= 2.0
-    scopes it to errstate and numpy 1.x does not.  Below 16 columns a
-    16-element buffer measured slower than the default."""
-    rows = width - width % 16
-    caller = np.getbufsize()
-    if 16 <= rows < caller:
-        np.setbufsize(rows)
-    try:
-        yield
-    finally:
-        np.setbufsize(caller)
 
 
 def _rk4_one_state(run, y, marks):

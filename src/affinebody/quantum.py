@@ -9,7 +9,8 @@ over sh^2 and the N-type is (<-S^j + ->S^s) over ch^2.
 
 The Haar-measure weight is absorbed by default through the substitution
 Phi = sqrt(P) Psi, which trades the first-order drift term of the radial
-operator for an amended potential U = (d^2 sqrt(P)) / sqrt(P); the raw
+operator for an amended potential U = (d^2 sqrt(P)) / sqrt(P), a constant
+on every grid (the rho-shift of Olshanetsky and Perelomov, 1983); the raw
 weighted form is kept for cross-validation.
 """
 
@@ -246,29 +247,6 @@ def _grid_nodes(q_min, q_max, points, boundary):
     return q_min + h * np.arange(points), h
 
 
-def _amended_potential_nodes(kind, coords):
-    """U = (sum_a d_a^2 sqrt(P)) / sqrt(P) evaluated per grid node."""
-    npts, n = coords.shape
-    U = np.zeros(npts)
-    for a in range(n):
-        w = np.zeros(npts)
-        wprime = np.zeros(npts)
-        for b in range(n):
-            if b == a:
-                continue
-            if kind == "DAlembert":
-                d = coords[:, a] ** 2 - coords[:, b] ** 2
-                w += 2.0 * coords[:, a] / d
-                wprime += -2.0 * (coords[:, a] ** 2 + coords[:, b] ** 2) \
-                    / d ** 2
-            else:
-                d = coords[:, a] - coords[:, b]
-                w += 1.0 / np.tanh(d)
-                wprime += -1.0 / np.sinh(d) ** 2
-        U += w ** 2 + wprime
-    return U
-
-
 def _block_couplings(problem):
     """Block operators (Bm^2, Bp^2) of the pairs a < b, in the order of
     phase.pair_layout(n), as real dense blocks: the squares of the spin
@@ -355,14 +333,17 @@ def build_reduced_hamiltonian(problem):
     is the flux stencil -c sum_u (1/P) d_u (P d_u) over the axis steps u
     and, on full grids, the step (1, ..., 1) that carries the cQ
     (sum_a d_a)^2 term, with P taken at edge midpoints.  In amended
-    variables P = 1 and the amended potential U is added instead.  The raw
+    variables P = 1 and U = (sum_a d_a^2 sqrt(P)) / sqrt(P) is added
+    instead, one constant per coordinate: +-1 on shear grids, n(n^2 - 1)/3
+    on Haar full grids, 0 otherwise; the step (1, ..., 1) adds none, as the
+    Haar P depends on differences only and d'Alembert has cQ = 0.  The raw
     form takes P = 0 on an edge to a node where P vanishes, a full-grid
     wall or a shear end on x = 0: the flux P d Psi vanishes there with no
     boundary value on Psi.
 
     The operator's floor is the lowest Gershgorin bound of the node blocks
-    (exact for the 1 x 1 blocks of n = 2), plus the lowest c_axis U in
-    amended variables.  The kinetic stencil is positive semidefinite, so
+    (exact for the 1 x 1 blocks of n = 2), plus c_axis U in amended
+    variables.  The kinetic stencil is positive semidefinite, so
     by Weyl's inequality no level lies below it; eigensolve uses it only
     once a Cholesky factor has certified it.
     """
@@ -378,7 +359,6 @@ def build_reduced_hamiltonian(problem):
     idx, lattice = _chamber(pts, dims)
     coords = axis[idx]
     npts = len(idx)
-    amended = problem.use_amended_transform
 
     # per coordinate: the coefficients of the axis steps and of the step
     # (1, ..., 1), the weight P of the lattice coordinates, and U
@@ -395,8 +375,12 @@ def build_reduced_hamiltonian(problem):
     else:
         c_axis, c_diag = hb2 * cL, hb2 * cQ
         weight_at = lebesgue_weight if kind == "DAlembert" else haar_weight
-        if amended:
-            U = _amended_potential_nodes(kind, coords)
+        # Haar: sqrt(P) = prod_{a<b} sh q_ab, U = sum_a (sum_{b!=a} coth
+        # q_ab)^2 - sum_{a!=b} sh^-2 q_ab = n(n - 1) (as coth^2 - sh^-2 = 1)
+        # + 2 C(n, 3) (coth u coth v + coth v coth w + coth w coth u = -1
+        # if u + v + w = 0).  d'Alembert: sqrt(P) = prod_{a<b} (Q_a^2 -
+        # Q_b^2), the product of the positive roots of D_n, is harmonic
+        U = 0.0 if kind == "DAlembert" else n * (n * n - 1) / 3.0
     blocks = _node_blocks(problem, coords * [0.5, -0.5]
                           if coordinate == "shear" else coords)
     # a box acts through the walls of a dilatation grid, and through
@@ -404,14 +388,13 @@ def build_reduced_hamiltonian(problem):
     if narrow or np.isinf(blocks).any():
         raise ConfigError("box potential narrower than the grid; "
                           "set the grid to the box width")
-    raw = weight_at is not None and not amended
+    raw = weight_at is not None and not problem.use_amended_transform
     weight = weight_at(coords) if raw else None
     if raw and np.any(weight <= 0.0):
         raise SingularWeight("weight vanishes on a grid node")
     centre = np.diagonal(blocks, axis1=1, axis2=2)
     radius = np.sum(np.abs(blocks), axis=2) - np.abs(centre)
-    floor = float(np.min(centre - radius)
-                  + (0.0 if raw else np.min(c_axis * U)))
+    floor = float(np.min(centre - radius) + (0.0 if raw else c_axis * U))
 
     # symmetric form: diag(P) H for the raw weighted form, H itself
     # otherwise; each edge is stored from its lower node, at both ends
@@ -584,10 +567,7 @@ def eigensolve(operator, count):
         if np.any(weight <= 0.0):
             raise SingularWeight("weight must be positive for eigensolution")
         rw = np.sqrt(weight)
-        if sp.issparse(mat):
-            mat = sp.diags_array(rw) @ mat @ sp.diags_array(1.0 / rw)
-        else:
-            mat = rw[:, None] * mat / rw[None, :]
+        mat = sp.diags_array(rw) @ mat @ sp.diags_array(1.0 / rw)
 
     sparse = sp.issparse(mat)
     if sparse:

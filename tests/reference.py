@@ -17,7 +17,9 @@ operator is assembled
 here the way the library once did, on the whole points^n box with
 Kronecker products, keeping every off-wall node of all n! Weyl chambers;
 the weighted inner product is a trapezoid-rule coding of the norm that
-`quantum.eigensolve` takes by node sums.  The squared norms of rho and tau,
+`quantum.eigensolve` takes by node sums, and its amended potential is
+summed term by term at every node (amended_potential), where the library
+takes the constant it sums to.  The squared norms of rho and tau,
 with their gradients, are the conserved quantities of the metric-restricted
 kinds, and beta is the pbar coefficient of the free-streaming velocity.
 random_configuration is the one-matrix-at-a-time draw that
@@ -402,6 +404,32 @@ def reconstruct_attitudes(model, trajectory, L0, R0):
                       control=trajectory.control, attitudes=attitudes)
 
 
+def amended_potential(kind, coords):
+    """U = (sum_a d_a^2 sqrt(P)) / sqrt(P) at the nodes coords (npts, n),
+    summed term by term: with w_a = d_a log sqrt(P), U = sum_a (w_a^2 +
+    d_a w_a).  The sums cancel to the constant that
+    `quantum.build_reduced_hamiltonian` takes in closed form."""
+    npts, n = coords.shape
+    U = np.zeros(npts)
+    for a in range(n):
+        w = np.zeros(npts)
+        wprime = np.zeros(npts)
+        for b in range(n):
+            if b == a:
+                continue
+            if kind == "DAlembert":
+                d = coords[:, a] ** 2 - coords[:, b] ** 2
+                w += 2.0 * coords[:, a] / d
+                wprime += -2.0 * (coords[:, a] ** 2 + coords[:, b] ** 2) \
+                    / d ** 2
+            else:
+                d = coords[:, a] - coords[:, b]
+                w += 1.0 / np.tanh(d)
+                wprime += -1.0 / np.sinh(d) ** 2
+        U += w ** 2 + wprime
+    return U
+
+
 def full_grid_all_chambers(problem):
     """The full-grid operator on every off-wall node of the points^n
     lattice: the box operator with the wall nodes q_a = q_b dropped.
@@ -470,7 +498,7 @@ def full_grid_all_chambers(problem):
         node_op = node_op + hb2 * cQ * flux(np.ones(n, dtype=int), diagonal)
     if amended:
         node_op = node_op + sp.diags(
-            hb2 * cL * quantum._amended_potential_nodes(kind, coords))
+            hb2 * cL * amended_potential(kind, coords))
         weight = None
     else:
         weight = weight_at(coords)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from affinebody import checks, dynamics, kinematics, phase, poisson
 from affinebody.dynamics import StepControl
 from affinebody.errors import (ConfigError, DegenerateInertia, DomainError,
-                               StepFailure)
+                               ShapeMismatch, StepFailure)
 from affinebody.phase import ModelSpec, PotentialSpec, ReducedState
 
 import reference
@@ -461,6 +461,15 @@ class TestRk4Driver:
         assert messages[0] == messages[1] == \
             "RK4 state turned non-finite at t = 3.9025"
 
+    @pytest.mark.parametrize("n, shape", [
+        (3, (6,)), (3, (5, 6)), (2, (12,)), (2, (5, 12)), (3, (5, 13))])
+    def test_wrong_width_rejected(self, n, shape):
+        # a packed state has n(n + 1) components; a row of another width
+        # is named as such, for one state and for a batch alike
+        with pytest.raises(ShapeMismatch, match=rf"= {n * (n + 1)} entries"):
+            dynamics.integrate_batch(MODELS["AffAff"], WELL,
+                                     np.full(shape, 0.1), 0.01, 0.001, n)
+
     def test_endpoint_memory_flat_in_steps(self, rng):
         # an endpoints-only run keeps two records however many steps it takes
         import tracemalloc
@@ -502,8 +511,8 @@ class TestAlignedWorkspace:
     aligned workspaces; tests/reference.py keeps the allocating
     kernel and loop, whose records they reproduce bit for bit."""
 
-    # 15, 16, 17 and 33 sit at the edges of the ufunc buffer rule
-    # (_row_buffer): below 16 columns the buffer is left alone, from there
+    # 15, 16, 17 and 33 sit at the edges of the ufunc buffer rule of
+    # _rk4_batch: below 16 columns the buffer is left alone, from there
     # on it is lowered to a multiple of 16 not above the width
     WIDTHS = (2, 7, 8, 9, 15, 16, 17, 33, 1000, 1001)
 

@@ -522,6 +522,20 @@ class TestFullGrid:
             assert np.allclose(op.weight, ref.weight[rows], rtol=1e-12,
                                atol=0.0)
 
+    @pytest.mark.parametrize("kind", ["AffAff", "DAlembert"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_amended_potential_is_constant(self, kind, n, rng):
+        # the amended potential, summed term by term, is the constant
+        # n(n^2 - 1)/3 of the Haar weight, and 0 of the harmonic d'Alembert
+        # one, on chamber nodes whose gaps are all at least 0.05; the
+        # chamber tests check the library's closed form against this sum
+        start = 0.1 if kind == "DAlembert" else -2.0
+        gaps = 0.05 + rng.exponential(0.5, size=(500, n))
+        coords = start + np.cumsum(gaps, axis=1)
+        U = reference.amended_potential(kind, coords)
+        exact = 0.0 if kind == "DAlembert" else n * (n * n - 1) / 3.0
+        assert np.allclose(U, exact, rtol=0.0, atol=1e-9)
+
     @pytest.mark.parametrize("n, grids, oracle", [
         (2, (31, 63, 127), [2.5421, 4.0843, 5.0095, 6.2432]),
         (3, (16, 33), [8.3180, 10.4769])])
