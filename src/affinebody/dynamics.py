@@ -66,8 +66,10 @@ class StepControl:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown integrator {self.method!r}")
-        if self.step <= 0 or self.record_every < 1:
+        if not (self.step > 0 and self.record_every >= 1):
             raise ConfigError("step must be positive, record_every >= 1")
+        if not all(0 <= tol < math.inf for tol in (self.rtol, self.atol)):
+            raise ConfigError("rtol and atol must be finite and >= 0")
 
 
 def pack_state(state):
@@ -646,8 +648,8 @@ _DP_E = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 
 def integrate(model, potential, state0, t_end, control=StepControl()):
     """Integrate the reduced equations of motion up to t_end."""
-    if t_end <= 0:
-        raise ConfigError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ConfigError("t_end must be positive and finite")
     if potential.kind == "box":
         raise DomainError("box potential walls are not integrable; "
                           "use a steep oscillator classically")
@@ -728,6 +730,8 @@ def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
     StepFailure names the time of the first non-finite record."""
     if np.shape(y0)[-1:] != (n * n + n,):
         raise ShapeMismatch(f"rows of y0 need n(n + 1) = {n * n + n} entries")
+    if record_every is not None and not record_every >= 1:
+        raise ConfigError("record_every must be >= 1")
     return _rk4(EomKernel(model, potential, n), y0, t_end, step,
                 record_every)
 
@@ -852,31 +856,34 @@ def _polar_factors(mats):
     return mats - 0.5 * (mats @ E)
 
 
+# (row, step) pairs of stage generators that reconstruct_attitudes holds
+_ATTITUDE_BUDGET = 256
+
+
 def reconstruct_attitudes(model, trajectory, L0, R0):
     """Propagate the attitude pair along a trajectory.
 
     The co-moving angular velocities chi = L^T dL/dt = G_M - G_N and
     theta = R^T dR/dt = G_M + G_N drive dL/dt = L chi, dR/dt = R theta
     (checked against exact exponential geodesics, where rebuilding
-    L exp(q) R^T recovers exp(Omega t) phi0).  These equations are linear
-    in L and R, and chi, theta depend on the reduced state alone, so over
-    the recorded interval [t_k, t_k+1] the flow is a right multiplication,
-    (L, R)_k+1 = (L, R)_k (U_k, V_k), by propagators that start at the
-    identity (Magnus, 1954).  The propagators of all intervals are
-    integrated at once, as one batch: row k starts from the recorded state
-    samples[k] with U = V = I and takes record_every RK4 steps of its own
-    interval's (t_k+1 - t_k) / record_every, jointly with the reduced
-    state so that chi and theta are known at the interior stages.
+    L exp(q) R^T recovers exp(Omega t) phi0).  This flow is linear in L
+    and R, with generators X = (chi, theta) from the reduced state alone,
+    so one RK4 step is U -> U P, by the propagator (Magnus, 1954; Iserles
+    et al., 2000) P = I + h (A1 + 2 A2 + 2 A3 + A4) / 6 of the stage
+    generators Xj, with A1 = X1, A2 = (I + h A1 / 2) X2,
+    A3 = (I + h A2 / 2) X3, A4 = (I + h A3) X4.  All recorded intervals
+    [t_k, t_k+1] step at once, one row each: row k restarts from
+    samples[k] and takes record_every RK4 steps of its own length.  Only
+    the reduced state is integrated; the generators of _ATTITUDE_BUDGET
+    (row, step) pairs at a time become propagators in one batch.
 
-    After every step each propagator A is replaced by its polar factor,
-    taken by one Newton-Schulz step (_polar_factors), and a step that
-    leaves the rotation group by |A^T A - I|_F / 2 > ORTHOGONALITY_TOL
+    Each P is replaced by its polar factor, by one Newton-Schulz step
+    (_polar_factors), and a P with |P^T P - I|_F / 2 > ORTHOGONALITY_TOL
     raises StepFailure, as do seeds that are not rotations.  For a
-    rotation Q, polar(Q A) = Q polar(A), and (Q A)^T Q A = A^T A, so this
-    is the step-by-step re-projection of L and R themselves, with the same
-    drift values, up to round-off.  The chained products (L, R)_k are
-    projected once more, in one batched step, so that the round-off of
-    the chain does not pile up in their orthogonality over many records.
+    rotation U, polar(U P) = U polar(P) and (U P)^T U P = P^T P: this is
+    the step-by-step re-projection of L and R themselves, up to round-off.
+    The products, chained along each row and onto the seeds, are projected
+    once more, so that the chain's round-off does not pile up.
     """
     n = trajectory.n
     L0 = np.asarray(L0, dtype=float)
@@ -887,48 +894,42 @@ def reconstruct_attitudes(model, trajectory, L0, R0):
     chain[0] = L0, R0
     # the propagators never see the seeds: test them here
     _polar_factors(chain[0])
+    det = np.linalg.det(chain[0]).min()
+    if not det > 0:
+        raise StepFailure(f"attitude seed of determinant {det:g} is not "
+                          "a rotation")
     kernel = EomKernel(trajectory.model, trajectory.potential, n)
-    layout = kernel.layout
-    k, nn = layout.count, n * n
-    times = trajectory.times
-    rows = len(times) - 1
-    dim = trajectory.samples.shape[-1]
-    # joint states, component-major: the reduced state over the entries
-    # of U and V; props is the (rows, 2, n, n) view of U, V
-    z = np.empty((dim + 2 * nn, rows))
-    z[:dim] = trajectory.samples[:-1].T
-    props = z[dim:].T.reshape(rows, 2, n, n)
-    props[:] = np.eye(n)
+    k = kernel.layout.count
+    rows = len(chain) - 1
+    z = trajectory.samples[:-1].T.copy()    # component-major
     stages = np.empty((4,) + z.shape)
     k1, k2, k3, k4 = stages
-    flat = stages.reshape(4, -1)
-    # (chi, theta) upper and lower entries from (upper(G_M), upper(G_N)),
-    # and their flat positions in the (2, n, n) generator stack
-    mix = np.kron([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]],
-                  np.eye(k))
-    entries = np.concatenate([layout.upper_flat, layout.lower_flat])
-    entries = np.concatenate([entries, nn + entries])
-    generators = np.zeros((rows, 2 * nn))
-
-    def joint_rhs(zs, out):
-        _, g = kernel._flow(zs[:dim], out[:dim])
-        generators[:, entries] = (mix @ g).T
-        np.matmul(zs[dim:].T.reshape(rows, 2, n, n),
-                  generators.reshape(rows, 2, n, n),
-                  out=out[dim:].T.reshape(rows, 2, n, n))
-
     substeps = max(1, trajectory.control.record_every)
-    h = np.diff(times) / substeps
+    h = np.diff(trajectory.times) / substeps
     half = 0.5 * h
-    for _ in range(substeps):
-        joint_rhs(z, k1)
-        joint_rhs(z + half * k1, k2)
-        joint_rhs(z + half * k2, k3)
-        joint_rhs(z + h * k3, k4)
-        z += h * (_RK4_B @ flat).reshape(z.shape)
-        props[:] = _polar_factors(props)
-    for i, step in enumerate(props):
-        np.matmul(chain[i], step, out=chain[i + 1])
+    hs = h[:, None, None, None]
+    props = np.eye(n)
+    block = max(1, _ATTITUDE_BUDGET // max(rows, 1))
+    for start in range(0, substeps, block):
+        # the stage gradients (upper(G_M), upper(G_N)) of each step and row
+        g = np.empty((min(block, substeps - start), 4, rows, 2 * k))
+        for gs in g:
+            gs[0] = kernel._flow(z, k1)[1].T
+            gs[1] = kernel._flow(z + half * k1, k2)[1].T
+            gs[2] = kernel._flow(z + half * k2, k3)[1].T
+            gs[3] = kernel._flow(z + h * k3, k4)[1].T
+            z += h * (_RK4_B @ stages.reshape(4, -1)).reshape(z.shape)
+        X1, X2, X3, X4 = kernel.layout.skew(np.stack(
+            [g[..., :k] - g[..., k:], g[..., :k] + g[..., k:]],
+            axis=-2)).swapaxes(0, 1)
+        A2 = X2 + (0.5 * hs * X1) @ X2
+        A3 = X3 + (0.5 * hs * A2) @ X3
+        A4 = X4 + (hs * A3) @ X4
+        for P in _polar_factors(np.eye(n) + hs / 6.0 * (
+                X1 + 2.0 * A2 + 2.0 * A3 + A4)):
+            props = props @ P
+    for i, P in enumerate(props):
+        np.matmul(chain[i], P, out=chain[i + 1])
     chain[1:] = _polar_factors(chain[1:])
     return replace(trajectory, attitudes=[(L, R) for L, R in chain])
 

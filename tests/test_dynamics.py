@@ -470,6 +470,17 @@ class TestRk4Driver:
             dynamics.integrate_batch(MODELS["AffAff"], WELL,
                                      np.full(shape, 0.1), 0.01, 0.001, n)
 
+    @pytest.mark.parametrize("record_every", [0, -3])
+    def test_record_every_below_one_rejected(self, record_every, rng):
+        # 0 once read as None, endpoints only, and a negative value gave
+        # endpoint records short of t_end
+        model = MODELS["AffAff"]
+        for y0 in (packed_batch(rng, model, 2, 1)[0],
+                   packed_batch(rng, model, 2, 4)):
+            with pytest.raises(ConfigError):
+                dynamics.integrate_batch(model, WELL, y0, 0.01, 0.001, 2,
+                                         record_every=record_every)
+
     def test_endpoint_memory_flat_in_steps(self, rng):
         # an endpoints-only run keeps two records however many steps it takes
         import tracemalloc
@@ -1159,6 +1170,26 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             dynamics.integrate(model, PotentialSpec.box(1.0), st_, 1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("step", math.nan), ("step", 0.0), ("step", -1e-3),
+        ("rtol", -1.0), ("rtol", math.nan), ("rtol", math.inf),
+        ("atol", -1.0), ("atol", math.nan), ("atol", math.inf)])
+    def test_step_control_rejected(self, field, value):
+        # RK45 looped forever on a nan step, and a negative tolerance made
+        # its step factor complex
+        with pytest.raises(ConfigError):
+            StepControl(method="rk45", **{field: value})
+
+    @pytest.mark.parametrize("method", dynamics.METHODS)
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_non_finite_t_end_rejected(self, method, t_end):
+        # RK45 once returned the one sample at t = 0
+        model = ModelSpec(kind="AffAff", A=1.0, B=0.0)
+        st_ = ReducedState(np.array([0.4, -0.4]), np.zeros(2))
+        with pytest.raises(ConfigError):
+            dynamics.integrate(model, GEODETIC, st_, t_end,
+                               StepControl(method=method))
+
     def test_csv_roundtrip(self, tmp_path):
         from affinebody import io
         model = ModelSpec(kind="AffAff", A=1.3, B=0.4)
@@ -1363,27 +1394,83 @@ def attitude_error(traj, phi0, Omega):
     return worst
 
 
-class TestParallelAttitudes:
-    """reconstruct_attitudes integrates the propagators of all recorded
-    intervals at once; tests/reference.py keeps the sequential form."""
+def attitude_case(rng, model, n, record_every):
+    """A well trajectory of 500 RK4 steps and rotation seeds for it."""
+    st_ = dynamics.unpack_state(packed_batch(rng, model, n, 1)[0], n)
+    traj = dynamics.integrate(model, WELL, st_, 0.5,
+                              StepControl(step=1e-3,
+                                          record_every=record_every))
+    L0 = kinematics.two_polar(np.eye(n) + 0.4 * rng.standard_normal(
+        (n, n))).L
+    R0 = np.eye(n)[::-1] * np.r_[-1.0, np.ones(n - 1)][:, None]
+    R0 *= np.linalg.det(R0)    # a rotation at every n
+    return traj, L0, R0
 
-    @sizes
+
+def assert_sequential(model, traj, L0, R0):
+    """reconstruct_attitudes within 1e-12 of the sequential reference."""
+    got = dynamics.reconstruct_attitudes(model, traj, L0, R0)
+    want = reference.reconstruct_attitudes(model, traj, L0, R0)
+    assert len(got.attitudes) == len(want.attitudes) == len(traj.times)
+    for (L, R), (Lw, Rw) in zip(got.attitudes, want.attitudes):
+        assert np.max(np.abs(L - Lw)) <= 1e-12, model.kind
+        assert np.max(np.abs(R - Rw)) <= 1e-12, model.kind
+
+
+class TestParallelAttitudes:
+    """reconstruct_attitudes steps the reduced state of all recorded
+    intervals at once and moves the attitudes by closed-form RK4 step
+    propagators; tests/reference.py keeps the sequential joint RK4."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("record_every", [1, 7, 100])
     def test_matches_sequential(self, n, record_every, rng):
+        # every kind in one case, so that each (record_every, n) keeps
+        # its test
+        for model in ALL_KINDS:
+            assert_sequential(model,
+                              *attitude_case(rng, model, n, record_every))
+
+    @pytest.mark.parametrize("record_every", [7, 100])
+    def test_short_last_block(self, record_every, monkeypatch, rng):
+        # a budget of three steps a block, the last one short: 7 = 3 + 3 +
+        # 1 and 100 = 33 x 3 + 1 steps
+        model = MODELS["MetrAff"]
+        traj, L0, R0 = attitude_case(rng, model, 3, record_every)
+        rows = len(traj.times) - 1
+        monkeypatch.setattr(dynamics, "_ATTITUDE_BUDGET", 3 * rows + 2)
+        polar = dynamics._polar_factors
+        blocks = []
+
+        def recording(mats):
+            blocks.append(mats.shape)
+            return polar(mats)
+
+        monkeypatch.setattr(dynamics, "_polar_factors", recording)
+        assert_sequential(model, traj, L0, R0)
+        # the seeds, the blocks of propagators, the chain
+        assert blocks[0] == (2, 3, 3) and blocks[-1] == (rows, 2, 3, 3)
+        assert [shape[0] for shape in blocks[1:-1]] == \
+            [3] * (record_every // 3) + [1]
+        assert all(shape[1:] == (rows, 2, 3, 3) for shape in blocks[1:-1])
+
+    def test_memory_bounded(self, rng):
+        # 20 rows of 1,000 steps: the stage generators of the whole run
+        # would take 34 MiB, those of one block take well under 1 MiB
+        import tracemalloc
         model = MODELS["AffAff"]
-        st_ = dynamics.unpack_state(packed_batch(rng, model, n, 1)[0], n)
-        traj = dynamics.integrate(model, WELL, st_, 0.5,
-                                  StepControl(step=1e-3,
-                                              record_every=record_every))
-        L0 = kinematics.two_polar(np.eye(n) + 0.4 * rng.standard_normal(
-            (n, n))).L
-        R0 = np.eye(n)[::-1] * np.r_[-1.0, np.ones(n - 1)][:, None]
-        got = dynamics.reconstruct_attitudes(model, traj, L0, R0)
-        want = reference.reconstruct_attitudes(model, traj, L0, R0)
-        assert len(got.attitudes) == len(want.attitudes) == len(traj.times)
-        for (L, R), (Lw, Rw) in zip(got.attitudes, want.attitudes):
-            assert np.max(np.abs(L - Lw)) <= 1e-12
-            assert np.max(np.abs(R - Rw)) <= 1e-12
+        st_ = dynamics.unpack_state(packed_batch(rng, model, 3, 1)[0], 3)
+        traj = dynamics.integrate(model, WELL, st_, 20.0,
+                                  StepControl(step=1e-3, record_every=1000))
+        assert len(traj.times) == 21
+        dynamics.reconstruct_attitudes(model, traj, np.eye(3), np.eye(3))
+        tracemalloc.start()
+        try:
+            dynamics.reconstruct_attitudes(model, traj, np.eye(3), np.eye(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
 
     @staticmethod
     def adaptive_geodesic(rng, max_step):
@@ -1465,6 +1552,20 @@ class TestParallelAttitudes:
         with pytest.raises(StepFailure):
             dynamics.reconstruct_attitudes(model, traj, 1.01 * np.eye(2),
                                            np.eye(2))
+
+    @sizes
+    @pytest.mark.parametrize("side", ["L", "R"])
+    def test_reflection_seeds_raise(self, n, side, rng):
+        # orthogonal with det = -1 passes the orthogonality test, but is
+        # no rotation: two_polar keeps L and R in SO(n)
+        model = MODELS["AffAff"]
+        st_ = dynamics.unpack_state(packed_batch(rng, model, n, 1)[0], n)
+        traj = dynamics.integrate(model, WELL, st_, 0.1,
+                                  StepControl(step=1e-2))
+        flip = np.diag(np.r_[np.ones(n - 1), -1.0])
+        seeds = (flip, np.eye(n)) if side == "L" else (np.eye(n), flip)
+        with pytest.raises(StepFailure, match="determinant -1 "):
+            dynamics.reconstruct_attitudes(model, traj, *seeds)
 
 
 class TestGeodesics:
