@@ -131,9 +131,10 @@ def _emit(form, n, sloped, coupled, function):
     f(y5) and the error estimate h max|_DP_E @ K|, the stages written from
     the literals of _DP_A, _DP_B5 and _DP_E.  Its last stage is f(y5), as
     _DP_A[6] is _DP_B5: the next attempt's k after an accept (FSAL).
-    A pair denominator below lim (lim (Q_a + Q_b) for DAlembert; the
-    cosines too for TrigUn) sends the stage to fallback, the batch kernel
-    on that one state."""
+    A stage with a pair denominator below lim = DEGENERACY_TOL (below
+    lim (Q_a + Q_b) for DAlembert; the cosines too for TrigUn), twice the
+    width of _pairs' rule, goes to fallback, the batch kernel on that one
+    state, whose _pairs decides."""
     k = n * (n - 1) // 2
     pairs = list(zip(*(i.tolist() for i in phase.pair_layout(n).iu)))
     exp = form == "exp"
@@ -317,16 +318,17 @@ class EomKernel:
         cL, cQ, cM, cN, c_rho, c_tau = model.kinetic_constants(n)
         # dH/du = coef u / d^2 for u = (M, N) upper components
         self.coef = 2.0 * np.repeat([cM, cN], k)[:, None]
+        # half the pair differences, on which _pairs tests for a wall, and
+        # qbar in the last row
+        self.pair_map = np.vstack([0.5 * inc, np.full((1, n), 1.0 / n)])
         if self.kind == "DAlembert":
             # pair denominators (Q_a - Q_b, Q_a + Q_b) with Q = exp(q)
-            self.pair_map = np.concatenate([inc, np.abs(inc)])
-            self.q_weights = self.pair_map.T / (2.0 * cM)
+            self.Q_map = np.concatenate([inc, np.abs(inc)])
+            self.q_weights = self.Q_map.T / (2.0 * cM)
             self.momentum = 2.0 * cL
             return
         trig = self.kind == "TrigUn"
-        # half the pair differences, whose sm and cm are the pair
-        # denominators, and qbar in the last row
-        self.pair_map = np.vstack([0.5 * inc, np.full((1, n), 1.0 / n)])
+        # the sm and cm of the half differences are the pair denominators
         self.sm, self.cm = (np.sin, np.cos) if trig else (np.sinh, np.cosh)
         # -dH/dq from the M and N terms alike, as cN = -cM (cN = cM for
         # the trigonometric sm, cm) makes both pull with weight 1/(4 cM)
@@ -359,29 +361,22 @@ class EomKernel:
         """Pair denominators d (2k, B) and the weights coef/d^2 with which
         u enters dH/du, the removable terms of vanishing coupling set to
         zero, written into the workspace ws.  x is Q = exp(q), (n, B), for
-        DAlembert and half the pair differences, (k, B), otherwise."""
+        DAlembert and the half differences ws.h_pairs, (k, B), otherwise.
+        A pair is near where |q_a - q_b| < DEGENERACY_TOL, read on
+        ws.h_pairs; for TrigUn, whose sin and cos both vanish, where
+        either denominator is below half that."""
         k = self.layout.count
-        tol = phase.DEGENERACY_TOL
         d = ws.d
         if self.kind == "DAlembert":
-            np.matmul(self.pair_map, x, out=d)
-            # Q_a + Q_b >= max(Q_a, Q_b): a screen for the exact test below
-            np.multiply(tol, ws.d_hi, out=ws.limit)
-            near = np.less(np.abs(ws.d_lo, out=ws.magnitude), ws.limit,
-                           out=ws.near)
+            np.matmul(self.Q_map, x, out=d)
         else:
             self.sm(x, out=ws.d_lo)
             self.cm(x, out=ws.d_hi)
-            # sinh(h) == h below 2^-28, so for the hyperbolic kinds this is
-            # exactly |q_a - q_b| < tol; cosh never triggers it
-            near = np.less(np.abs(ws.screened, out=ws.magnitude), 0.5 * tol,
-                           out=ws.near)
+        near = np.less(np.abs(ws.screened, out=ws.magnitude),
+                       0.5 * phase.DEGENERACY_TOL, out=ws.near)
         if not np.count_nonzero(near):
             weights = np.multiply(d, d, out=ws.weights)
             return d, np.divide(self.coef, weights, out=weights)
-        if self.kind == "DAlembert":
-            ia, ib = self.layout.iu
-            near = np.abs(d[:k]) < tol * np.maximum(x[ia], x[ib])
         if len(near) == k:
             near = np.concatenate([near, np.zeros_like(near)])
         # an antipodal N coupling is named before a coincident M one
@@ -399,6 +394,7 @@ class EomKernel:
         dHdp and force, (n, B) like q and p, and returns dH/du, (2k, B)
         like u, the workspace's g."""
         g, v = ws.g, ws.v
+        np.matmul(self.pair_map, q, out=ws.h)
         if self.kind == "DAlembert":
             Q = np.exp(q, out=ws.Q)
             d, weights = self._pairs(Q, u, ws)
@@ -411,9 +407,8 @@ class EomKernel:
             np.multiply(ws.pull, Q, out=force)
             np.add(force, np.multiply(p, dHdp, out=ws.pull), out=force)
             if self.slope is not None:
-                force -= self.slope(q.sum(axis=0) / self.n) / self.n
+                force -= self.slope(ws.qbar) / self.n
             return g
-        np.matmul(self.pair_map, q, out=ws.h)
         d, weights = self._pairs(ws.h_pairs, u, ws)
         np.multiply(u, weights, out=g)
         np.multiply(g, g, out=v)
@@ -486,8 +481,7 @@ class EomKernel:
             # the coupling Hessian has nonzeros only at (i, i) and (i, i -+ k)
             own = coupling.diagonal().tolist()
             cross = np.roll(coupling, self.layout.count, 1).diagonal().tolist()
-        dalembert = self.kind == "DAlembert"
-        form = "exp" if dalembert else \
+        form = "exp" if self.kind == "DAlembert" else \
             "sin" if self.kind == "TrigUn" else "sinh"
 
         def fallback(y):
@@ -499,8 +493,7 @@ class EomKernel:
         return bind(self.coef.ravel().tolist(),
                     self.q_weights.ravel().tolist(),
                     np.ravel(self.momentum).tolist(), own, cross, self.slope,
-                    phase.DEGENERACY_TOL * (1.0 if dalembert else 0.5),
-                    fallback)
+                    phase.DEGENERACY_TOL, fallback)
 
     def energies(self, ys):
         """Energy H and quadratic Casimir C2 of packed states (..., dim)."""
@@ -516,11 +509,11 @@ class EomKernel:
             + self.potential.dilatational_value(q.mean(axis=0))
         # the coupling part of C2 is u.dH/du of the hyperbolic lattice
         # with A = 1, whatever the model kind.  The shared lattice keeps no
-        # workspace: its pairs go through this kernel's, whose pair rows
-        # (and a screen that may take in the cosh rows too) fit it at the
-        # same n, and whose g has been read
-        lattice = _casimir_kernel(n)
-        _, weights = lattice._pairs(lattice.pair_map[:-1] @ q, u, ws)
+        # workspace: its pairs go through this kernel's, whose half
+        # differences of q it reads, whose pair rows (and a screen that may
+        # take in the cosh rows too) fit it at the same n, and whose g has
+        # been read
+        _, weights = _casimir_kernel(n)._pairs(ws.h_pairs, u, ws)
         dp = self.layout.incidence @ p
         casimir = np.sum(dp * dp, axis=0) / n \
             + np.sum(u * u * weights, axis=0)
@@ -546,20 +539,21 @@ class _Workspace:
     """The buffers of one batch width B into which EomKernel writes every
     elementwise result of _pairs, _gradients and _flow, as the (count, B)
     rows of one aligned block (_aligned_empty), and the views of them each
-    call uses, built here once."""
+    call uses, built here once.  Every kind has the half differences
+    h_pairs, on which _pairs screens (bar TrigUn), and qbar."""
 
     def __init__(self, kernel, width):
         n, k = kernel.n, kernel.layout.count
-        # the screen of _pairs: |sm| over all 2k pairs for TrigUn, whose
-        # cosine vanishes at antipodal pairs, over the first k otherwise
-        screened = 2 * k if kernel.kind == "TrigUn" else k
+        # the screen of _pairs: all 2k rows of d for TrigUn, whose cosine
+        # vanishes at antipodal pairs, the k half differences otherwise
+        trig = kernel.kind == "TrigUn"
         counts = dict(d=2 * k, weights=2 * k, g=2 * k, v=2 * k,
-                      magnitude=screened)
+                      magnitude=k + k * trig, h=k + 1)
         if kernel.kind == "DAlembert":
-            counts.update(limit=k, Q=n, QQ=n, pull=n)
+            counts.update(Q=n, QQ=n, pull=n)
         else:
-            counts.update(h=k + 1, pulls=k + (kernel.slope is not None),
-                          dd=k, cu=2 * k * (kernel.coupling is not None))
+            counts.update(pulls=k + (kernel.slope is not None), dd=k,
+                          cu=2 * k * (kernel.coupling is not None))
         # the g_j taken for the u_i g_j of the (2, k, 2T) commutator terms,
         # and the terms as (4kT, B) rows for the product with the signs
         pairs = kernel.partners.size // max(k, 1)
@@ -569,11 +563,11 @@ class _Workspace:
         for (name, count), end in zip(counts.items(), ends):
             setattr(self, name, block[end - count:end])
         self.d_lo, self.d_hi = self.d[:k], self.d[k:]
-        self.screened = self.d[:screened]
+        self.h_pairs, self.qbar = self.h[:k], self.h[k:]
+        self.screened = self.d if trig else self.h_pairs
         self.near = np.empty(self.magnitude.shape, dtype=bool)
         self.v_lo, self.v_hi = self.v[:k], self.v[k:]
         if kernel.kind != "DAlembert":
-            self.h_pairs, self.qbar = self.h[:k], self.h[k:]
             self.pulls_pairs, self.pulls_slope = self.pulls[:k], self.pulls[k:]
         self.u_shape = (2, k, 1, width)
         self.taken_terms = self.taken.reshape(k, pairs, width)
@@ -603,7 +597,7 @@ class Trajectory:
     energy: np.ndarray
     casimir: np.ndarray
     control: StepControl
-    attitudes: list | None = None
+    attitudes: np.ndarray | None = None   # (len, 2, n, n): L, R
 
     def state(self, k):
         return unpack_state(self.samples[k], self.n)
@@ -931,7 +925,7 @@ def reconstruct_attitudes(model, trajectory, L0, R0):
     for i, P in enumerate(props):
         np.matmul(chain[i], P, out=chain[i + 1])
     chain[1:] = _polar_factors(chain[1:])
-    return replace(trajectory, attitudes=[(L, R) for L, R in chain])
+    return replace(trajectory, attitudes=chain)
 
 
 def geodesic_exponential(phi0, Omega, t):

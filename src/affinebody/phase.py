@@ -378,8 +378,7 @@ def _pair_denominators(kind, q, M, N):
         Q = np.exp(q)
         dm = Q[..., :, None] - Q[..., None, :]
         dn = Q[..., :, None] + Q[..., None, :]
-        singular = off & (np.abs(dm) < DEGENERACY_TOL
-                          * np.maximum(Q[..., :, None], Q[..., None, :]))
+        singular = off & (np.abs(x) < DEGENERACY_TOL)
         inv_n = 1.0 / dn ** 2
         sign_n = 1.0
     elif kind == "TrigUn":

@@ -8,9 +8,11 @@ energy.  The textbook RK4 step and the sequential attitude propagation are
 the step-by-step forms of `dynamics.integrate_batch` and
 `dynamics.reconstruct_attitudes`, and the Dormand-Prince stage loop on
 the numpy kernel, with its step-size controller, is the adaptive form of
-`dynamics.integrate`.  AllocatingKernel and integrate_batch are the batch
-kernel and RK4 loop as they were before `dynamics` wrote its elementwise
-results into aligned workspaces: every result a fresh numpy temporary.
+`dynamics.integrate`; dopri_floats is its attempt in the emitted code's
+order of operations, on Python floats.  AllocatingKernel and
+integrate_batch are the batch kernel and RK4 loop as they were before
+`dynamics` wrote its elementwise results into aligned workspaces: every
+result a fresh numpy temporary.
 The same operations in the same order, they are the bit-for-bit oracle of
 `dynamics.integrate_batch` and `EomKernel.energies`.  The full-grid
 operator is assembled
@@ -180,27 +182,42 @@ def rk45_step(fun, y, h):
     return y5, h * np.max(np.abs(_DP_E @ ks))
 
 
+def dopri_floats(fun, y, h):
+    """The fifth-order result y5 and f(y5) of one Dormand-Prince attempt
+    on a list of Python floats, with fun from such lists to such lists:
+    each stage input formed as the emitted attempt writes it, y + h * (c0
+    * k0 + c1 * k1 + ...) over the nonzero weights of _DP_A (whose last
+    row is _DP_B5), summed left to right."""
+    ks = [fun(y)]
+    for row in _DP_A[1:].tolist():
+        terms = [(c, k) for c, k in zip(row, ks) if c]
+        x = []
+        for j, yj in enumerate(y):
+            total = terms[0][0] * terms[0][1][j]
+            for c, k in terms[1:]:
+                total += c * k[j]
+            x.append(yj + h * total)
+        ks.append(fun(x))
+    return x, ks[-1]
+
+
 class AllocatingKernel(EomKernel):
     """EomKernel with the allocating _pairs, _gradients, _flow and
     energies it had before the aligned workspaces: every elementwise
     result is a new numpy temporary."""
 
-    def _pairs(self, x, u):
+    def _pairs(self, h, u, Q=None):
         k = self.layout.count
-        tol = phase.DEGENERACY_TOL
-        d = np.empty((2 * k,) + x.shape[1:])
+        d = np.empty((2 * k,) + h.shape[1:])
         if self.kind == "DAlembert":
-            np.matmul(self.pair_map, x, out=d)
-            near = np.abs(d[:k]) < tol * d[k:]
+            np.matmul(self.Q_map, Q, out=d)
         else:
-            self.sm(x, out=d[:k])
-            self.cm(x, out=d[k:])
-            near = np.abs(d if self.kind == "TrigUn" else d[:k]) < 0.5 * tol
+            self.sm(h, out=d[:k])
+            self.cm(h, out=d[k:])
+        near = np.abs(d if self.kind == "TrigUn" else h) \
+            < 0.5 * phase.DEGENERACY_TOL
         if not np.count_nonzero(near):
             return d, self.coef / (d * d)
-        if self.kind == "DAlembert":
-            ia, ib = self.layout.iu
-            near = np.abs(d[:k]) < tol * np.maximum(x[ia], x[ib])
         if len(near) == k:
             near = np.concatenate([near, np.zeros_like(near)])
         if np.any(near[k:] & (u[k:] != 0.0)):
@@ -214,17 +231,17 @@ class AllocatingKernel(EomKernel):
 
     def _gradients(self, q, p, u, dHdp, force):
         k = self.layout.count
+        h = self.pair_map @ q
         if self.kind == "DAlembert":
             Q = np.exp(q)
-            d, weights = self._pairs(Q, u)
+            d, weights = self._pairs(h[:k], u, Q)
             g = u * weights
             np.multiply(p / (Q * Q), self.momentum, out=dHdp)
             np.multiply(self.q_weights @ (g * g * d), Q, out=force)
             force += p * dHdp
             if self.slope is not None:
-                force -= self.slope(q.sum(axis=0) / self.n) / self.n
+                force -= self.slope(h[k:]) / self.n
             return g
-        h = self.pair_map @ q
         d, weights = self._pairs(h[:k], u)
         g = u * weights
         v = g * g

@@ -715,13 +715,13 @@ class TestDegenerateBatch:
     def test_dalembert_exact_test(self, rng):
         model = MODELS["DAlembert"]
         kernel = dynamics.EomKernel(model, GEODETIC, 3)
-        # |Q_1 - Q_2| below tol max(Q_1, Q_2): degenerate
+        # |q_1 - q_2| below tol: degenerate
         q = np.array([0.2, 0.2 - 0.5e-9, -0.3])
         coupled = ReducedState(q, np.ones(3), m_upper=[0.5, 0.0, 0.0],
                                n_upper=[0.4, 0.1, 0.0])
         with pytest.raises(DegenerateInertia):
             kernel.rhs(self.fortran_batch(rng, model, coupled))
-        # between tol max(Q_1, Q_2) and the screen tol (Q_1 + Q_2): regular
+        # |q_1 - q_2| above tol: regular
         q = np.array([0.2, 0.2 - 1.5e-9, -0.3])
         near = ReducedState(q, np.ones(3), m_upper=[0.5, 0.0, 0.0],
                             n_upper=[0.4, 0.1, 0.0])
@@ -762,6 +762,65 @@ OVERFLOWS = {
     "sin": (MODELS["TrigUn"], [0.3, -0.3], [1e308, -1e308], [0.5], [0.2],
             "2.35"),
 }
+
+
+def assert_screen(model, n, seed, wall, potential):
+    """On the state packed_batch draws from seed, with wall = (i, half,
+    keep_m, keep_n) putting pair i at half difference half and keeping or
+    dropping its M and N couplings: float_rhs, emitted or through its
+    fallback, gives rhs's derivative or raises its DegenerateInertia, the
+    emitted RK4 step is the textbook step of float_rhs, and the emitted
+    Dormand-Prince attempt is, bit for bit, reference.dopri_floats on
+    float_rhs, which sums the stages in its order."""
+    rng = np.random.default_rng(seed)
+    y = packed_batch(rng, model, n, 1)[0]
+    k = n * (n - 1) // 2
+    if wall:
+        i, half, keep_m, keep_n = wall
+        a, b = (int(j[i]) for j in phase.pair_layout(n).iu)
+        y[b] = y[a] - 2.0 * half
+        y[2 * n + i] *= keep_m
+        y[2 * n + k + i] *= keep_n
+    kernel = dynamics.EomKernel(model, potential, n)
+    rhs, stepper = kernel.float_rhs(), kernel._bind_floats("stepper")
+    run = stepper(1e-3, *(1e-3 * dynamics._RK4_B).tolist())
+
+    def outcome(f, *args):
+        with np.errstate(all="ignore"):
+            try:
+                return np.asarray(f(*args), dtype=float)
+            except (DegenerateInertia, ArithmeticError, ValueError) as exc:
+                return type(exc), str(exc)
+
+    def agree(got, want, tol=1e-14):
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            scale = max(1.0, np.max(np.abs(want), initial=0.0,
+                                    where=np.isfinite(want)))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=tol * scale)
+
+    def bits(result):
+        return result if isinstance(result, tuple) else result.tobytes()
+
+    # DAlembert's Q_a - Q_b cancels near the wall: math.exp and np.exp
+    # differ by an ulp in about 5 % of arguments, which moves Q_a - Q_b by
+    # eps max(Q_a, Q_b) / |Q_a - Q_b| relative, and the derivative, through
+    # d^3, by three times that
+    cond = 0.0
+    if model.kind == "DAlembert" and k:
+        Q = np.exp(y[:n])[np.array(phase.pair_layout(n).iu)]
+        cond = np.max(Q.max(axis=0) / np.abs(Q[0] - Q[1]))
+    agree(outcome(rhs, y.tolist()), outcome(kernel.rhs, y),
+          1e-14 + 12 * np.finfo(float).eps * cond)
+    agree(outcome(run, y.tolist(), 1), outcome(
+        rk4_step, lambda v: np.array(rhs(v.tolist())), y, 1e-3))
+    # next to a wall a 1-ulp change of one input can move the attempt by
+    # 9e-9 x scale, so only the emitted order of operations is a fair
+    # oracle; overflow and nan come at the same place in both
+    dopri = kernel._bind_floats("dopri")
+    assert bits(outcome(lambda v: dopri(v, rhs(v), 1e-3)[:2], y.tolist())) \
+        == bits(outcome(reference.dopri_floats, rhs, y.tolist(), 1e-3))
 
 
 class TestSingleState:
@@ -907,69 +966,58 @@ class TestSingleState:
     @given(model=st.sampled_from(ALL_KINDS), n=st.integers(1, 4),
            data=st.data())
     def test_screen_boundary(self, model, n, data):
-        """A pair whose half difference lies just below or above the
-        screen, 0.5 DEGENERACY_TOL (DAlembert's exact test; its screen is
-        at about twice that), or for TrigUn whose cosine does: float_rhs,
-        emitted or through its fallback, gives rhs's derivative or raises
-        its DegenerateInertia, the emitted RK4 step is the textbook step of
-        float_rhs, and the emitted Dormand-Prince attempt gives the numpy
-        stage loop's result on float_rhs."""
+        """A pair whose half difference lies just below or above
+        0.5 DEGENERACY_TOL, the rule of _pairs, or for TrigUn whose cosine
+        does; the emitted screen is at twice that.  See assert_screen."""
         k = n * (n - 1) // 2
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        y = packed_batch(rng, model, n, 1)[0]
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        wall = None
         if k:
             i = data.draw(st.integers(0, k - 1))
-            a, b = (int(j[i]) for j in phase.pair_layout(n).iu)
             half = data.draw(st.sampled_from([-1.0, 1.0])) \
                 * data.draw(st.floats(0.25, 4.0)) * 0.5 * phase.DEGENERACY_TOL
             if model.kind == "TrigUn" and data.draw(st.booleans()):
                 half += 0.5 * np.pi
-            y[b] = y[a] - 2.0 * half
-            # keep or drop the pair's M and N couplings
-            y[2 * n + i] *= data.draw(st.booleans())
-            y[2 * n + k + i] *= data.draw(st.booleans())
-        kernel = dynamics.EomKernel(model, data.draw(st.sampled_from(
-            POTENTIALS)), n)
-        rhs, stepper = kernel.float_rhs(), kernel._bind_floats("stepper")
-        run = stepper(1e-3, *(1e-3 * dynamics._RK4_B).tolist())
+            wall = i, half, data.draw(st.booleans()), data.draw(st.booleans())
+        assert_screen(model, n, seed, wall,
+                      data.draw(st.sampled_from(POTENTIALS)))
 
-        def outcome(f, *args):
-            with np.errstate(all="ignore"):
-                try:
-                    return np.asarray(f(*args), dtype=float)
-                except (DegenerateInertia, ArithmeticError,
-                        ValueError) as exc:
-                    return type(exc), str(exc)
+    def test_screen_boundary_example(self):
+        # the pair's M coupling is a cancelled 8e-15 that a 1.8e-8
+        # denominator amplifies: numpy's stage loop, in its own summation
+        # order, differs from the emitted attempt by 1.3e-10 x scale
+        assert_screen(MODELS["DAlembert"], 4, 867,
+                      (0, -1.5 * phase.DEGENERACY_TOL, False, False),
+                      GEODETIC)
 
-        def agree(got, want, tol=1e-14):
-            if isinstance(want, tuple):
-                assert got == want
-            else:
-                scale = max(1.0, np.max(np.abs(want), initial=0.0,
-                                        where=np.isfinite(want)))
-                np.testing.assert_allclose(got, want, rtol=0.0,
-                                           atol=tol * scale)
-
-        # DAlembert's Q_a - Q_b cancels near the wall: math.exp and np.exp
-        # differ by an ulp in about 5 % of arguments, which moves Q_a - Q_b
-        # by eps max(Q_a, Q_b) / |Q_a - Q_b| relative, and the derivative,
-        # through d^3, by three times that
-        cond = 0.0
-        if model.kind == "DAlembert" and k:
-            Q = np.exp(y[:n])[np.array(phase.pair_layout(n).iu)]
-            cond = np.max(Q.max(axis=0) / np.abs(Q[0] - Q[1]))
-        agree(outcome(rhs, y.tolist()), outcome(kernel.rhs, y),
-              1e-14 + 12 * np.finfo(float).eps * cond)
-        agree(outcome(run, y.tolist(), 1), outcome(
-            rk4_step, lambda v: np.array(rhs(v.tolist())), y, 1e-3))
-        # next to a wall the attempt's seven stages can overflow, each sum
-        # order at its own place: compare where the loop's result is finite
-        dopri = kernel._bind_floats("dopri")
-        want = outcome(lambda v: reference.rk45_step(
-            lambda u: np.array(rhs(u.tolist())), v, 1e-3)[0], y)
-        if isinstance(want, tuple) or np.isfinite(want).all():
-            agree(outcome(lambda v: dopri(v, rhs(v), 1e-3)[0], y.tolist()),
-                  want)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("offset", [-5.0, -2.0, -0.5, 0.0, 0.5, 2.0,
+                                        5.0, 10.0, 20.0, 30.0])
+    def test_dalembert_raise_boundary(self, n, offset):
+        """DAlembert raises DegenerateInertia exactly when the stored
+        |q_a - q_b| is below DEGENERACY_TOL, in rhs and float_rhs alike,
+        on pairs with M != 0 within 1e-8 to 1e-6 relative of it."""
+        tol = phase.DEGENERACY_TOL
+        kernel = dynamics.EomKernel(MODELS["DAlembert"], GEODETIC, n)
+        rhs = kernel.float_rhs()
+        rng = np.random.default_rng([n, int(10 * offset) + 50])
+        placed = 0
+        for _ in range(40):
+            y = rng.standard_normal(n * n + n) * 0.6
+            y[:n] = offset + np.arange(n) * 0.5 + rng.uniform(0.0, 0.1)
+            y[1] = y[0] + rng.choice([-1.0, 1.0]) * tol * (
+                1.0 + rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-8, -6))
+            gap = abs(y[0] - y[1])
+            if not 1e-8 <= abs(gap / tol - 1.0) <= 1e-6:
+                continue
+            placed += 1
+            for f, v in ((kernel.rhs, y), (rhs, y.tolist())):
+                if gap < tol:
+                    with pytest.raises(DegenerateInertia, match="coincident"):
+                        f(v)
+                else:
+                    assert np.isfinite(f(v)).all()
+        assert placed
 
     def test_wall_crossing(self):
         model = MODELS["TrigUn"]
