@@ -80,12 +80,19 @@ def _draw_configuration(rng, n):
 
 
 def random_state(rng, n, scale=1.0, min_gap=0.05):
-    """Random nondegenerate reduced state."""
-    while True:
+    """Random nondegenerate reduced state: q descending in [-1.5, 1.5],
+    redrawn until every gap exceeds min_gap, for at most 1000 draws (a draw
+    passes with a chance that falls off exponentially in n); after those,
+    min_gap plus the spacings of uniform draws over the room left."""
+    for _ in range(1000):
         q = np.sort(rng.uniform(-1.5, 1.5, n))[::-1].copy()
         gaps = q[:-1] - q[1:]
         if n == 1 or np.min(gaps) > min_gap:
             break
+    else:
+        room = max(3.0 - (n - 1) * min_gap, 0.0)
+        q = (np.sort(rng.uniform(0.0, room, n)) + min_gap * np.arange(n)
+             - 1.5)[::-1].copy()
     p = rng.standard_normal(n) * scale
     M = rng.standard_normal((n, n)) * scale
     N = rng.standard_normal((n, n)) * scale

@@ -21,14 +21,11 @@ integrate_batch and the adaptive steps of integrate, which step as lists
 of Python floats through code written out for the kernel's structure
 (_emit).
 
-The kernel writes its intermediate (B,)-wide rows into a workspace of
-its own for each batch width B, and integrate_batch holds its states and
-stages in buffers of the same kind: C-contiguous blocks that start on an
-ALIGNMENT-byte boundary (_aligned_empty), so that every row starts on a
-cache line when 8 divides B.  Rows are not padded.  Two paths still
-allocate: DAlembert's V'(qbar) row under a potential, which measured no
-faster in a workspace row, and the near-degenerate branch of _pairs,
-whose np.where runs only when a pair denominator is near zero.
+The kernel writes its intermediate (B,)-wide rows, C2's among them, into
+a workspace of its own for each batch width B, one aligned block
+(_Workspace).  Two paths still allocate: DAlembert's V'(qbar) row under
+a potential, which measured no faster in a workspace row, and the pair
+weights of a batch with a pair at a wall (_over_squares).
 """
 
 import functools
@@ -118,19 +115,20 @@ def _emit(form, n, sloped, coupled, function):
     ("stepper") or Dormand-Prince attempt ("dopri") of one kernel
     structure as straight-line Python, partial evaluation as in SymPy's
     lambdify.
-    form is the pair function: sinh for the four hyperbolic kinds, sin for
-    TrigUn, exp for DAlembert (Q_a -+ Q_b).  The state is unpacked into
-    locals, and every product of _flow and every nonzero commutator term
-    of _commutator_terms(n) is written out.  No model constant is written
-    into the source: bind(coef, q_weights, momentum, own, cross, slope,
-    lim, fallback) returns the function of one kernel, which unpacks them
-    into its locals when called.  Both steps come from one writer of
-    explicit Runge-Kutta stages: stepper(h, w1, w2, w3, w4) returns
-    run(y, count), count RK4 steps with the stages in locals, and
-    dopri(y, k, h) takes k = f(y) and returns the fifth-order result y5,
-    f(y5) and the error estimate h max|_DP_E @ K|, the stages written from
-    the literals of _DP_A, _DP_B5 and _DP_E.  Its last stage is f(y5), as
-    _DP_A[6] is _DP_B5: the next attempt's k after an accept (FSAL).
+    form is the kernel's pair form (EomKernel.form).  The state is
+    unpacked into locals, and every product of _flow and every nonzero
+    commutator term of _commutator_terms(n) is written out.  No model
+    constant is written into the source: bind(coef, q_weights, momentum,
+    own, cross, slope, lim, fallback) returns the function of one kernel,
+    which unpacks the three arrays into its locals when called and reads
+    own and cross, the metric coupling of a coupled kernel, as two names.
+    Both steps come from one writer of explicit Runge-Kutta stages:
+    stepper(h, w1, w2, w3, w4) returns run(y, count), count RK4 steps with
+    the stages in locals, and dopri(y, k, h) takes k = f(y) and returns
+    the fifth-order result y5, f(y5) and the error estimate
+    h max|_DP_E @ K|, the stages written from the literals of _DP_A,
+    _DP_B5 and _DP_E.  Its last stage is f(y5), as _DP_A[6] is _DP_B5:
+    the next attempt's k after an accept (FSAL).
     A stage with a pair denominator below lim = DEGENERACY_TOL (below
     lim (Q_a + Q_b) for DAlembert; the cosines too for TrigUn), twice the
     width of _pairs' rule, goes to fallback, the batch kernel on that one
@@ -186,7 +184,7 @@ def _emit(form, n, sloped, coupled, function):
                 f"W{a}_{i} * f{i}" for i in columns[a]) or "0.0")
                 for a in range(n)]
             if coupled and partners.size:
-                rest += [f"g{i} = g{i} + O{i} * {u[i]} + X{i} * "
+                rest += [f"g{i} = g{i} + own * {u[i]} + cross * "
                          f"{u[(i + k) % (2 * k)]}" for i in range(2 * k)]
         rest += [f"{out[2 * n + r]} = " + (" ".join(
             f"{s} {u[i]} * g{j}" for s, i, j in terms).removeprefix("+ ")
@@ -239,9 +237,7 @@ def _emit(form, n, sloped, coupled, function):
                  ([f"W{a}_{i}" for a in range(n)
                    for i in range(2 * k if exp else k + pull)], "q_weights"),
                  (["P0"] if exp else [f"P{a}_{b}" for a in range(n)
-                                      for b in range(n)], "momentum"),
-                 ([f"O{i}" for i in range(2 * k * coupled)], "own"),
-                 ([f"X{i}" for i in range(2 * k * coupled)], "cross")]
+                                      for b in range(n)], "momentum")]
     bound = [line for names, into in constants
              for line in unpack(names, into)]
     if function == "rhs":
@@ -288,17 +284,21 @@ def _block(header, lines):
 class EomKernel:
     """Reduced equations of motion of one model and potential at size n.
 
-    Takes and returns packed states (..., dim) and works on their
-    component-major transpose (dim, B), one row per component (see the
-    module docstring).  Each pair's sinh/cosh (sin/cos for TrigUn, exp for
-    DAlembert) is evaluated once per call, the commutators are summed over
-    the nonzero so(n) structure constants, and every constant of the model
-    is computed once, at construction.  The results of a call go into the
-    aligned _Workspace of its width, built the first time the kernel sees
-    that width; rhs without out, flow and energies return new arrays.  As
-    it holds these buffers, one kernel must not be called from two threads
-    at once; the library builds a kernel per call.  float_rhs evaluates
-    the same equations for one state on Python floats.
+    The model is read once, at construction: its pair form, form ("sinh"
+    for the four hyperbolic kinds, "sin" for TrigUn, "exp" for DAlembert,
+    whose pair denominators are Q_a -+ Q_b with Q = exp(q)), which later
+    steps read in place of the kind, and its constants, the metric
+    coupling among them as the two constants own and cross.  Takes and
+    returns packed states (..., dim) and works on their component-major
+    transpose (dim, B), one row per component (see the module docstring).
+    Each pair's denominators are evaluated once per call, and the
+    commutators are summed over the nonzero so(n) structure constants.
+    The results of a call go into the aligned _Workspace of its width,
+    built the first time the kernel sees that width; rhs without out,
+    flow and energies return new arrays.  As it holds these buffers, one
+    kernel must not be called from two threads at once; the library
+    builds a kernel per call.  float_rhs evaluates the same equations for
+    one state on Python floats.
     """
 
     def __init__(self, model, potential, n):
@@ -306,7 +306,8 @@ class EomKernel:
         k = layout.count
         inc = layout.incidence
         self.n = n
-        self.kind = model.kind
+        self.form = {"DAlembert": "exp", "TrigUn": "sin"}.get(model.kind,
+                                                              "sinh")
         self.layout = layout
         self.potential = potential
         self._workspaces = {}
@@ -314,22 +315,28 @@ class EomKernel:
             else potential.dilatational_slope
         partners, self.spin_signs = _commutator_terms(n)
         self.partners = partners.ravel()
-        self.coupling = None
         cL, cQ, cM, cN, c_rho, c_tau = model.kinetic_constants(n)
         # dH/du = coef u / d^2 for u = (M, N) upper components
         self.coef = 2.0 * np.repeat([cM, cN], k)[:, None]
+        # c_rho |rho|^2 + c_tau |tau|^2, with rho = (N - M)/2 and
+        # tau = -(M + N)/2, adds own u_i + cross u_(i -+ k) to dH/du_i
+        self.own = float(0.5 * (c_tau + c_rho))
+        self.cross = float(0.5 * (c_tau - c_rho))
+        self.coupling = np.kron([[self.own, self.cross],
+                                 [self.cross, self.own]], np.eye(k)) \
+            if c_rho or c_tau else None
         # half the pair differences, on which _pairs tests for a wall, and
         # qbar in the last row
         self.pair_map = np.vstack([0.5 * inc, np.full((1, n), 1.0 / n)])
-        if self.kind == "DAlembert":
-            # pair denominators (Q_a - Q_b, Q_a + Q_b) with Q = exp(q)
+        if self.form == "exp":
+            # pair denominators (Q_a - Q_b, Q_a + Q_b)
             self.Q_map = np.concatenate([inc, np.abs(inc)])
             self.q_weights = self.Q_map.T / (2.0 * cM)
             self.momentum = 2.0 * cL
             return
-        trig = self.kind == "TrigUn"
         # the sm and cm of the half differences are the pair denominators
-        self.sm, self.cm = (np.sin, np.cos) if trig else (np.sinh, np.cosh)
+        self.sm = getattr(np, self.form)
+        self.cm = getattr(np, self.form.replace("sin", "cos"))
         # -dH/dq from the M and N terms alike, as cN = -cM (cN = cM for
         # the trigonometric sm, cm) makes both pull with weight 1/(4 cM)
         self.q_weights = inc.T / (4.0 * cM)
@@ -342,12 +349,6 @@ class EomKernel:
         self._pull = np.multiply if self.q_weights.shape[1] == 1 \
             else np.matmul
         self.momentum = 2.0 * (cL * np.eye(n) + cQ)
-        # c_rho |rho|^2 + c_tau |tau|^2, with rho = (N - M)/2 and
-        # tau = -(M + N)/2, as the Hessian in u of a quadratic form
-        if c_rho or c_tau:
-            diag = 0.5 * (c_tau + c_rho) * np.eye(k)
-            off = 0.5 * (c_tau - c_rho) * np.eye(k)
-            self.coupling = np.block([[diag, off], [off, diag]])
 
     def _workspace(self, width):
         """The aligned buffers and views of batch width B = width, built the
@@ -366,28 +367,22 @@ class EomKernel:
         ws.h_pairs; for TrigUn, whose sin and cos both vanish, where
         either denominator is below half that."""
         k = self.layout.count
-        d = ws.d
-        if self.kind == "DAlembert":
-            np.matmul(self.Q_map, x, out=d)
+        if self.form == "exp":
+            np.matmul(self.Q_map, x, out=ws.d)
         else:
             self.sm(x, out=ws.d_lo)
             self.cm(x, out=ws.d_hi)
-        near = np.less(np.abs(ws.screened, out=ws.magnitude),
-                       0.5 * phase.DEGENERACY_TOL, out=ws.near)
-        if not np.count_nonzero(near):
-            weights = np.multiply(d, d, out=ws.weights)
-            return d, np.divide(self.coef, weights, out=weights)
-        if len(near) == k:
-            near = np.concatenate([near, np.zeros_like(near)])
+        np.less(np.abs(ws.screened, out=ws.magnitude),
+                0.5 * phase.DEGENERACY_TOL, out=ws.screen)
+        near = ws.near if np.count_nonzero(ws.screen) else None
         # an antipodal N coupling is named before a coincident M one
-        if np.any(near[k:] & (u[k:] != 0.0)):
+        if near is not None and np.any(near[k:] & (u[k:] != 0.0)):
             raise DegenerateInertia(
                 "antipodal invariants q_a - q_b = pi with N coupling")
-        if np.any(near[:k] & (u[:k] != 0.0)):
+        if near is not None and np.any(near[:k] & (u[:k] != 0.0)):
             raise DegenerateInertia(
                 "coincident deformation invariants with nonzero M coupling")
-        return d, np.where(near, 0.0,
-                           self.coef / np.where(near, 1.0, d) ** 2)
+        return ws.d, _over_squares(self.coef, ws, near)
 
     def _gradients(self, q, p, u, dHdp, force, ws):
         """Energy gradients, component-major: writes dH/dp and -dH/dq into
@@ -395,7 +390,7 @@ class EomKernel:
         like u, the workspace's g."""
         g, v = ws.g, ws.v
         np.matmul(self.pair_map, q, out=ws.h)
-        if self.kind == "DAlembert":
+        if self.form == "exp":
             Q = np.exp(q, out=ws.Q)
             d, weights = self._pairs(Q, u, ws)
             np.multiply(u, weights, out=g)
@@ -471,33 +466,30 @@ class EomKernel:
 
     def _bind_floats(self, function):
         """The float_rhs ("rhs"), the RK4 stepper ("stepper") or the
-        Dormand-Prince attempt ("dopri") of this kernel, from _emit:
+        Dormand-Prince attempt ("dopri") of this kernel, emitted by _emit
+        for its form and bound to its constants:
         stepper(h, w1, w2, w3, w4) gives run(y, count), count RK4 steps of
         one state with step h and weights w, and dopri(y, k, h) gives
         (y5, f(y5), err) from y and k = f(y)."""
-        coupling = self.coupling
-        own = cross = []
-        if coupling is not None:
-            # the coupling Hessian has nonzeros only at (i, i) and (i, i -+ k)
-            own = coupling.diagonal().tolist()
-            cross = np.roll(coupling, self.layout.count, 1).diagonal().tolist()
-        form = "exp" if self.kind == "DAlembert" else \
-            "sin" if self.kind == "TrigUn" else "sinh"
-
         def fallback(y):
             with np.errstate(all="ignore"):
                 return self.rhs(y).tolist()
 
-        bind = _emit(form, self.n, self.slope is not None,
-                     coupling is not None, function)
+        bind = _emit(self.form, self.n, self.slope is not None,
+                     self.coupling is not None, function)
         return bind(self.coef.ravel().tolist(),
                     self.q_weights.ravel().tolist(),
-                    np.ravel(self.momentum).tolist(), own, cross, self.slope,
-                    phase.DEGENERACY_TOL, fallback)
+                    np.ravel(self.momentum).tolist(), self.own, self.cross,
+                    self.slope, phase.DEGENERACY_TOL, fallback)
 
     def energies(self, ys):
-        """Energy H and quadratic Casimir C2 of packed states (..., dim)."""
-        n = self.n
+        """Energy H and quadratic Casimir C2 of packed states (..., dim).
+        C2 is a property of the state, the same for every model kind: the
+        sum over pairs of (p_a - p_b)^2 / n, M_ab^2 / (8 sinh^2) and
+        -N_ab^2 / (8 cosh^2) of the half differences of q, the last two
+        taken as zero at the pairs _pairs found at a wall, where their
+        coupling is zero."""
+        n, k = self.n, self.layout.count
         ys = np.asarray(ys, dtype=float)
         z = ys.reshape(-1, ys.shape[-1]).T
         q, p, u = z[:n], z[n:2 * n], z[2 * n:]
@@ -507,13 +499,12 @@ class EomKernel:
         # the kinetic energy is quadratic in (p, u): T = (p.dT/dp + u.dT/du)/2
         energy = 0.5 * (np.sum(p * dHdp, axis=0) + np.sum(u * g, axis=0)) \
             + self.potential.dilatational_value(q.mean(axis=0))
-        # the coupling part of C2 is u.dH/du of the hyperbolic lattice
-        # with A = 1, whatever the model kind.  The shared lattice keeps no
-        # workspace: its pairs go through this kernel's, whose half
-        # differences of q it reads, whose pair rows (and a screen that may
-        # take in the cosh rows too) fit it at the same n, and whose g has
-        # been read
-        _, weights = _casimir_kernel(n)._pairs(ws.h_pairs, u, ws)
+        # into the pair rows, which _gradients has finished with
+        np.sinh(ws.h_pairs, out=ws.d_lo)
+        np.cosh(ws.h_pairs, out=ws.d_hi)
+        weights = _over_squares(0.125, ws, ws.near if np.count_nonzero(
+            ws.near) else None)
+        weights[k:] *= -1.0
         dp = self.layout.incidence @ p
         casimir = np.sum(dp * dp, axis=0) / n \
             + np.sum(u * u * weights, axis=0)
@@ -539,17 +530,17 @@ class _Workspace:
     """The buffers of one batch width B into which EomKernel writes every
     elementwise result of _pairs, _gradients and _flow, as the (count, B)
     rows of one aligned block (_aligned_empty), and the views of them each
-    call uses, built here once.  Every kind has the half differences
-    h_pairs, on which _pairs screens (bar TrigUn), and qbar."""
+    call uses, built here once.  Every form has the half differences
+    h_pairs, on which _pairs screens (bar sin), and qbar."""
 
     def __init__(self, kernel, width):
         n, k = kernel.n, kernel.layout.count
-        # the screen of _pairs: all 2k rows of d for TrigUn, whose cosine
+        # the screen of _pairs: all 2k rows of d for sin, whose cosine
         # vanishes at antipodal pairs, the k half differences otherwise
-        trig = kernel.kind == "TrigUn"
+        trig = kernel.form == "sin"
         counts = dict(d=2 * k, weights=2 * k, g=2 * k, v=2 * k,
                       magnitude=k + k * trig, h=k + 1)
-        if kernel.kind == "DAlembert":
+        if kernel.form == "exp":
             counts.update(Q=n, QQ=n, pull=n)
         else:
             counts.update(pulls=k + (kernel.slope is not None), dd=k,
@@ -565,20 +556,24 @@ class _Workspace:
         self.d_lo, self.d_hi = self.d[:k], self.d[k:]
         self.h_pairs, self.qbar = self.h[:k], self.h[k:]
         self.screened = self.d if trig else self.h_pairs
-        self.near = np.empty(self.magnitude.shape, dtype=bool)
+        # all 2k rows of d; the screen writes the first, the rest stay False
+        self.near = np.zeros((2 * k, width), dtype=bool)
+        self.screen = self.near[:len(self.magnitude)]
         self.v_lo, self.v_hi = self.v[:k], self.v[k:]
-        if kernel.kind != "DAlembert":
+        if kernel.form != "exp":
             self.pulls_pairs, self.pulls_slope = self.pulls[:k], self.pulls[k:]
         self.u_shape = (2, k, 1, width)
         self.taken_terms = self.taken.reshape(k, pairs, width)
         self.products = self.product_rows.reshape(2, k, pairs, width)
 
 
-@functools.lru_cache(maxsize=None)
-def _casimir_kernel(n):
-    """Hyperbolic lattice kernel with A = 1, whose pair weights give the
-    coupling part of C2 for every model kind."""
-    return EomKernel(phase.ModelSpec(kind="AffAff"), phase.PotentialSpec(), n)
+def _over_squares(coef, ws, near):
+    """coef / d^2 of ws.d into ws.weights, or, given a mask near, a new
+    array with zeros where near."""
+    if near is None:
+        return np.divide(coef, np.multiply(ws.d, ws.d, out=ws.weights),
+                         out=ws.weights)
+    return np.where(near, 0.0, coef / np.where(near, 1.0, ws.d) ** 2)
 
 
 def eom_rhs(model, potential, state):
@@ -693,7 +688,7 @@ def integrate(model, potential, state0, t_end, control=StepControl()):
                     f"at t = {t:g}")
         times = np.array(times)
         samples = np.array(samples)
-    if model.kind == "TrigUn" and potential.is_trivial:
+    if kernel.form == "sin" and potential.is_trivial:
         # without a potential the flow is 2 pi-periodic in every angle;
         # record the (-pi, pi] representative.  V(qbar) is not periodic,
         # so with one the angles are recorded as integrated
@@ -706,16 +701,12 @@ def integrate(model, potential, state0, t_end, control=StepControl()):
 
 def integrate_batch(model, potential, y0, t_end, step, n, record_every=None):
     """Fixed-step RK4 over a batch of packed states, rows of width
-    n(n + 1) (else ShapeMismatch); records only the endpoints unless
-    record_every is given.  Returns (times, samples) with samples shaped
-    (records,) + y0.shape.  A batch of more than one state is held
-    component-major, (dim, B), in aligned buffers (_aligned_empty) and
-    stepped in place; each RHS call writes its stage into one aligned
-    (4, dim, B) buffer, and a step ends with one product of the RK4
-    weights with that buffer.  The steps run on numpy's unbuffered loops
-    (_rk4_batch), and a force from a one-column q_weights is one multiply,
-    not a matmul (EomKernel._gradients).  One state, (dim,) or (1, dim),
-    steps on Python floats through the kernel's emitted RK4 step instead
+    n(n + 1) (else ShapeMismatch), in steps of about step up to t_end,
+    both positive (else ConfigError, step_count); records only the
+    endpoints unless record_every is given.  Returns (times, samples) with
+    samples shaped (records,) + y0.shape.  A batch of more than one state
+    steps component-major, in place (_rk4_batch); one state, (dim,) or
+    (1, dim), steps on Python floats through the kernel's emitted RK4 step
     (_emit), where numpy's per-call cost would outweigh its arithmetic.
 
     A state that blows up (a step across a singular wall of the lattice)
@@ -758,11 +749,12 @@ def _rk4(kernel, y0, t_end, step, record_every):
 
 
 def step_count(t_end, step):
-    """The number of fixed steps, at least one, nearest t_end / step."""
-    ratio = t_end / step if step else math.inf
+    """The number of fixed steps, at least one, nearest t_end / step, for
+    a positive t_end and step."""
+    ratio = t_end / step if t_end > 0 and step > 0 else math.nan
     if not math.isfinite(ratio):
-        raise ConfigError(f"'t_end' / 'step' = {t_end:g} / {step:g} is "
-                          "not a finite step count")
+        raise ConfigError(f"'t_end' / 'step' = {t_end:g} / {step:g} must "
+                          "be a finite ratio of positive numbers")
     return max(1, round(ratio))
 
 

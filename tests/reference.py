@@ -209,12 +209,12 @@ class AllocatingKernel(EomKernel):
     def _pairs(self, h, u, Q=None):
         k = self.layout.count
         d = np.empty((2 * k,) + h.shape[1:])
-        if self.kind == "DAlembert":
+        if self.form == "exp":
             np.matmul(self.Q_map, Q, out=d)
         else:
             self.sm(h, out=d[:k])
             self.cm(h, out=d[k:])
-        near = np.abs(d if self.kind == "TrigUn" else h) \
+        near = np.abs(d if self.form == "sin" else h) \
             < 0.5 * phase.DEGENERACY_TOL
         if not np.count_nonzero(near):
             return d, self.coef / (d * d)
@@ -232,7 +232,7 @@ class AllocatingKernel(EomKernel):
     def _gradients(self, q, p, u, dHdp, force):
         k = self.layout.count
         h = self.pair_map @ q
-        if self.kind == "DAlembert":
+        if self.form == "exp":
             Q = np.exp(q)
             d, weights = self._pairs(h[:k], u, Q)
             g = u * weights

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import re
+import time
 import warnings
 
 import numpy as np
@@ -331,6 +332,16 @@ class TestChecks:
         first = (tmp_path / "brackets.json").read_text()
         run(tmp_path, "check-brackets", {"trials": 5}, seed=11)
         assert (tmp_path / "brackets.json").read_text() == first
+
+    # the chance that a random q keeps every gap above 0.05 falls off
+    # exponentially in n, and from n = 61 on no q in [-1.5, 1.5] can: both
+    # runs must end, well inside the bound
+    @pytest.mark.parametrize("n", [30, 61])
+    def test_brackets_end_for_large_n(self, tmp_path, n):
+        start = time.perf_counter()
+        assert run(tmp_path, "check-brackets", {"trials": 200, "n": n},
+                   seed=1) == 0
+        assert time.perf_counter() - start < 30.0
 
     def test_decomp(self, tmp_path):
         assert run(tmp_path, "check-decomp", {"trials": 40}, seed=7) == 0

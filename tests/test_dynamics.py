@@ -420,6 +420,20 @@ class TestRk4Driver:
         assert batch.shape == (len(want),) + ys.shape
         assert rel_err(one, batch[:, 0]) <= 1e-13
 
+    # a negative step, a negative t_end and a zero t_end would otherwise
+    # run as one step of h = t_end, as steps backwards in time, and as two
+    # records at t = 0
+    @pytest.mark.parametrize("t_end, step", [
+        (1.0, -0.01), (-1.0, 0.01), (0.0, 0.01)])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_nonpositive_step_or_t_end_rejected(self, t_end, step, count,
+                                                rng):
+        model = MODELS["AffAff"]
+        ys = packed_batch(rng, model, 2, count)
+        with pytest.raises(ConfigError, match="'t_end' / 'step' = "):
+            dynamics.integrate_batch(model, WELL, ys if count > 1 else ys[0],
+                                     t_end, step, 2)
+
     @pytest.mark.parametrize("failure", ["raises", "non-finite"])
     def test_failing_single_state_pads_with_nan(self, failure):
         # 12 steps recorded every 5: records after steps 5, 10 and 12.  The
@@ -670,8 +684,8 @@ class TestAlignedWorkspace:
     @kinds
     @sizes
     def test_energies_keep_no_state_in_shared_lattice(self, model, n, rng):
-        # the lattice's pair weights go through the calling kernel's
-        # workspace, of whatever kind
+        # C2's pair rows go through the kernel's own workspace, whatever the
+        # kind, and match the allocating kernel's over changing widths
         ys = packed_batch(rng, model, n, 9)
         kernel = dynamics.EomKernel(model, WELL, n)
         oracle = reference.AllocatingKernel(model, WELL, n)
@@ -679,7 +693,6 @@ class TestAlignedWorkspace:
             for got, want in zip(kernel.energies(batch),
                                  oracle.energies(batch)):
                 assert np.array_equal(got, want)
-        assert dynamics._casimir_kernel(n)._workspaces == {}
 
 
 class TestDegenerateBatch:
